@@ -32,6 +32,7 @@ _EPS = float(np.finfo(np.float64).eps)
 __all__ = [
     "ComplexMatrix",
     "EigenDecomposition",
+    "as_complex_stack",
     "as_complex_matrix",
     "hermitian_eig",
     "psd_sqrt",
@@ -42,13 +43,22 @@ __all__ = [
 ]
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce ``m`` to a square complex128 array with finite entries."""
+def as_complex_stack(m) -> np.ndarray:
+    """Coerce ``m`` to a complex128 stack ``(..., N, N)`` of square matrices
+    with finite entries; a single matrix is the stack with no leading axes."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValidationError("matrix entries must be finite")
+    return a
+
+
+def as_complex_matrix(m) -> np.ndarray:
+    """Coerce ``m`` to a square complex128 array with finite entries."""
+    a = as_complex_stack(m)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
 
 

@@ -17,7 +17,6 @@ for the three named kinds.
 from __future__ import annotations
 
 import enum
-import math
 from typing import Callable, Union
 
 import numpy as np
@@ -55,25 +54,35 @@ def metric_kind(name: str) -> MetricKind:
         raise ValidationError(f"unknown metric {name!r} (valid: {valid})") from None
 
 
-def _clamp_argument(x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x < -TOL.metric_domain_guard or x > 1.0 + TOL.metric_domain_guard:
-        raise DomainError(f"argument {x!r} outside [0, 1] beyond the guard band")
-    return min(max(x, 0.0), 1.0)
+def _clamp_argument(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    # Both comparisons are false for nan, so nan and +-inf fail here too.
+    ok = (x >= -TOL.metric_domain_guard) & (x <= 1.0 + TOL.metric_domain_guard)
+    if not ok.all():
+        raise DomainError(
+            f"argument {float(x[~ok].flat[0])!r} outside [0, 1] beyond the guard band"
+        )
+    return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
-def f_of(kind: MetricLike, x: float) -> float:
-    """Evaluate the generating function of ``kind`` at x in [0, 1]."""
+def f_of(kind: MetricLike, x):
+    """Evaluate the generating function of ``kind`` at x in [0, 1].
+
+    ``x`` may be a float, giving a float, or an array, giving the array of
+    values; the domain guard applies to every element.
+    """
     x = _clamp_argument(x)
     if kind is MetricKind.ANGLE:
-        return float(np.arccos(min(math.sqrt(x), 1.0)))
-    if kind is MetricKind.BURES:
-        return math.sqrt(max(2.0 - 2.0 * math.sqrt(x), 0.0))
-    if kind is MetricKind.ROOT_INFIDELITY:
-        return math.sqrt(max(1.0 - x, 0.0))
-    if callable(kind):
-        return float(kind(x))
-    raise ValidationError(f"not a metric kind or callable: {kind!r}")
+        y = np.arccos(np.minimum(np.sqrt(x), 1.0))
+    elif kind is MetricKind.BURES:
+        y = np.sqrt(np.maximum(2.0 - 2.0 * np.sqrt(x), 0.0))
+    elif kind is MetricKind.ROOT_INFIDELITY:
+        y = np.sqrt(np.maximum(1.0 - x, 0.0))
+    elif callable(kind):
+        y = np.array([float(kind(v)) for v in x.ravel().tolist()]).reshape(x.shape)
+    else:
+        raise ValidationError(f"not a metric kind or callable: {kind!r}")
+    return float(y) if y.ndim == 0 else y
 
 
 def metric_distance(kind: MetricLike, rho: DensityMatrix, sigma: DensityMatrix) -> float:

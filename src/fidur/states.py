@@ -52,30 +52,46 @@ __all__ = [
 # containers
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis."""
+    return np.sqrt((a.real**2 + a.imag**2).sum(axis=-1))
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, positive semidefinite, unit-trace matrix."""
+    """Hermitian, positive semidefinite, unit-trace matrix.
+
+    ``matrix`` may also be a stack ``(..., N, N)``; every member is checked
+    and one bad member rejects the whole stack.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = linalg.as_complex_matrix(self.matrix)
-        if float(np.abs(m - m.conj().T).max()) > TOL.hermitian:
+        m = linalg.as_complex_stack(self.matrix)
+        if m.size == 0:
+            raise ValidationError("density matrix must be nonempty")
+        h = _adjoint(m)
+        if float(np.abs(m - h).max()) > TOL.hermitian:
             raise ValidationError("density matrix must be Hermitian")
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if float(w[0]) < -TOL.psd_clamp:
-            raise ValidationError(
-                f"density matrix has negative eigenvalue {float(w[0]):.3e}"
-            )
-        if abs(float(np.trace(m).real) - 1.0) > TOL.trace_one or abs(
-            float(np.trace(m).imag)
+        w = float(np.linalg.eigvalsh((m + h) / 2)[..., 0].min())
+        if w < -TOL.psd_clamp:
+            raise ValidationError(f"density matrix has negative eigenvalue {w:.3e}")
+        tr = np.trace(m, axis1=-2, axis2=-1)
+        if float(np.abs(tr.real - 1.0).max()) > TOL.trace_one or float(
+            np.abs(tr.imag).max()
         ) > TOL.trace_one:
             raise ValidationError("density matrix must have unit trace")
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def to_payload(self) -> dict:
         return {
@@ -92,27 +108,28 @@ class DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Unit-norm complex amplitude vector."""
+    """Unit-norm complex amplitude vector, or a stack ``(..., N)`` of them."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=np.complex128)
-        if a.ndim != 1 or a.size == 0:
+        if a.ndim == 0 or a.size == 0:
             raise ValidationError("pure state must be a nonempty vector")
         if not np.isfinite(a).all():
             raise ValidationError("pure-state amplitudes must be finite")
-        if abs(float(np.linalg.norm(a)) - 1.0) > TOL.unit_norm:
+        if float(np.abs(_norm(a) - 1.0).max()) > TOL.unit_norm:
             raise ValidationError("pure state must have unit norm")
         object.__setattr__(self, "amplitudes", a)
 
     @property
     def dim(self) -> int:
-        return self.amplitudes.size
+        return self.amplitudes.shape[-1]
 
     def density(self) -> DensityMatrix:
-        """The rank-one density matrix |psi><psi|."""
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
+        """The rank-one density matrix |psi><psi| (a stack for a stack)."""
+        a = self.amplitudes
+        return DensityMatrix(a[..., :, None] * a.conj()[..., None, :])
 
     def to_payload(self) -> dict:
         return {
@@ -141,25 +158,28 @@ class ProjectiveObservable:
 
     The columns of ``eigenbasis`` are the eigenvectors |a_1>..|a_N>.
     Eigenvalue labels never enter any formula in scope and are not stored.
+    ``eigenbasis`` may also be a stack ``(..., N, N)`` of such bases.
     """
 
     eigenbasis: np.ndarray
 
     def __post_init__(self):
-        e = linalg.as_complex_matrix(self.eigenbasis)
-        gram = e.conj().T @ e
-        if float(np.abs(gram - np.eye(e.shape[0])).max()) > TOL.orthonormal:
+        e = linalg.as_complex_stack(self.eigenbasis)
+        if e.size == 0:
+            raise ValidationError("observable eigenbasis must be nonempty")
+        gram = _adjoint(e) @ e
+        if float(np.abs(gram - np.eye(e.shape[-1])).max()) > TOL.orthonormal:
             raise ValidationError("observable eigenbasis columns must be orthonormal")
         object.__setattr__(self, "eigenbasis", e)
 
     @property
     def dim(self) -> int:
-        return self.eigenbasis.shape[0]
+        return self.eigenbasis.shape[-1]
 
     def basis_state(self, i: int) -> PureState:
         if not 0 <= i < self.dim:
             raise IndexOutOfRange(f"index {i} outside [0, {self.dim})")
-        return PureState(self.eigenbasis[:, i].copy())
+        return PureState(self.eigenbasis[..., :, i].copy())
 
     def to_payload(self) -> dict:
         return {
@@ -178,8 +198,8 @@ def projector(obs: ProjectiveObservable, i: int) -> DensityMatrix:
     """Rank-one projector |a_i><a_i| onto the i-th outcome of ``obs``."""
     if not 0 <= i < obs.dim:
         raise IndexOutOfRange(f"index {i} outside [0, {obs.dim})")
-    v = obs.eigenbasis[:, i]
-    return DensityMatrix(np.outer(v, v.conj()))
+    v = obs.eigenbasis[..., :, i]
+    return DensityMatrix(v[..., :, None] * v.conj()[..., None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +236,7 @@ def partial_trace_aux(psi: PureState, sys_dim: int, aux_dim: int) -> DensityMatr
 
     ``psi`` lives on dimension sys_dim*aux_dim with the flat index
     convention n*aux_dim + k; the result is rho_{mn} = sum_k Psi_{mk} Psi*_{nk}.
+    A stack of states gives the stack of reduced states.
     """
     if sys_dim < 1 or aux_dim < 1:
         raise DimensionMismatch("dimensions must be positive")
@@ -223,13 +244,17 @@ def partial_trace_aux(psi: PureState, sys_dim: int, aux_dim: int) -> DensityMatr
         raise DimensionMismatch(
             f"state dimension {psi.dim} is not {sys_dim}*{aux_dim}"
         )
-    m = psi.amplitudes.reshape(sys_dim, aux_dim)
-    rho = m @ m.conj().T
-    return DensityMatrix((rho + rho.conj().T) / 2)
+    m = psi.amplitudes.reshape(*psi.amplitudes.shape[:-1], sys_dim, aux_dim)
+    rho = m @ _adjoint(m)
+    return DensityMatrix((rho + _adjoint(rho)) / 2)
 
 
 # ---------------------------------------------------------------------------
 # seeded samplers
+#
+# Every sampler takes an optional ``count``: without it, one sample; with
+# it, a stack of ``count`` samples drawn from the one seed (a leading axis
+# of that length on the returned array or container).
 
 
 def derived_seed(seed: int, *stream: int) -> int:
@@ -253,43 +278,69 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
 
 
-def sample_haar_unitary(dim: int, seed: int) -> np.ndarray:
+def _gaussian(seed: int, shape: tuple) -> np.ndarray:
+    """Standard complex Gaussian entries (E|z|^2 = 1) of the given shape."""
+    rng = _generator(seed)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    z /= np.sqrt(2.0)
+    return z
+
+
+def _stack_shape(count, *shape: int) -> tuple:
+    if count is None:
+        return shape
+    if count < 1:
+        raise ValidationError("count must be at least 1")
+    return (int(count), *shape)
+
+
+def sample_haar_unitary(dim: int, seed: int, count: int | None = None) -> np.ndarray:
     """Haar-distributed unitary via a Ginibre matrix and QR.
 
     The QR phase ambiguity is fixed by making the triangular factor's
     diagonal real positive, which is what makes the distribution Haar
-    rather than merely unitary.
+    rather than merely unitary (Mezzadri, Notices AMS 54, 2007).
     """
     if dim < 1:
         raise DimensionMismatch("dimension must be at least 1")
-    rng = _generator(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    z /= np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
+    q, r = np.linalg.qr(_gaussian(seed, _stack_shape(count, dim, dim)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     ph = np.where(np.abs(d) > 0, d, 1.0)
     ph = ph / np.abs(ph)
-    return q * ph
+    return q * ph[..., None, :]
 
 
-def sample_pure(dim: int, seed: int) -> PureState:
-    """Haar-random pure state: the first column of a Haar unitary."""
-    return PureState(sample_haar_unitary(dim, seed)[:, 0].copy())
+def sample_pure(dim: int, seed: int, count: int | None = None) -> PureState:
+    """Haar-random pure state: a normalized complex Gaussian vector.
+
+    The Gaussian measure is unitarily invariant, so its direction is
+    uniform on the unit sphere, which is the Haar measure on pure states.
+    """
+    if dim < 1:
+        raise DimensionMismatch("dimension must be at least 1")
+    z = _gaussian(seed, _stack_shape(count, dim))
+    return PureState(z / _norm(z)[..., None])
 
 
-def sample_mixed(dim: int, aux_dim: int, seed: int) -> DensityMatrix:
-    """Random mixed state: partial trace of a Haar pure state on dim*aux_dim.
+def sample_mixed(
+    dim: int, aux_dim: int, seed: int, count: int | None = None
+) -> DensityMatrix:
+    """Random mixed state from the induced measure: the partial trace of a
+    Haar pure state on dim*aux_dim (Zyczkowski & Sommers, J. Phys. A 34,
+    7111, 2001).
 
     aux_dim=1 yields pure states; aux_dim >= dim yields generic full-rank
     states.
     """
-    psi = sample_pure(dim * aux_dim, seed)
+    psi = sample_pure(dim * aux_dim, seed, count)
     return partial_trace_aux(psi, dim, aux_dim)
 
 
-def sample_observable(dim: int, seed: int) -> ProjectiveObservable:
+def sample_observable(
+    dim: int, seed: int, count: int | None = None
+) -> ProjectiveObservable:
     """Random projective observable: eigenbasis = Haar unitary columns."""
-    return ProjectiveObservable(sample_haar_unitary(dim, seed))
+    return ProjectiveObservable(sample_haar_unitary(dim, seed, count))
 
 
 def computational_observable(dim: int) -> ProjectiveObservable:

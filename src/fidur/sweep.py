@@ -3,25 +3,37 @@
 One trial of dimension d draws two Haar observables and, depending on
 ``mixedness``, a Haar pure state and/or a generic full-rank mixed state
 (auxiliary dimension = d), then evaluates one URReport per requested
-metric kind and state variant. Every random object is sampled from a
-seed derived as derived_seed(seed, d, t, stream), so the set of reports
-depends only on the configuration, not on execution order; results from
-any partitioning of the trials merge into the same SweepResult
-(violations and totals are sums, the minimum-slack witness is selected
-by a total order).
+metric kind and state variant.
+
+Trials run in blocks of ``BLOCK``: block j of dimension d holds trials
+[j*BLOCK, (j+1)*BLOCK), and each of its random objects is drawn as one
+stack from the seed derived_seed(seed, d, j, role). ``BLOCK`` is a
+constant, so the chunk plan, and with it every sample, depends only on
+the configuration, not on the worker count or the execution order;
+results from any assignment of chunks to workers merge into the same
+SweepResult (violations and totals are sums, the minimum-slack witness
+is selected by a total order).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 from .config import TOL
 from .errors import ValidationError
 from .metrics import MetricKind, metric_kind
 from .states import (
+    DensityMatrix,
+    ProjectiveObservable,
     derived_seed,
     sample_mixed,
     sample_observable,
@@ -29,15 +41,24 @@ from .states import (
 )
 from .uncertainty import overlap, max_probability, report_from_probabilities
 
-__all__ = ["SweepConfig", "SweepResult", "run_sweep"]
+__all__ = ["BLOCK", "SweepConfig", "SweepResult", "run_sweep"]
 
 _MIXEDNESS = ("pure", "mixed", "both")
 
-# per-trial sampler streams
-_STREAM_A = 0
-_STREAM_B = 1
-_STREAM_PURE = 2
-_STREAM_MIXED = 3
+# Trials per chunk. Changing it changes every sampled stream.
+BLOCK = 64
+
+# per-block sampler roles
+_ROLE_A = 0
+_ROLE_B = 1
+_ROLE_PURE = 2
+_ROLE_MIXED = 3
+
+
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -50,20 +71,28 @@ class SweepConfig:
     tolerance: float = TOL.ur_slack
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        try:
+            dims = tuple(self.dims)
+        except TypeError:
+            raise ValidationError("dims must be a list of integers") from None
+        dims = tuple(_integer("dims entry", d) for d in dims)
         if not dims or any(d < 2 for d in dims):
             raise ValidationError("dims must be a nonempty list of integers >= 2")
         kinds = tuple(self.kinds)
         if not kinds:
             raise ValidationError("at least one metric kind is required")
-        if self.trials_per_dim < 1:
+        if _integer("trials_per_dim", self.trials_per_dim) < 1:
             raise ValidationError("trials_per_dim must be at least 1")
-        if int(self.seed) < 0:
+        if _integer("seed", self.seed) < 0:
             raise ValidationError("seed must be non-negative")
         if self.mixedness not in _MIXEDNESS:
             raise ValidationError(f"mixedness must be one of {_MIXEDNESS}")
-        if not self.tolerance > 0:
-            raise ValidationError("tolerance must be positive")
+        if (
+            isinstance(self.tolerance, bool)
+            or not isinstance(self.tolerance, numbers.Real)
+            or not 0 < self.tolerance < math.inf
+        ):
+            raise ValidationError("tolerance must be a positive finite number")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "kinds", kinds)
         object.__setattr__(self, "seed", int(self.seed))
@@ -95,8 +124,10 @@ class SweepConfig:
         unknown = payload.keys() - (required | {"tolerance"})
         if unknown:
             raise ValidationError(f"sweep config has unknown keys: {sorted(unknown)}")
+        if not isinstance(payload["kinds"], list):
+            raise ValidationError("kinds must be a list of metric names")
         return cls(
-            dims=tuple(payload["dims"]),
+            dims=payload["dims"],
             trials_per_dim=payload["trials_per_dim"],
             seed=payload["seed"],
             kinds=tuple(metric_kind(k) for k in payload["kinds"]),
@@ -126,50 +157,42 @@ class SweepResult:
         return json.dumps(self.to_payload(), sort_keys=True)
 
 
-def _trial_state(config: SweepConfig, dim: int, trial: int, variant: str):
-    if variant == "pure":
-        return sample_pure(dim, derived_seed(config.seed, dim, trial, _STREAM_PURE)).density()
-    return sample_mixed(dim, dim, derived_seed(config.seed, dim, trial, _STREAM_MIXED))
+def _run_chunk(config: SweepConfig, dim: int, block: int):
+    """Evaluate the trials of one block of one dimension.
 
-
-def _run_chunk(config: SweepConfig, dim: int, t_start: int, t_stop: int):
-    """Evaluate trials [t_start, t_stop) of one dimension.
-
-    Returns (count, violations, best) with best either None or
-    (sort_key, witness_fields); sort_key orders first by slack, then by
-    trial coordinates, so the merged minimum is unique and order-free.
+    Returns (count, violations, best) with best = (sort_key, rho, a, b):
+    the key orders first by slack, then by trial coordinates, so the
+    merged minimum is unique and order-free, and the matrices are the
+    witness's state and observable bases.
     """
+    t0 = block * BLOCK
+    n = min(BLOCK, config.trials_per_dim - t0)
+
+    def seed(role: int) -> int:
+        return derived_seed(config.seed, dim, block, role)
+
+    a = sample_observable(dim, seed(_ROLE_A), n)
+    b = sample_observable(dim, seed(_ROLE_B), n)
+    c = overlap(a, b)
     count = 0
     violations = 0
     best = None
-    for trial in range(t_start, t_stop):
-        a = sample_observable(dim, derived_seed(config.seed, dim, trial, _STREAM_A))
-        b = sample_observable(dim, derived_seed(config.seed, dim, trial, _STREAM_B))
-        c = overlap(a, b)
-        for v_idx, variant in enumerate(config.variants):
-            rho = _trial_state(config, dim, trial, variant)
-            p_a, _ = max_probability(a, rho)
-            p_b, _ = max_probability(b, rho)
-            for k_idx, kind in enumerate(config.kinds):
-                report = report_from_probabilities(kind, p_a, p_b, c)
-                count += 1
-                if report.slack < -config.tolerance:
-                    violations += 1
-                key = (report.slack, dim, trial, v_idx, k_idx)
-                if best is None or key < best[0]:
-                    best = (
-                        key,
-                        {
-                            "dim": dim,
-                            "trial": trial,
-                            "mixedness": variant,
-                            "kind": kind.value,
-                            "slack": report.slack,
-                            "rho": rho.to_payload(),
-                            "a": a.to_payload(),
-                            "b": b.to_payload(),
-                        },
-                    )
+    for v_idx, variant in enumerate(config.variants):
+        if variant == "pure":
+            rho = sample_pure(dim, seed(_ROLE_PURE), n).density()
+        else:
+            rho = sample_mixed(dim, dim, seed(_ROLE_MIXED), n)
+        p_a, _ = max_probability(a, rho)
+        p_b, _ = max_probability(b, rho)
+        for k_idx, kind in enumerate(config.kinds):
+            report = report_from_probabilities(kind, p_a, p_b, c)
+            slack = np.broadcast_to(np.asarray(report.slack, dtype=np.float64), (n,))
+            count += n
+            violations += int(np.count_nonzero(slack < -config.tolerance))
+            i = int(np.argmin(slack))
+            key = (float(slack[i]), dim, t0 + i, v_idx, k_idx)
+            if best is None or key < best[0]:
+                best = (key, rho.matrix[i], a.eigenbasis[i], b.eigenbasis[i])
     return count, violations, best
 
 
@@ -177,58 +200,54 @@ def _chunk_worker(args):
     return _run_chunk(*args)
 
 
+def _witness(config: SweepConfig, best) -> dict:
+    (slack, dim, trial, v_idx, k_idx), rho, a, b = best
+    return {
+        "dim": dim,
+        "trial": trial,
+        "mixedness": config.variants[v_idx],
+        "kind": config.kinds[k_idx].value,
+        "slack": slack,
+        "rho": DensityMatrix(rho).to_payload(),
+        "a": ProjectiveObservable(a).to_payload(),
+        "b": ProjectiveObservable(b).to_payload(),
+        "seed": config.seed,
+    }
+
+
 def run_sweep(
     config: SweepConfig,
     workers: int = 1,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepResult:
-    """Run the full sweep; identical output for any worker count."""
+    """Run the full sweep; identical output for any worker count.
+
+    At most min(workers, chunks, CPUs) worker processes are started; with
+    one, the chunks run in this process.
+    """
     if workers < 1:
         raise ValidationError("workers must be at least 1")
-
-    chunks = []
-    if workers == 1:
-        chunks = [(config, d, 0, config.trials_per_dim) for d in config.dims]
-    else:
-        # Small fixed chunks keep all workers busy; any partition works
-        # because aggregation is order-independent.
-        step = max(1, -(-config.trials_per_dim // (workers * 4)))
-        for d in config.dims:
-            for t0 in range(0, config.trials_per_dim, step):
-                chunks.append((config, d, t0, min(t0 + step, config.trials_per_dim)))
+    blocks = -(-config.trials_per_dim // BLOCK)
+    chunks = [(config, d, j) for d in config.dims for j in range(blocks)]
+    workers = min(workers, len(chunks), os.cpu_count() or 1)
 
     total = 0
     violations = 0
     best = None
-    done = 0
-    if workers == 1:
-        for chunk in chunks:
-            count, bad, cand = _run_chunk(*chunk)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or contextlib.nullcontext():
+        results = (pool.map if pool else map)(_chunk_worker, chunks)
+        for done, (count, bad, cand) in enumerate(results, start=1):
             total += count
             violations += bad
-            if cand is not None and (best is None or cand[0] < best[0]):
+            if best is None or cand[0] < best[0]:
                 best = cand
-            done += 1
             if progress is not None:
-                progress(f"dim {chunk[1]}: {done}/{len(chunks)} chunks done")
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for count, bad, cand in pool.map(_chunk_worker, chunks):
-                total += count
-                violations += bad
-                if cand is not None and (best is None or cand[0] < best[0]):
-                    best = cand
-                done += 1
-                if progress is not None:
-                    progress(f"{done}/{len(chunks)} chunks done")
+                progress(f"{done}/{len(chunks)} chunks done")
 
-    witness = best[1] if best is not None else {}
-    witness = dict(witness)
-    if witness:
-        witness["seed"] = config.seed
     return SweepResult(
         total_trials=total,
         violations=violations,
-        min_slack=best[0][0] if best is not None else float("nan"),
-        min_slack_witness=witness,
+        min_slack=best[0][0],
+        min_slack_witness=_witness(config, best),
     )

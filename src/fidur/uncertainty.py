@@ -48,6 +48,8 @@ class URReport:
     round-off. For the bures kind, ``scaled(1/sqrt(2))`` restates the
     report in the equivalent pairwise-root normalization
     sqrt(1 - sqrt(P_A)) + sqrt(1 - sqrt(P_B)) >= sqrt(1 - c).
+    Built from stacked inputs, every field is an array of one common
+    shape, element i being the report of trial i.
     """
 
     p_max_a: float
@@ -97,32 +99,45 @@ def _check_dims(a, b):
 
 
 def outcome_probabilities(obs: ProjectiveObservable, rho: DensityMatrix) -> np.ndarray:
-    """p_i = <a_i|rho|a_i> for every outcome, clamped to [0, 1]."""
+    """p_i = <a_i|rho|a_i> for every outcome, clamped to [0, 1].
+
+    Stacked observables and/or states broadcast over their leading axes;
+    the result has shape (..., N) and every member passes the same guards.
+    """
     _check_dims(obs, rho)
     e = obs.eigenbasis
-    p = np.einsum("mi,mn,ni->i", e.conj(), rho.matrix, e)
-    if float(np.abs(p.imag).max()) > TOL.probability_imag:
-        raise DomainError(
-            f"outcome probability has imaginary part {float(np.abs(p.imag).max()):.3e}"
-        )
+    p = (e.conj() * (rho.matrix @ e)).sum(axis=-2)
+    imag = float(np.abs(p.imag).max())
+    if imag > TOL.probability_imag:
+        raise DomainError(f"outcome probability has imaginary part {imag:.3e}")
     p = p.real
-    if abs(float(p.sum()) - 1.0) > TOL.probability_sum:
-        raise DomainError(f"probabilities sum to {float(p.sum())!r}, not 1")
-    return np.clip(p, 0.0, 1.0)
+    total = p.sum(axis=-1)
+    off = np.abs(total - 1.0) > TOL.probability_sum
+    if off.any():
+        raise DomainError(f"probabilities sum to {float(total[off].flat[0])!r}, not 1")
+    return np.minimum(np.maximum(p, 0.0), 1.0)
 
 
-def max_probability(obs: ProjectiveObservable, rho: DensityMatrix) -> tuple[float, int]:
-    """Largest outcome probability and its index (smallest index on ties)."""
+def max_probability(obs: ProjectiveObservable, rho: DensityMatrix):
+    """Largest outcome probability and its index (smallest index on ties).
+
+    A (float, int) pair for a single observable and state; for stacks, the
+    arrays of maxima and indices over the leading axes.
+    """
     p = outcome_probabilities(obs, rho)
-    i = int(np.argmax(p))
-    return float(p[i]), i
+    i = np.argmax(p, axis=-1)
+    top = np.max(p, axis=-1)
+    if p.ndim == 1:
+        return float(top), int(i)
+    return top, i
 
 
-def overlap(a: ProjectiveObservable, b: ProjectiveObservable) -> float:
-    """c = max_ij |<a_i|b_j>|, in [1/sqrt(N), 1]."""
+def overlap(a: ProjectiveObservable, b: ProjectiveObservable):
+    """c = max_ij |<a_i|b_j>|, in [1/sqrt(N), 1]; an array for stacks."""
     _check_dims(a, b)
-    c = float(np.abs(a.eigenbasis.conj().T @ b.eigenbasis).max())
-    return min(c, 1.0)
+    c = np.abs(a.eigenbasis.conj().swapaxes(-1, -2) @ b.eigenbasis).max(axis=(-2, -1))
+    c = np.minimum(c, 1.0)
+    return float(c) if c.ndim == 0 else c
 
 
 def uncertainty_measure(kind: MetricLike, obs: ProjectiveObservable, rho: DensityMatrix) -> float:
@@ -131,22 +146,21 @@ def uncertainty_measure(kind: MetricLike, obs: ProjectiveObservable, rho: Densit
     return f_of(kind, value)
 
 
-def report_from_probabilities(
-    kind: MetricLike, p_max_a: float, p_max_b: float, c: float
-) -> URReport:
-    """Assemble a URReport from already-measured quantities."""
+def report_from_probabilities(kind: MetricLike, p_max_a, p_max_b, c) -> URReport:
+    """Assemble a URReport from already-measured quantities.
+
+    Floats give a report of floats. Arrays broadcast against each other and
+    give a report whose fields are arrays of the common shape, element i
+    equal to the report of the floats at i.
+    """
+    c = np.asarray(c, dtype=np.float64)
     u_a = f_of(kind, p_max_a)
     u_b = f_of(kind, p_max_b)
     bound = f_of(kind, c * c)
-    return URReport(
-        p_max_a=float(p_max_a),
-        p_max_b=float(p_max_b),
-        u_a=u_a,
-        u_b=u_b,
-        overlap_c=float(c),
-        bound=bound,
-        slack=u_a + u_b - bound,
-    )
+    fields = (p_max_a, p_max_b, u_a, u_b, c, bound, u_a + u_b - bound)
+    if all(np.ndim(v) == 0 for v in fields):
+        return URReport(*(float(v) for v in fields))
+    return URReport(*np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in fields)))
 
 
 def check_ur(

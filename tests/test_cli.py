@@ -181,6 +181,30 @@ class TestSweepCommand:
             main(["sweep", "--dim", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("trials_per_dim", 2.7),
+            ("trials_per_dim", True),
+            ("seed", 1.5),
+            ("tolerance", math.inf),
+            ("dims", 5),
+        ],
+        ids=["fractional-trials", "boolean-trials", "fractional-seed",
+             "infinite-tolerance", "scalar-dims"],
+    )
+    def test_malformed_config_exits_2(self, capsys, tmp_path, key, value):
+        payload = {"dims": [2], "trials_per_dim": 2, "seed": 1,
+                   "kinds": ["angle"], "mixedness": "pure", key: value}
+        path = write_json(tmp_path / "sweep.json", payload)
+        assert main(["sweep", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_infinite_tolerance_flag_exits_2(self, capsys):
+        assert main(SWEEP_FLAGS + ["--tolerance", "inf"]) == 2
+
     def test_tolerance_can_ride_on_config(self, capsys, tmp_path):
         config = SweepConfig(
             dims=(2,),

@@ -50,6 +50,57 @@ class TestDensityMatrix:
         assert np.array_equal(back.matrix, rho.matrix)
 
 
+def _good_stack(n=4, dim=3):
+    return sample_mixed(dim, dim, seed=5, count=n).matrix.copy()
+
+
+class TestStackedDensityMatrix:
+    def test_accepts_stack(self):
+        rho = DensityMatrix(_good_stack())
+        assert rho.matrix.shape == (4, 3, 3)
+        assert rho.dim == 3
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[0.5, 0.5], [0.0, 0.5]]),  # non-Hermitian
+            np.diag([1.1, -0.1]),  # negative eigenvalue
+            np.diag([0.5, 0.6]),  # wrong trace
+        ],
+        ids=["non-hermitian", "negative-eigenvalue", "wrong-trace"],
+    )
+    def test_one_bad_member_rejects_the_stack(self, bad):
+        stack = _good_stack(dim=2)
+        stack[2] = bad
+        with pytest.raises(ValidationError):
+            DensityMatrix(stack)
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValidationError):
+            DensityMatrix(np.zeros((0, 0)))
+
+
+class TestStackedObservable:
+    def test_accepts_stack(self):
+        obs = sample_observable(3, seed=4, count=5)
+        assert obs.eigenbasis.shape == (5, 3, 3)
+        assert obs.dim == 3
+
+    def test_basis_state_and_projector_take_columns_of_each_member(self):
+        obs = sample_observable(3, seed=4, count=5)
+        assert np.array_equal(obs.basis_state(1).amplitudes, obs.eigenbasis[:, :, 1])
+        p = projector(obs, 1).matrix
+        for t in range(5):
+            single = ProjectiveObservable(obs.eigenbasis[t])
+            assert np.array_equal(p[t], projector(single, 1).matrix)
+
+    def test_one_non_orthonormal_member_rejects_the_stack(self):
+        stack = sample_observable(2, seed=4, count=5).eigenbasis.copy()
+        stack[3] = np.array([[1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValidationError):
+            ProjectiveObservable(stack)
+
+
 class TestPureState:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
@@ -206,6 +257,26 @@ class TestSamplers:
         for dim in range(2, 13):
             for t in range(1000):
                 sample_mixed(dim, dim, seed=derived_seed(4242, dim, t))
+
+    def test_stacks_have_a_leading_count_axis(self):
+        u = sample_haar_unitary(4, seed=1, count=6)
+        assert u.shape == (6, 4, 4)
+        assert np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(4)).max() < 1e-10
+        assert sample_pure(5, seed=1, count=6).amplitudes.shape == (6, 5)
+        assert sample_mixed(3, 2, seed=1, count=6).matrix.shape == (6, 3, 3)
+
+    def test_rejects_zero_count(self):
+        with pytest.raises(ValidationError):
+            sample_pure(3, seed=1, count=0)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_mixed_purity_matches_induced_measure(self, dim):
+        """Induced measure with aux_dim = dim: E tr(rho^2) = 2d / (d^2 + 1)."""
+        rho = sample_mixed(dim, dim, seed=derived_seed(77, dim), count=4000).matrix
+        purity = np.einsum("tij,tji->t", rho, rho).real
+        expected = 2 * dim / (dim * dim + 1)
+        stderr = purity.std() / np.sqrt(purity.size)
+        assert abs(purity.mean() - expected) < 5 * stderr
 
     def test_observable_columns_orthonormal(self):
         for dim in range(2, 9):

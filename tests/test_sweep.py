@@ -1,12 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
+import fidur.sweep
 from fidur.errors import ValidationError
 from fidur.metrics import MetricKind, metric_kind
 from fidur.states import observable_from_payload, state_from_payload
-from fidur.sweep import SweepConfig, SweepResult, run_sweep
-from fidur.uncertainty import check_ur
+from fidur.sweep import BLOCK, SweepConfig, SweepResult, run_sweep
+from fidur.uncertainty import URReport, check_ur
 
 ALL_KINDS = (MetricKind.ANGLE, MetricKind.BURES, MetricKind.ROOT_INFIDELITY)
 
@@ -51,6 +53,22 @@ class TestSweepConfig:
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValidationError):
             small_config(tolerance=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("trials_per_dim", 2.7),
+            ("trials_per_dim", True),
+            ("seed", 1.5),
+            ("tolerance", math.inf),
+            ("dims", 5),
+        ],
+        ids=["fractional-trials", "boolean-trials", "fractional-seed",
+             "infinite-tolerance", "scalar-dims"],
+    )
+    def test_rejects_malformed_field(self, field, value):
+        with pytest.raises(ValidationError):
+            small_config(**{field: value})
 
     def test_variants(self):
         assert small_config(mixedness="both").variants == ("pure", "mixed")
@@ -152,3 +170,93 @@ class TestRunSweep:
         }
         assert isinstance(payload["min_slack_witness"], dict)
         assert math.isfinite(payload["min_slack"])
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkerClamp:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        monkeypatch.setattr(_RecordingPool, "started", [])
+        monkeypatch.setattr(fidur.sweep, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(fidur.sweep.os, "cpu_count", lambda: 4)
+        return _RecordingPool
+
+    def test_clamped_to_cpu_count(self, pool):
+        run_sweep(small_config(trials_per_dim=3 * BLOCK), workers=1000)
+        assert pool.started == [4]
+
+    def test_clamped_to_chunk_count(self, pool):
+        run_sweep(small_config(dims=(2, 3, 4), trials_per_dim=2), workers=1000)
+        assert pool.started == [3]
+
+    def test_one_chunk_runs_without_a_pool(self, pool):
+        run_sweep(small_config(dims=(2,), trials_per_dim=2), workers=1000)
+        assert pool.started == []
+
+    def test_unknown_cpu_count_runs_without_a_pool(self, pool, monkeypatch):
+        monkeypatch.setattr(fidur.sweep.os, "cpu_count", lambda: None)
+        run_sweep(small_config(), workers=8)
+        assert pool.started == []
+
+
+class TestBlockedSweep:
+    @pytest.mark.parametrize("mixedness", ["pure", "mixed", "both"])
+    def test_witness_reproduces_through_check_ur(self, mixedness):
+        """Over dims up to 10 and a partial last block, the witness rebuilt
+        from its payload gives back the identical slack."""
+        config = small_config(
+            dims=tuple(range(2, 11)), trials_per_dim=BLOCK + 3, mixedness=mixedness
+        )
+        result = run_sweep(config)
+        witness = result.min_slack_witness
+        assert result.total_trials == 9 * (BLOCK + 3) * len(config.variants) * 3
+        report = check_ur(
+            metric_kind(witness["kind"]),
+            observable_from_payload(witness["a"]),
+            observable_from_payload(witness["b"]),
+            state_from_payload(witness["rho"]),
+        )
+        assert report.slack == result.min_slack
+
+    def test_pure_states_do_not_depend_on_mixedness(self, monkeypatch):
+        drawn = {}
+        original = fidur.sweep.sample_pure
+
+        def recording(dim, seed, count=None):
+            psi = original(dim, seed, count)
+            drawn[mixedness].append(psi.amplitudes)
+            return psi
+
+        monkeypatch.setattr(fidur.sweep, "sample_pure", recording)
+        for mixedness in ("pure", "both"):
+            drawn[mixedness] = []
+            run_sweep(small_config(trials_per_dim=BLOCK + 3, mixedness=mixedness))
+        assert len(drawn["pure"]) == 4
+        for x, y in zip(drawn["pure"], drawn["both"], strict=True):
+            assert np.array_equal(x, y)
+
+    def test_counts_a_scalar_violating_report_once_per_trial(self, monkeypatch):
+        def scalar_report(kind, p_a, p_b, c):
+            return URReport(0.5, 0.5, 0.0, 0.0, 0.5, 1.0, -1.0)
+
+        monkeypatch.setattr(fidur.sweep, "report_from_probabilities", scalar_report)
+        result = run_sweep(small_config())
+        assert result.violations == result.total_trials
+        assert result.min_slack == -1.0

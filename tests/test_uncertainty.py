@@ -282,3 +282,39 @@ class TestURReport:
         )
         with pytest.raises(DomainError):
             report.scaled(0.0)
+
+
+FIELDS = ("p_max_a", "p_max_b", "u_a", "u_b", "overlap_c", "bound", "slack")
+
+
+class TestStackedKernels:
+    """A stack is evaluated element by element exactly as single calls are."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 7, 10])
+    def test_stack_equals_scalar_calls_bitwise(self, dim):
+        n = 9
+        a = sample_observable(dim, seed=derived_seed(90, dim, 0), count=n)
+        b = sample_observable(dim, seed=derived_seed(90, dim, 1), count=n)
+        rho = sample_mixed(dim, dim, seed=derived_seed(90, dim, 2), count=n)
+        p = outcome_probabilities(a, rho)
+        p_a, i_a = max_probability(a, rho)
+        p_b, _ = max_probability(b, rho)
+        c = overlap(a, b)
+        for kind in ALL_KINDS:
+            stacked = report_from_probabilities(kind, p_a, p_b, c)
+            for t in range(n):
+                a_t = ProjectiveObservable(a.eigenbasis[t])
+                b_t = ProjectiveObservable(b.eigenbasis[t])
+                rho_t = DensityMatrix(rho.matrix[t])
+                assert np.array_equal(p[t], outcome_probabilities(a_t, rho_t))
+                assert (p_a[t], i_a[t]) == max_probability(a_t, rho_t)
+                single = check_ur(kind, a_t, b_t, rho_t)
+                assert URReport(*(float(getattr(stacked, f)[t]) for f in FIELDS)) == single
+
+    def test_scalar_calls_return_floats(self):
+        rep = report_from_probabilities(MetricKind.ANGLE, 0.75, 0.5, 0.8)
+        assert all(type(getattr(rep, f)) is float for f in FIELDS)
+
+    def test_guards_apply_to_every_member(self):
+        with pytest.raises(DomainError):
+            report_from_probabilities(MetricKind.BURES, np.array([0.5, 1.1, 0.7]), 0.5, 0.8)
