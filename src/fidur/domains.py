@@ -133,10 +133,10 @@ def h_boundary(kind: MetricKind, c: float, p: float) -> float:
     _check_kind(kind)
     c = _check_c(c)
     p = float(p)
-    if p < c * c - TOL.domain_guard:
-        raise DomainError(f"p = {p!r} below c^2 = {c * c!r}; h covers the curved branch only")
-    if p > 1.0 + TOL.domain_guard:
-        raise DomainError(f"p = {p!r} above 1")
+    if not c * c - TOL.domain_guard <= p <= 1.0 + TOL.domain_guard:
+        raise DomainError(
+            f"p = {p!r} outside [c^2 = {c * c!r}, 1]; h covers the curved branch only"
+        )
     p = min(max(p, 0.0), 1.0)
     if kind is MetricKind.ANGLE:
         base = math.sqrt(1.0 - p) * math.sqrt(1.0 - c * c) + c * math.sqrt(p)
@@ -156,7 +156,7 @@ def g_boundary(kind: MetricKind, c: float, p: float, dim: int) -> float:
     if dim < 2:
         raise DomainError("dimension must be at least 2")
     p = float(p)
-    if p < 1.0 / dim - TOL.domain_guard or p > 1.0 + TOL.domain_guard:
+    if not 1.0 / dim - TOL.domain_guard <= p <= 1.0 + TOL.domain_guard:
         raise DomainError(f"p = {p!r} outside [1/{dim}, 1]")
     if p <= c * c:
         return 1.0

@@ -1,11 +1,13 @@
 """Uhlmann fidelity by two independent computation routes.
 
-``fidelity`` evaluates (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 directly;
+``fidelity`` evaluates (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 directly,
+from the state's cached root and the eigenvalues of the inner product;
 ``fidelity_oracle`` evaluates the equivalent squared nuclear norm of
-sqrt(rho) sqrt(sigma). The two share no code beyond the eigensolver and
-serve as mutual oracles. ``purification_overlap_search`` exhibits the
-third characterization: the supremum of |<psi|phi>|^2 over purifications,
-approached stochastically from below.
+sqrt(rho) sqrt(sigma), computing both roots itself. The two share no code
+beyond the eigensolver and serve as mutual oracles.
+``purification_overlap_search`` exhibits the third characterization: the
+supremum of |<psi|phi>|^2 over purifications, approached stochastically
+from below.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .config import TOL
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, NoConvergence, NotPSD
 from .states import DensityMatrix, PureState, purify, sample_haar_unitary, derived_seed
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -48,19 +50,38 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
     Bitwise-identical inputs short-circuit to exactly 1.0 (the value is
     exact in that case, while the numerical route would land ~1e-13 short
-    and downstream arccos would amplify the gap). The inner square root
-    uses an absolute noise floor of 4*N*eps: both operands have operator
-    norm at most 1, so eigenvalues of sqrt(rho) sigma sqrt(rho) below
-    that are round-off, not signal.
+    and downstream arccos would amplify the gap). Otherwise sqrt(rho) is
+    the state's cached root, and tr sqrt(M) for M = sqrt(rho) sigma
+    sqrt(rho) is the sum of the square roots of M's eigenvalues, with an
+    absolute noise floor of 4*N*eps: both operands have operator norm at
+    most 1, so eigenvalues below that are round-off, not signal. The
+    result is memoized on ``rho`` per partner state, so asking again for
+    the same ordered pair returns the same float without new work (while
+    ``rho`` keeps its derived values; see ``DensityMatrix.sqrt``).
     """
     _check_dims(rho, sigma)
     if _same_matrix(rho.matrix, sigma.matrix):
         return 1.0
-    n = rho.dim
-    s = linalg.psd_sqrt(rho.matrix)
-    m = s @ sigma.matrix @ s
-    r = linalg.psd_sqrt((m + m.conj().T) / 2, noise_floor=4 * n * _EPS)
-    return _clamp_unit(float(np.trace(r).real) ** 2)
+    memo = rho._fidelity_memo
+    f = memo.get(sigma)
+    if f is None:
+        f = memo[sigma] = _root_fidelity(rho.sqrt, sigma.matrix)
+    return f
+
+
+def _root_fidelity(s: np.ndarray, sigma: np.ndarray) -> float:
+    """(tr sqrt(s sigma s))^2 for the root s of rho, from eigenvalues alone."""
+    if sigma.ndim != 2:
+        raise DimensionMismatch(f"expected a single state, got shape {sigma.shape}")
+    m = s @ sigma @ s
+    try:
+        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigendecomposition failed: {exc}") from exc
+    if float(w[0]) < -TOL.psd_clamp:
+        raise NotPSD(f"eigenvalue {float(w[0]):.3e} below -{TOL.psd_clamp:.0e}")
+    w = np.where(w < 4 * w.size * _EPS, 0.0, w)
+    return _clamp_unit(float(np.sqrt(w).sum()) ** 2)
 
 
 def fidelity_pure_pure(psi: PureState, phi: PureState) -> float:

@@ -19,6 +19,9 @@ JSON payloads encode complex entries as [re, im] pairs, row-major.
 
 from __future__ import annotations
 
+import collections
+import numbers
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,12 +65,46 @@ def _norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt((a.real**2 + a.imag**2).sum(axis=-1))
 
 
+# Values derived from a state's matrix, its root and F(state, sigma) per
+# partner sigma, are kept for at most _DERIVED_STATES states: when one more
+# state needs them, the state that first needed them longest ago drops its
+# own (first in, first out). They live here, keyed by weak references, and
+# not on the states: no state is kept alive by them, and a caller that
+# keeps many states (a list of samples) keeps only their matrices.
+_DERIVED_STATES = 64
+_derived = collections.OrderedDict()  # weakref(state) -> _Derived
+
+
+class _Derived:
+    __slots__ = ("sqrt", "fidelity")
+
+    def __init__(self):
+        self.sqrt = None
+        # F(state, sigma) by partner; weak keys keep no partner alive.
+        self.fidelity = weakref.WeakKeyDictionary()
+
+
+def _forget(ref) -> None:
+    _derived.pop(ref, None)
+
+
+def _derived_for(state) -> _Derived:
+    d = _derived.get(weakref.ref(state))
+    if d is None:
+        d = _derived[weakref.ref(state, _forget)] = _Derived()
+        if len(_derived) > _DERIVED_STATES:
+            _derived.popitem(last=False)
+    return d
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace matrix.
 
     ``matrix`` may also be a stack ``(..., N, N)``; every member is checked
-    and one bad member rejects the whole stack.
+    and one bad member rejects the whole stack. The stored ``matrix`` is
+    read-only and never the caller's own array, so values derived from it
+    (``sqrt``, the fidelity memo) stay valid as long as they are kept.
     """
 
     matrix: np.ndarray
@@ -87,11 +124,35 @@ class DensityMatrix:
             np.abs(tr.imag).max()
         ) > TOL.trace_one:
             raise ValidationError("density matrix must have unit trace")
+        if isinstance(self.matrix, np.ndarray) and np.may_share_memory(m, self.matrix):
+            m = m.copy()
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    def __reduce__(self):
+        # Rebuild through the constructor, so that an unpickled state is
+        # validated and its matrix read-only like any other.
+        return (type(self), (self.matrix,))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
+
+    @property
+    def sqrt(self) -> np.ndarray:
+        """The principal square root ``linalg.psd_sqrt(matrix)``, computed on
+        first use and kept while this state is among the ``_DERIVED_STATES``
+        that needed a derived value most recently."""
+        d = _derived_for(self)
+        if d.sqrt is None:
+            d.sqrt = linalg.psd_sqrt(self.matrix)
+        return d.sqrt
+
+    @property
+    def _fidelity_memo(self) -> weakref.WeakKeyDictionary:
+        """F(self, sigma) by partner state, filled by ``fidelity.fidelity``
+        and kept as long as ``sqrt``."""
+        return _derived_for(self).fidelity
 
     def to_payload(self) -> dict:
         return {
@@ -103,7 +164,7 @@ class DensityMatrix:
     @classmethod
     def from_payload(cls, payload: dict) -> "DensityMatrix":
         _expect_type(payload, "density-matrix")
-        return cls(pairs_to_matrix(payload["matrix"], payload.get("dim")))
+        return cls(pairs_to_matrix(_field(payload, "matrix"), payload.get("dim")))
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,13 +202,13 @@ class PureState:
     @classmethod
     def from_payload(cls, payload: dict) -> "PureState":
         _expect_type(payload, "pure-state")
-        amps = payload["amplitudes"]
+        amps = _field(payload, "amplitudes")
         try:
             a = np.array([complex(re, im) for re, im in amps], dtype=np.complex128)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"malformed amplitude list: {exc}") from exc
         dim = payload.get("dim")
-        if dim is not None and int(dim) != a.size:
+        if dim is not None and _integer("dim", dim) != a.size:
             raise ValidationError("declared dim does not match amplitude count")
         return cls(a)
 
@@ -191,7 +252,7 @@ class ProjectiveObservable:
     @classmethod
     def from_payload(cls, payload: dict) -> "ProjectiveObservable":
         _expect_type(payload, "observable")
-        return cls(pairs_to_matrix(payload["eigenbasis"], payload.get("dim")))
+        return cls(pairs_to_matrix(_field(payload, "eigenbasis"), payload.get("dim")))
 
 
 def projector(obs: ProjectiveObservable, i: int) -> DensityMatrix:
@@ -376,9 +437,22 @@ def pairs_to_matrix(rows, dim=None) -> np.ndarray:
         raise ValidationError(f"malformed matrix payload: {exc}") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"matrix payload must be square, got shape {m.shape}")
-    if dim is not None and int(dim) != m.shape[0]:
+    if dim is not None and _integer("dim", dim) != m.shape[0]:
         raise ValidationError("declared dim does not match matrix size")
     return m
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; booleans and non-integral numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _field(payload: dict, key: str):
+    if key not in payload:
+        raise ValidationError(f"{payload['type']} payload is missing {key!r}")
+    return payload[key]
 
 
 def _expect_type(payload, expected: str):

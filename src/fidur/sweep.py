@@ -34,6 +34,7 @@ from .metrics import MetricKind, metric_kind
 from .states import (
     DensityMatrix,
     ProjectiveObservable,
+    _integer,
     derived_seed,
     sample_mixed,
     sample_observable,
@@ -53,12 +54,6 @@ _ROLE_A = 0
 _ROLE_B = 1
 _ROLE_PURE = 2
 _ROLE_MIXED = 3
-
-
-def _integer(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .errors import DimensionMismatch, DomainError
+from .errors import DomainError
+from .fidelity import _check_dims
 from .metrics import MetricLike, f_of
 from .states import DensityMatrix, ProjectiveObservable
 
@@ -91,11 +92,6 @@ class URReport:
             bound=self.bound * factor,
             slack=self.slack * factor,
         )
-
-
-def _check_dims(a, b):
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
 def outcome_probabilities(obs: ProjectiveObservable, rho: DensityMatrix) -> np.ndarray:

@@ -129,6 +129,31 @@ class TestCheckURCommand:
         assert capsys.readouterr().err.startswith("error:")
 
 
+def _payload_cases():
+    rho = DensityMatrix(np.diag([1.0, 0.0])).to_payload()
+    psi = PureState(np.array([0.0, 1.0])).to_payload()
+    obs = ProjectiveObservable(np.eye(2, dtype=complex)).to_payload()
+    for payload, key in ((rho, "matrix"), (psi, "amplitudes"), (obs, "eigenbasis")):
+        missing = {k: v for k, v in payload.items() if k != key}
+        yield pytest.param(missing, id=f"{payload['type']}-missing-{key}")
+        yield pytest.param({**payload, "dim": "x"}, id=f"{payload['type']}-dim-x")
+        yield pytest.param({**payload, "dim": 2.5}, id=f"{payload['type']}-dim-fractional")
+
+
+class TestPayloadContract:
+    """A malformed fixture of any type is an input error (exit 2), never a traceback."""
+
+    @pytest.mark.parametrize("payload", _payload_cases())
+    def test_malformed_fixture_exits_2(self, capsys, tmp_path, zero_state, comp_obs, payload):
+        bad = write_json(tmp_path / "bad.json", payload)
+        if payload["type"] == "observable":
+            args = ["check-ur", zero_state, bad, comp_obs, "--metric", "angle"]
+        else:
+            args = ["fidelity", zero_state, bad]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 SWEEP_FLAGS = [
     "sweep",
     "--dim",

@@ -79,6 +79,11 @@ class TestHBoundary:
         with pytest.raises(DomainError):
             h_boundary(MetricKind.ANGLE, 0.6, 1.1)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_p(self, p):
+        with pytest.raises(DomainError):
+            h_boundary(MetricKind.ANGLE, 0.5, p)
+
 
 class TestGBoundary:
     def test_flat_branch_is_one(self):
@@ -103,6 +108,11 @@ class TestGBoundary:
     def test_rejects_p_outside_box(self):
         with pytest.raises(DomainError):
             g_boundary(MetricKind.ANGLE, 0.6, 0.1, 4)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_p(self, p):
+        with pytest.raises(DomainError):
+            g_boundary(MetricKind.ANGLE, 0.6, p, 4)
 
 
 class TestInDomain:

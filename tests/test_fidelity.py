@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from fidur.fidelity import (
     fidelity_pure_pure,
     purification_overlap_search,
 )
+from fidur.linalg import psd_sqrt
 from fidur.states import (
     DensityMatrix,
     PureState,
+    _derived_for,
     derived_seed,
     sample_mixed,
     sample_pure,
@@ -69,6 +73,54 @@ class TestFidelity:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             fidelity(DensityMatrix(np.eye(2) / 2), DensityMatrix(np.eye(3) / 3))
+
+
+def nested_root_fidelity(rho, sigma):
+    """The textbook route: (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 with both
+    roots built in full."""
+    s = psd_sqrt(rho.matrix)
+    m = s @ sigma.matrix @ s
+    noise = 4 * rho.dim * np.finfo(np.float64).eps
+    return float(np.trace(psd_sqrt((m + m.conj().T) / 2, noise_floor=noise)).real) ** 2
+
+
+class TestFidelityCaching:
+    def test_matches_nested_root_route(self):
+        for dim in range(2, 11):
+            for t in range(20):
+                rho = sample_mixed(dim, dim, seed=derived_seed(70, dim, t, 0))
+                sigma = sample_mixed(dim, dim, seed=derived_seed(70, dim, t, 1))
+                assert abs(fidelity(rho, sigma) - nested_root_fidelity(rho, sigma)) <= 1e-13
+
+    def test_repeated_call_returns_the_identical_float(self):
+        rho = sample_mixed(4, 4, seed=1)
+        sigma = sample_mixed(4, 4, seed=2)
+        first = fidelity(rho, sigma)
+        assert fidelity(rho, sigma) is first
+
+    def test_memo_does_not_keep_partner_alive(self):
+        rho = sample_mixed(3, 3, seed=1)
+        partners = [sample_mixed(3, 3, seed=derived_seed(2, t)) for t in range(5)]
+        for sigma in partners:
+            fidelity(rho, sigma)
+        assert len(rho._fidelity_memo) == 5
+        del partners, sigma
+        gc.collect()
+        assert len(rho._fidelity_memo) == 0
+
+    def test_oracle_ignores_the_cached_root(self):
+        rho = sample_mixed(4, 4, seed=1)
+        sigma = sample_mixed(4, 4, seed=2)
+        expected = fidelity_oracle(rho, sigma)
+        _derived_for(rho).sqrt = np.zeros((4, 4), dtype=complex)
+        _derived_for(sigma).sqrt = np.full((4, 4), np.nan + 0j)
+        assert fidelity(rho, sample_mixed(4, 4, seed=3)) == 0.0  # fidelity does read it
+        assert fidelity_oracle(rho, sigma) == expected
+
+    def test_rejects_a_stacked_partner(self):
+        rho = sample_mixed(3, 3, seed=1)
+        with pytest.raises(DimensionMismatch):
+            fidelity(rho, sample_mixed(3, 3, seed=2, count=2))
 
 
 class TestPurePaths:

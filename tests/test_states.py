@@ -1,10 +1,14 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from fidur.errors import DimensionMismatch, IndexOutOfRange, ValidationError
+from fidur.fidelity import fidelity
+from fidur.linalg import psd_sqrt
 from fidur.states import (
+    _DERIVED_STATES,
     DensityMatrix,
     ProjectiveObservable,
     PureState,
@@ -52,6 +56,52 @@ class TestDensityMatrix:
 
 def _good_stack(n=4, dim=3):
     return sample_mixed(dim, dim, seed=5, count=n).matrix.copy()
+
+
+class TestDensityMatrixStorage:
+    def test_matrix_is_read_only(self):
+        rho = DensityMatrix(np.diag([0.6, 0.4]))
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 1.0
+
+    def test_caller_array_is_copied(self):
+        source = np.diag([0.6, 0.4]).astype(np.complex128)
+        rho = DensityMatrix(source)
+        source[0, 0] = 0.9
+        source[1, 1] = 0.1
+        assert np.array_equal(rho.matrix, np.diag([0.6, 0.4]))
+        assert source.flags.writeable
+
+    def test_view_of_caller_array_is_copied(self):
+        stack = np.stack([np.diag([0.6, 0.4]), np.diag([0.5, 0.5])]).astype(np.complex128)
+        rho = DensityMatrix(stack[1])
+        stack[1] = np.diag([1.0, 0.0])
+        assert np.array_equal(rho.matrix, np.diag([0.5, 0.5]))
+
+    def test_sqrt_is_cached_psd_sqrt(self):
+        for dim in range(2, 7):
+            rho = sample_mixed(dim, dim, seed=dim)
+            root = rho.sqrt
+            assert np.array_equal(root, psd_sqrt(rho.matrix))
+            assert rho.sqrt is root
+
+    def test_only_recent_states_keep_derived_values(self):
+        rhos = [sample_mixed(2, 2, seed=t) for t in range(_DERIVED_STATES + 1)]
+        roots = [rho.sqrt for rho in rhos]
+        assert all(rho.sqrt is root for rho, root in zip(rhos[1:], roots[1:]))
+        f = fidelity(rhos[1], rhos[2])
+        assert fidelity(rhos[1], rhos[2]) is f
+        recomputed = rhos[0].sqrt  # the first state dropped its root; rhos[1] drops now
+        assert recomputed is not roots[0] and np.array_equal(recomputed, roots[0])
+        assert rhos[1].sqrt is not roots[1] and np.array_equal(rhos[1].sqrt, roots[1])
+        g = fidelity(rhos[1], rhos[2])
+        assert g is not f and g == f
+
+    def test_pickle_round_trip_is_read_only(self):
+        rho = sample_mixed(3, 3, seed=1)
+        copy = pickle.loads(pickle.dumps(rho))
+        assert np.array_equal(copy.matrix, rho.matrix)
+        assert not copy.matrix.flags.writeable
 
 
 class TestStackedDensityMatrix:
