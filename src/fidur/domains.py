@@ -48,9 +48,14 @@ __all__ = [
     "boundary_from_quadratic",
     "region_samples",
     "region_csv_text",
-    "region_json_text",
     "region_filename",
 ]
+
+
+def _check_kind(kind) -> MetricKind:
+    if not isinstance(kind, MetricKind):
+        raise ValidationError("domain boundaries exist only for the named metric kinds")
+    return kind
 
 
 @dataclass(frozen=True)
@@ -62,8 +67,7 @@ class DomainSpec:
     dim: int
 
     def __post_init__(self):
-        if not isinstance(self.kind, MetricKind):
-            raise ValidationError("domain boundaries exist only for the named metric kinds")
+        _check_kind(self.kind)
         if self.dim < 2:
             raise ValidationError("dimension must be at least 2")
         c = float(self.overlap_c)
@@ -79,13 +83,12 @@ class DomainSpec:
 class QuadraticForm:
     """The quadratic xi^2 + a1*xi + a0 with its substitution variable.
 
-    ``xi`` is the substitution evaluated at the P_B that was passed in;
-    ``xi_semantics`` says what the substitution is. The lower root
+    ``xi`` is the substitution evaluated at the P_B that was passed in
+    (see the module docstring for each kind's substitution). The lower root
     xi_minus is never positive on admissible inputs, so the stable
     evaluation of the upper root is a0 / xi_minus.
     """
 
-    xi_semantics: str
     a1: float
     a0: float
     xi: float
@@ -108,12 +111,6 @@ class QuadraticForm:
         return self.xi * self.xi + self.a1 * self.xi + self.a0
 
 
-def _check_kind(kind) -> MetricKind:
-    if not isinstance(kind, MetricKind):
-        raise ValidationError("domain boundaries exist only for the named metric kinds")
-    return kind
-
-
 def _check_c(c: float) -> float:
     c = float(c)
     if not 0.0 < c <= 1.0 + TOL.overlap_guard:
@@ -128,39 +125,57 @@ def _check_unit(x: float, name: str) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def h_boundary(kind: MetricKind, c: float, p: float) -> float:
-    """Curved-branch boundary h_{kind,c}(p) on p in [c^2, 1], clamped to [0, 1]."""
-    _check_kind(kind)
-    c = _check_c(c)
-    p = float(p)
-    if not c * c - TOL.domain_guard <= p <= 1.0 + TOL.domain_guard:
-        raise DomainError(
-            f"p = {p!r} outside [c^2 = {c * c!r}, 1]; h covers the curved branch only"
-        )
-    p = min(max(p, 0.0), 1.0)
+def _check_p(p, lo: float, lo_text: str) -> np.ndarray:
+    """``p`` as a float64 array, every element in [lo, 1] up to the guard."""
+    p = np.asarray(p, dtype=np.float64)
+    # Both comparisons are false for nan, so nan and +-inf fail here too.
+    ok = (p >= lo - TOL.domain_guard) & (p <= 1.0 + TOL.domain_guard)
+    if not ok.all():
+        raise DomainError(f"p = {float(p[~ok].flat[0])!r} outside [{lo_text}, 1]")
+    return p
+
+
+def _h(kind: MetricKind, c: float, p: np.ndarray) -> np.ndarray:
+    """The curved-branch formula, elementwise on checked ``p``."""
+    p = np.minimum(np.maximum(p, 0.0), 1.0)
     if kind is MetricKind.ANGLE:
-        base = math.sqrt(1.0 - p) * math.sqrt(1.0 - c * c) + c * math.sqrt(p)
+        base = np.sqrt(1.0 - p) * math.sqrt(1.0 - c * c) + c * np.sqrt(p)
         h = base * base
     elif kind is MetricKind.BURES:
-        base = math.sqrt(p) + 2.0 * math.sqrt(1.0 - math.sqrt(p)) * math.sqrt(1.0 - c) + c - 1.0
+        base = np.sqrt(p) + 2.0 * np.sqrt(1.0 - np.sqrt(p)) * math.sqrt(1.0 - c) + c - 1.0
         h = base * base
     else:
-        h = p + 2.0 * math.sqrt(1.0 - p) * math.sqrt(1.0 - c * c) + c * c - 1.0
-    return min(max(h, 0.0), 1.0)
+        h = p + 2.0 * np.sqrt(1.0 - p) * math.sqrt(1.0 - c * c) + c * c - 1.0
+    return np.minimum(np.maximum(h, 0.0), 1.0)
 
 
-def g_boundary(kind: MetricKind, c: float, p: float, dim: int) -> float:
-    """Full boundary: 1 on the flat branch [1/N, c^2], h on [c^2, 1]."""
+def h_boundary(kind: MetricKind, c: float, p):
+    """Curved-branch boundary h_{kind,c}(p) on p in [c^2, 1], clamped to [0, 1].
+
+    ``p`` may be a float, giving a float, or an array, giving the array of
+    values; any element outside [c^2, 1] (nan and +-inf included) raises
+    ``DomainError``, since h covers the curved branch only.
+    """
+    _check_kind(kind)
+    c = _check_c(c)
+    h = _h(kind, c, _check_p(p, c * c, f"c^2 = {c * c!r}"))
+    return float(h) if h.ndim == 0 else h
+
+
+def g_boundary(kind: MetricKind, c: float, p, dim: int):
+    """Full boundary: 1 on the flat branch [1/N, c^2], h on [c^2, 1].
+
+    ``p`` may be a float or an array, as for ``h_boundary``; every element
+    must lie in [1/N, 1]. Flat points are masked to 1, so h's narrower
+    [c^2, 1] check never sees them.
+    """
     _check_kind(kind)
     c = _check_c(c)
     if dim < 2:
         raise DomainError("dimension must be at least 2")
-    p = float(p)
-    if not 1.0 / dim - TOL.domain_guard <= p <= 1.0 + TOL.domain_guard:
-        raise DomainError(f"p = {p!r} outside [1/{dim}, 1]")
-    if p <= c * c:
-        return 1.0
-    return h_boundary(kind, c, p)
+    p = _check_p(p, 1.0 / dim, f"1/{dim}")
+    g = np.where(p <= c * c, 1.0, _h(kind, c, p))
+    return float(g) if g.ndim == 0 else g
 
 
 def in_domain(kind: MetricKind, c: float, dim: int, p_a: float, p_b: float) -> bool:
@@ -184,20 +199,17 @@ def quadratic_form(kind: MetricKind, c: float, p_a: float, p_b: float) -> Quadra
     p_b = _check_unit(p_b, "p_b")
     if kind is MetricKind.ANGLE:
         return QuadraticForm(
-            xi_semantics="sqrt(1 - P_B)",
             a1=2.0 * c * math.sqrt(1.0 - p_a),
             a0=c * c - p_a,
             xi=math.sqrt(1.0 - p_b),
         )
     if kind is MetricKind.ROOT_INFIDELITY:
         return QuadraticForm(
-            xi_semantics="sqrt(1 - P_B)",
             a1=2.0 * math.sqrt(1.0 - p_a),
             a0=c * c - p_a,
             xi=math.sqrt(1.0 - p_b),
         )
     return QuadraticForm(
-        xi_semantics="sqrt(2 - 2 sqrt(P_B))",
         a1=2.0 * math.sqrt(2.0 - 2.0 * math.sqrt(p_a)),
         a0=2.0 * (c - math.sqrt(p_a)),
         xi=math.sqrt(2.0 - 2.0 * math.sqrt(p_b)),
@@ -232,26 +244,12 @@ def region_samples(spec: DomainSpec, n_points: int) -> np.ndarray:
     if n_points < 2:
         raise DomainError("n_points must be at least 2")
     p = np.linspace(1.0 / spec.dim, 1.0, int(n_points))
-    g = np.array(
-        [g_boundary(spec.kind, spec.overlap_c, float(x), spec.dim) for x in p]
-    )
-    return np.column_stack([p, g])
+    return np.column_stack([p, g_boundary(spec.kind, spec.overlap_c, p, spec.dim)])
 
 
 def region_csv_text(samples: np.ndarray) -> str:
     """CSV with header ``p,g``; floats printed in shortest round-trip form."""
-    lines = ["p,g"]
-    for p, g in samples:
-        lines.append(f"{float(p)!r},{float(g)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def region_json_text(samples: np.ndarray) -> str:
-    return (
-        "["
-        + ", ".join(f"[{float(p)!r}, {float(g)!r}]" for p, g in samples)
-        + "]"
-    )
+    return "p,g\n" + "".join(f"{p!r},{g!r}\n" for p, g in samples.tolist())
 
 
 def region_filename(kind: MetricKind, c: float) -> str:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -5,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fidur.cli import main
 from fidur.metrics import metric_kind
@@ -290,6 +293,49 @@ class TestRegionCommand:
         assert main(["region", "--metric", "angle", "--overlap", "0.6", "--dim", "4",
                      "--points", "1"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_readme_example_verbatim(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["region", "--metric", "bures", "--overlap", "0.6", "--dim", "4",
+                     "--points", "5"]) == 0
+        assert capsys.readouterr().out == "region_bures_0.6.csv\n"
+        assert (tmp_path / "region_bures_0.6.csv").read_bytes() == (
+            b"p,g\n"
+            b"0.25,1.0\n"
+            b"0.4375,0.994886930405165\n"
+            b"0.625,0.9398101987624312\n"
+            b"0.8125,0.8074864233842685\n"
+            b"1.0,0.3600000000000001\n"
+        )
+
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        metric=st.sampled_from(["angle", "bures", "root-infidelity"]),
+        overlap=st.one_of(
+            st.sampled_from([math.nan, math.inf, -math.inf, -0.5, 0.0, 1.0, 1.0 + 1e-6, 2.0]),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.floats(0.0, 1.0),
+        ),
+        dim=st.one_of(st.sampled_from([-3, 0, 1, 2]), st.integers(-10, 40)),
+        points=st.one_of(st.sampled_from([-1, 0, 1, 2]), st.integers(-5, 60)),
+    )
+    def test_fuzz_exits_zero_or_two(self, tmp_path, metric, overlap, dim, points):
+        out = tmp_path / "fuzz.csv"
+        out.unlink(missing_ok=True)
+        # "--overlap=-inf": a bare "-inf" would be read as an option name
+        argv = ["region", f"--metric={metric}", f"--overlap={overlap!r}", f"--dim={dim}",
+                f"--points={points}", f"--out={out}"]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main(argv)
+        assert rc in (0, 2), argv
+        if rc == 0:
+            lines = out.read_text(encoding="utf-8").splitlines()
+            assert lines[0] == "p,g" and len(lines) == points + 1
+        else:
+            assert err.getvalue().startswith("error:")
+            assert not out.exists()
 
 
 class TestSampleCommand:

@@ -1,4 +1,4 @@
-import json
+import hashlib
 import math
 
 import numpy as np
@@ -14,7 +14,6 @@ from fidur.domains import (
     quadratic_form,
     region_csv_text,
     region_filename,
-    region_json_text,
     region_samples,
 )
 from fidur.errors import DomainError, ValidationError
@@ -113,6 +112,67 @@ class TestGBoundary:
     def test_rejects_non_finite_p(self, p):
         with pytest.raises(DomainError):
             g_boundary(MetricKind.ANGLE, 0.6, p, 4)
+
+
+def boundary_grids(dim, c):
+    """A g-grid over [1/N, 1] and an h-grid over [c^2, 1], each with the
+    branch point and its neighbouring floats."""
+    c2 = c * c
+    edges = [c2, math.nextafter(c2, 0.0), math.nextafter(c2, 1.0), 1.0 / dim, 1.0]
+    g_grid = np.append(np.linspace(1.0 / dim, 1.0, 97), edges)
+    g_grid = g_grid[(g_grid >= 1.0 / dim) & (g_grid <= 1.0)]
+    return g_grid, g_grid[g_grid >= c2]
+
+
+ARRAY_CASES = [
+    (dim, c, kind)
+    for dim in range(2, 11)
+    for c in (1.0 / math.sqrt(dim), 0.6, INV_SQRT2, 1.0)
+    for kind in ALL_KINDS
+]
+
+
+class TestArrayRoutes:
+    """A scalar call is a batch of one through the same kernel."""
+
+    @pytest.mark.parametrize("dim,c,kind", ARRAY_CASES)
+    def test_array_equals_scalar_calls_bitwise(self, dim, c, kind):
+        g_grid, h_grid = boundary_grids(dim, c)
+        g_scalar = [g_boundary(kind, c, float(p), dim) for p in g_grid]
+        h_scalar = [h_boundary(kind, c, float(p)) for p in h_grid]
+        assert all(type(v) is float for v in g_scalar + h_scalar)
+        assert np.array_equal(g_boundary(kind, c, g_grid, dim), np.array(g_scalar))
+        assert np.array_equal(h_boundary(kind, c, h_grid), np.array(h_scalar))
+
+    @pytest.mark.parametrize("dim,c,kind", ARRAY_CASES)
+    def test_one_bad_element_rejects_the_array(self, dim, c, kind):
+        g_grid, h_grid = boundary_grids(dim, c)
+        g_bad = (math.nan, math.inf, -math.inf, 1.0 / dim - 1e-6, 1.0 + 1e-6)
+        h_bad = (math.nan, math.inf, -math.inf, c * c - 1e-6, 1.0 + 1e-6)
+        for grid, bad_values, call in (
+            (g_grid, g_bad, lambda p: g_boundary(kind, c, p, dim)),
+            (h_grid, h_bad, lambda p: h_boundary(kind, c, p)),
+        ):
+            for bad in bad_values:
+                p = grid.copy()
+                p[len(p) // 2] = bad
+                with pytest.raises(DomainError):
+                    call(p)
+
+    def test_shapes_are_kept(self):
+        p = np.linspace(0.25, 1.0, 12).reshape(3, 4)
+        assert g_boundary(MetricKind.BURES, 0.6, p, 4).shape == (3, 4)
+        assert h_boundary(MetricKind.BURES, 0.6, p[1:]).shape == (2, 4)
+        assert type(g_boundary(MetricKind.BURES, 0.6, np.float64(0.5), 4)) is float
+
+    def test_flat_points_never_reach_the_curved_check(self):
+        # every point but the last sits below c^2, where h alone would raise
+        p = np.array([0.25, 0.3, 0.35, 0.9])
+        with pytest.raises(DomainError):
+            h_boundary(MetricKind.ANGLE, 0.6, p)
+        g = g_boundary(MetricKind.ANGLE, 0.6, p, 4)
+        assert np.array_equal(g[:3], np.ones(3))
+        assert g[3] == h_boundary(MetricKind.ANGLE, 0.6, 0.9)
 
 
 class TestInDomain:
@@ -286,10 +346,24 @@ class TestRegionSampling:
         parsed = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
         assert np.array_equal(parsed, samples)
 
-    def test_json_text_round_trips(self):
-        spec = DomainSpec(MetricKind.ROOT_INFIDELITY, 0.75, 3)
-        samples = region_samples(spec, 4)
-        assert np.array_equal(np.array(json.loads(region_json_text(samples))), samples)
+    def test_pinned_bytes_of_the_c08_csvs(self):
+        """sha256 of the nine dim-20, 1001-point CSVs as written by the
+        per-point loop that preceded the array kernel."""
+        expected = {
+            (MetricKind.ANGLE, 0): "e44c7d1b117000dc5bfe2f34199df7ae5162038ff4c5cf995c1b02722a6ab878",
+            (MetricKind.BURES, 0): "f8db037481901f896bb493acbf9d8d85d734ed93fcb30ebfefbd705abb999d8f",
+            (MetricKind.ROOT_INFIDELITY, 0): "63d40176b4b3fb05bcfe8f5c5486b16c93cd51ae73a844adbd6f95e8161a28d5",
+            (MetricKind.ANGLE, 1): "e659019d77c0cf3e9f9d8a80658ce1fc76ee83614dc9854b74231c2fc0d25ae6",
+            (MetricKind.BURES, 1): "012a1f749b3ddead564fc2db313734eafeeeee3c327be4ad34e408993249fb79",
+            (MetricKind.ROOT_INFIDELITY, 1): "f4ae76f5e57c29924caaeed161031da4b96231daca80aa5b441f4bb41831735c",
+            (MetricKind.ANGLE, 2): "9872296b3db88815e8c104ac947ea15df8d20990ac5655a2c0514d93ede5735a",
+            (MetricKind.BURES, 2): "48c903b1894156e3c14f4b855c80702c28f3eecf9ea07d14ae1797fd8f9ca638",
+            (MetricKind.ROOT_INFIDELITY, 2): "f1c5a39b71161c58b96c0ec82d98636092d7e00c4d5881388836ab3d56ef3c1a",
+        }
+        overlaps = (1.0 / math.sqrt(20.0), math.sqrt(0.2), math.sqrt(0.4))
+        for (kind, i), digest in expected.items():
+            text = region_csv_text(region_samples(DomainSpec(kind, overlaps[i], 20), 1001))
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, (kind, i)
 
     def test_filenames(self):
         assert region_filename(MetricKind.ANGLE, 0.6) == "region_angle_0.6.csv"

@@ -98,6 +98,25 @@ class TestFidelityCaching:
         first = fidelity(rho, sigma)
         assert fidelity(rho, sigma) is first
 
+    def test_memo_hit_skips_the_equality_test(self, monkeypatch):
+        rho = sample_mixed(4, 4, seed=1)
+        sigma = sample_mixed(4, 4, seed=2)
+        first = fidelity(rho, sigma)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.array_equal called on a memo hit")
+
+        monkeypatch.setattr(np, "array_equal", refuse)
+        assert fidelity(rho, sigma) is first
+
+    def test_identical_inputs_stay_exactly_one_and_unmemoized(self):
+        rho = sample_mixed(4, 4, seed=1)
+        twin = DensityMatrix(rho.matrix.copy())
+        for sigma in (rho, twin):
+            assert fidelity(rho, sigma) == 1.0
+            assert fidelity(rho, sigma) == 1.0
+        assert len(rho._fidelity_memo) == 0
+
     def test_memo_does_not_keep_partner_alive(self):
         rho = sample_mixed(3, 3, seed=1)
         partners = [sample_mixed(3, 3, seed=derived_seed(2, t)) for t in range(5)]
