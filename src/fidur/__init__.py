@@ -15,9 +15,6 @@ from .errors import (
 from .linalg import (
     EigenDecomposition,
     hermitian_eig,
-    mat_adjoint,
-    mat_mul,
-    mat_trace,
     nuclear_norm,
     psd_sqrt,
 )
@@ -43,7 +40,7 @@ from .fidelity import (
     fidelity_pure_pure,
     purification_overlap_search,
 )
-from .metrics import MetricKind, f_of, metric_distance, metric_kind, wootters_distance
+from .metrics import MetricKind, f_of, metric_distance, metric_kind
 from .uncertainty import (
     URReport,
     check_ur,

@@ -13,6 +13,7 @@ violation finding.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -44,6 +45,11 @@ __all__ = [
 ]
 
 _KIND_NAMES = [k.value for k in MetricKind]
+
+# Float options whose value may be negative. argparse reads a separate word
+# such as "-inf" or "-1e-9" as an option name, so ``main`` joins it to its
+# option ("--overlap=-inf") and the value reaches the program's own checks.
+_FLOAT_OPTIONS = ("--overlap", "--tolerance")
 
 
 def _fmt(x: float) -> str:
@@ -205,34 +211,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _sweep_config_from_args(parser: argparse.ArgumentParser, args) -> SweepConfig:
-    if args.config is not None:
-        for flag, value in (
-            ("--dim", args.dim),
-            ("--trials", args.trials),
-            ("--seed", args.seed),
-            ("--metric", args.metric),
-            ("--mixedness", args.mixedness),
-        ):
-            if value is not None:
-                parser.error(f"{flag} cannot be combined with --config")
-        config = SweepConfig.from_payload(_load_payload(args.config))
-        if args.tolerance is not None:
-            config = SweepConfig(
-                dims=config.dims,
-                trials_per_dim=config.trials_per_dim,
-                seed=config.seed,
-                kinds=config.kinds,
-                mixedness=config.mixedness,
-                tolerance=args.tolerance,
-            )
-        return config
-    for flag, value in (
+    flags = (
         ("--dim", args.dim),
         ("--trials", args.trials),
         ("--seed", args.seed),
         ("--metric", args.metric),
         ("--mixedness", args.mixedness),
-    ):
+    )
+    if args.config is not None:
+        for flag, value in flags:
+            if value is not None:
+                parser.error(f"{flag} cannot be combined with --config")
+        config = SweepConfig.from_payload(_load_payload(args.config))
+        if args.tolerance is not None:
+            config = dataclasses.replace(config, tolerance=args.tolerance)
+        return config
+    for flag, value in flags:
         if value is None:
             parser.error(f"{flag} is required (or use --config)")
     return SweepConfig(
@@ -245,9 +239,27 @@ def _sweep_config_from_args(parser: argparse.ArgumentParser, args) -> SweepConfi
     )
 
 
+def _is_number(word: str) -> bool:
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list) -> list:
+    joined = []
+    for word in argv:
+        if joined and joined[-1] in _FLOAT_OPTIONS and word.startswith("-") and _is_number(word):
+            joined[-1] = f"{joined[-1]}={word}"
+        else:
+            joined.append(word)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "fidelity":
             return cmd_fidelity(args.rho, args.sigma)

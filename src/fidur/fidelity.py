@@ -42,7 +42,8 @@ def _clamp_unit(f: float) -> float:
 
 
 def _same_matrix(a: np.ndarray, b: np.ndarray) -> bool:
-    return a is b or (a.shape == b.shape and bool(np.array_equal(a, b)))
+    # States hold finite matrices, so elementwise == needs no nan handling.
+    return a is b or (a.shape == b.shape and bool((a == b).all()))
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

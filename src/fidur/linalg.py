@@ -37,9 +37,6 @@ __all__ = [
     "hermitian_eig",
     "psd_sqrt",
     "nuclear_norm",
-    "mat_trace",
-    "mat_adjoint",
-    "mat_mul",
 ]
 
 
@@ -101,6 +98,13 @@ def psd_sqrt(m, noise_floor: float | None = None) -> np.ndarray:
     operands may pass a tighter absolute floor.
     """
     w, v = hermitian_eig(m)
+    return _psd_root(w, v, noise_floor)
+
+
+def _psd_root(w: np.ndarray, v: np.ndarray, noise_floor: float | None = None) -> np.ndarray:
+    """The root ``psd_sqrt`` builds from the eigenpairs ``(w, v)`` (ascending
+    ``w``) of the Hermitian part of a checked matrix; ``DensityMatrix.sqrt``
+    passes the pairs its validation already computed."""
     if w.size and float(w[0]) < -TOL.psd_clamp:
         raise NotPSD(f"eigenvalue {float(w[0]):.3e} below -{TOL.psd_clamp:.0e}")
     if noise_floor is None:
@@ -116,7 +120,7 @@ def nuclear_norm(m, noise_floor: float = 0.0) -> float:
     Computed as the sum of square roots of the eigenvalues of M^dag M.
     Negative round-off eigenvalues are clamped to zero; by default no
     further flooring is applied, so tiny genuine singular values are kept
-    and ``nuclear_norm(M) >= |mat_trace(M)|`` holds without tolerance.
+    and ``nuclear_norm(M) >= |tr M|`` holds without tolerance.
     """
     a = as_complex_matrix(m)
     g = a.conj().T @ a
@@ -128,18 +132,3 @@ def nuclear_norm(m, noise_floor: float = 0.0) -> float:
     w = np.where(w < max(noise_floor, 0.0), 0.0, w)
     return float(np.sum(np.sqrt(w)))
 
-
-def mat_trace(m) -> complex:
-    return complex(np.trace(as_complex_matrix(m)))
-
-
-def mat_adjoint(m) -> np.ndarray:
-    return as_complex_matrix(m).conj().T.copy()
-
-
-def mat_mul(a, b) -> np.ndarray:
-    x = as_complex_matrix(a)
-    y = as_complex_matrix(b)
-    if x.shape[1] != y.shape[0]:
-        raise DimensionMismatch(f"cannot multiply shapes {x.shape} and {y.shape}")
-    return x @ y

@@ -22,9 +22,9 @@ from typing import Callable, Union
 import numpy as np
 
 from .config import TOL
-from .errors import DimensionMismatch, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 from .fidelity import fidelity
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix
 
 __all__ = [
     "MetricKind",
@@ -32,7 +32,6 @@ __all__ = [
     "metric_kind",
     "f_of",
     "metric_distance",
-    "wootters_distance",
 ]
 
 
@@ -54,14 +53,20 @@ def metric_kind(name: str) -> MetricKind:
         raise ValidationError(f"unknown metric {name!r} (valid: {valid})") from None
 
 
+def _domain_error(x: float) -> DomainError:
+    return DomainError(f"argument {x!r} outside [0, 1] beyond the guard band")
+
+
 def _clamp_argument(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
     # Both comparisons are false for nan, so nan and +-inf fail here too.
+    if isinstance(x, float):
+        if not -TOL.metric_domain_guard <= x <= 1.0 + TOL.metric_domain_guard:
+            raise _domain_error(float(x))
+        return np.float64(min(max(x, 0.0), 1.0))
+    x = np.asarray(x, dtype=np.float64)
     ok = (x >= -TOL.metric_domain_guard) & (x <= 1.0 + TOL.metric_domain_guard)
     if not ok.all():
-        raise DomainError(
-            f"argument {float(x[~ok].flat[0])!r} outside [0, 1] beyond the guard band"
-        )
+        raise _domain_error(float(x[~ok].flat[0]))
     return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
@@ -69,15 +74,19 @@ def f_of(kind: MetricLike, x):
     """Evaluate the generating function of ``kind`` at x in [0, 1].
 
     ``x`` may be a float, giving a float, or an array, giving the array of
-    values; the domain guard applies to every element.
+    values; the domain guard applies to every element. A float is checked
+    with plain comparisons and clamped to an ``np.float64``, which then
+    takes the same kernel as an array.
     """
     x = _clamp_argument(x)
+    # x is clamped to [0, 1] and IEEE sqrt is monotone with sqrt(1) = 1, so
+    # sqrt(x) <= 1 and both differences are >= 0: no further guard is needed.
     if kind is MetricKind.ANGLE:
-        y = np.arccos(np.minimum(np.sqrt(x), 1.0))
+        y = np.arccos(np.sqrt(x))
     elif kind is MetricKind.BURES:
-        y = np.sqrt(np.maximum(2.0 - 2.0 * np.sqrt(x), 0.0))
+        y = np.sqrt(2.0 - 2.0 * np.sqrt(x))
     elif kind is MetricKind.ROOT_INFIDELITY:
-        y = np.sqrt(np.maximum(1.0 - x, 0.0))
+        y = np.sqrt(1.0 - x)
     elif callable(kind):
         y = np.array([float(kind(v)) for v in x.ravel().tolist()]).reshape(x.shape)
     else:
@@ -89,10 +98,3 @@ def metric_distance(kind: MetricLike, rho: DensityMatrix, sigma: DensityMatrix) 
     """d(rho, sigma) = f(F(rho, sigma))."""
     return f_of(kind, fidelity(rho, sigma))
 
-
-def wootters_distance(psi: PureState, phi: PureState) -> float:
-    """arccos |<psi|phi>|, the pure-state specialization of the angle metric."""
-    if psi.dim != phi.dim:
-        raise DimensionMismatch(f"dimension mismatch: {psi.dim} vs {phi.dim}")
-    overlap = abs(np.vdot(psi.amplitudes, phi.amplitudes))
-    return float(np.arccos(min(overlap, 1.0)))

@@ -65,10 +65,11 @@ def _norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt((a.real**2 + a.imag**2).sum(axis=-1))
 
 
-# Values derived from a state's matrix, its root and F(state, sigma) per
-# partner sigma, are kept for at most _DERIVED_STATES states: when one more
-# state needs them, the state that first needed them longest ago drops its
-# own (first in, first out). They live here, keyed by weak references, and
+# Values derived from a state's matrix, its eigendecomposition (until the
+# root is built from it), its root and F(state, sigma) per partner sigma,
+# are kept for at most _DERIVED_STATES states: when one more state needs
+# them, the state that first needed them longest ago drops its own (first
+# in, first out). They live here, keyed by weak references, and
 # not on the states: no state is kept alive by them, and a caller that
 # keeps many states (a list of samples) keeps only their matrices.
 _DERIVED_STATES = 64
@@ -76,9 +77,10 @@ _derived = collections.OrderedDict()  # weakref(state) -> _Derived
 
 
 class _Derived:
-    __slots__ = ("sqrt", "fidelity")
+    __slots__ = ("eig", "sqrt", "fidelity")
 
     def __init__(self):
+        self.eig = None  # (w, v) from validation, dropped once sqrt is built
         self.sqrt = None
         # F(state, sigma) by partner; weak keys keep no partner alive.
         self.fidelity = weakref.WeakKeyDictionary()
@@ -104,7 +106,9 @@ class DensityMatrix:
     ``matrix`` may also be a stack ``(..., N, N)``; every member is checked
     and one bad member rejects the whole stack. The stored ``matrix`` is
     read-only and never the caller's own array, so values derived from it
-    (``sqrt``, the fidelity memo) stay valid as long as they are kept.
+    (``sqrt``, the fidelity memo) stay valid as long as they are kept. A
+    single matrix is validated with a full eigendecomposition, which
+    ``sqrt`` later turns into the root; a stack needs only eigenvalues.
     """
 
     matrix: np.ndarray
@@ -116,18 +120,22 @@ class DensityMatrix:
         h = _adjoint(m)
         if float(np.abs(m - h).max()) > TOL.hermitian:
             raise ValidationError("density matrix must be Hermitian")
-        w = float(np.linalg.eigvalsh((m + h) / 2)[..., 0].min())
-        if w < -TOL.psd_clamp:
-            raise ValidationError(f"density matrix has negative eigenvalue {w:.3e}")
-        tr = np.trace(m, axis1=-2, axis2=-1)
-        if float(np.abs(tr.real - 1.0).max()) > TOL.trace_one or float(
-            np.abs(tr.imag).max()
-        ) > TOL.trace_one:
+        if m.ndim == 2:
+            eig = np.linalg.eigh((m + h) / 2)
+            lowest = float(eig[0][0])
+        else:
+            lowest = float(np.linalg.eigvalsh((m + h) / 2)[..., 0].min())
+        if lowest < -TOL.psd_clamp:
+            raise ValidationError(f"density matrix has negative eigenvalue {lowest:.3e}")
+        tr = m.trace(axis1=-2, axis2=-1) - 1.0
+        if float(np.abs([tr.real, tr.imag]).max()) > TOL.trace_one:
             raise ValidationError("density matrix must have unit trace")
         if isinstance(self.matrix, np.ndarray) and np.may_share_memory(m, self.matrix):
             m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        if m.ndim == 2:
+            _derived_for(self).eig = eig
 
     def __reduce__(self):
         # Rebuild through the constructor, so that an unpickled state is
@@ -142,10 +150,13 @@ class DensityMatrix:
     def sqrt(self) -> np.ndarray:
         """The principal square root ``linalg.psd_sqrt(matrix)``, computed on
         first use and kept while this state is among the ``_DERIVED_STATES``
-        that needed a derived value most recently."""
+        that needed a derived value most recently. It is built from the
+        eigendecomposition validation kept, or, once that was dropped, by
+        ``psd_sqrt`` itself; both take the same root formula."""
         d = _derived_for(self)
         if d.sqrt is None:
-            d.sqrt = linalg.psd_sqrt(self.matrix)
+            d.sqrt = linalg.psd_sqrt(self.matrix) if d.eig is None else linalg._psd_root(*d.eig)
+            d.eig = None
         return d.sqrt
 
     @property
@@ -205,7 +216,7 @@ class PureState:
         amps = _field(payload, "amplitudes")
         try:
             a = np.array([complex(re, im) for re, im in amps], dtype=np.complex128)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed amplitude list: {exc}") from exc
         dim = payload.get("dim")
         if dim is not None and _integer("dim", dim) != a.size:
@@ -336,13 +347,13 @@ def derived_seed(seed: int, *stream: int) -> int:
 def _generator(seed: int) -> np.random.Generator:
     if seed < 0:
         raise ValidationError("seed must be non-negative")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
+    return np.random.default_rng(int(seed))
 
 
 def _gaussian(seed: int, shape: tuple) -> np.ndarray:
     """Standard complex Gaussian entries (E|z|^2 = 1) of the given shape."""
-    rng = _generator(seed)
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x = _generator(seed).standard_normal((2, *shape))
+    z = x[0] + 1j * x[1]
     z /= np.sqrt(2.0)
     return z
 
@@ -433,7 +444,7 @@ def pairs_to_matrix(rows, dim=None) -> np.ndarray:
             [[complex(re, im) for re, im in row] for row in rows],
             dtype=np.complex128,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed matrix payload: {exc}") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"matrix payload must be square, got shape {m.shape}")

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fidur.cli import main
 from fidur.metrics import metric_kind
-from fidur.states import DensityMatrix, ProjectiveObservable, PureState
+from fidur.states import DensityMatrix, ProjectiveObservable, PureState, matrix_to_pairs
 from fidur.sweep import SweepConfig
 
 
@@ -155,6 +155,77 @@ class TestPayloadContract:
             args = ["fidelity", zero_state, bad]
         assert main(args) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+# A malformed entry for a [re, im] pair: a wrong arity, a wrong type, or an
+# integer too large for a float.
+BAD_ENTRIES = [[1.0], [1.0, 2.0, 3.0], "x", "ab", None, {}, [None, 0.0], [10**400, 0]]
+
+MUTATIONS = ["valid", "non-finite", "non-hermitian", "negative-eigenvalue", "trace",
+             "empty", "ragged", "dim-mismatch", "bad-entry", "random-entries", "pure-state"]
+
+
+@st.composite
+def state_payloads(draw):
+    """Density-matrix payloads, valid or broken in one of the ways above."""
+    n = draw(st.integers(1, 4))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    p = weights / weights.sum() if weights.sum() > 0 else np.eye(n)[0]
+    m = np.diag(p).astype(complex)
+    mutation = draw(st.sampled_from(MUTATIONS))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if mutation == "non-finite":
+        m[i, j] = draw(st.sampled_from([complex(math.nan, 0), complex(0, math.inf),
+                                        complex(-math.inf, 0)]))
+    elif mutation == "non-hermitian":
+        m[i, j] += complex(0.3, draw(st.floats(-1.0, 1.0)))
+    elif mutation == "negative-eigenvalue":
+        m = np.diag([1.5, -0.5] + [0.0] * (n - 1)).astype(complex)
+    elif mutation == "trace":
+        m *= draw(st.floats(0.0, 2.0))
+    elif mutation == "random-entries":
+        m = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n)))
+        m = m.reshape(n, n).astype(complex)
+    if mutation == "pure-state":
+        amps = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+        return {"type": "pure-state", "dim": n, "amplitudes": [[a, 0.0] for a in amps]}
+    rows = matrix_to_pairs(m)
+    if mutation == "empty":
+        rows = draw(st.sampled_from([[], [[]], [[] for _ in range(n)]]))
+    elif mutation == "ragged":
+        rows[i] = rows[i][:-1]
+    elif mutation == "bad-entry":
+        rows[i][j] = draw(st.sampled_from(BAD_ENTRIES))
+    dim = n + draw(st.sampled_from([-n, -1, 1, 2])) if mutation == "dim-mismatch" else n
+    return {"type": "density-matrix", "dim": dim, "matrix": rows}
+
+
+class TestFidelityFuzz:
+    @pytest.mark.parametrize("entry", BAD_ENTRIES, ids=lambda e: repr(e)[:12])
+    @pytest.mark.parametrize("kind", ["density-matrix", "pure-state"])
+    def test_bad_entry_exits_2(self, capsys, tmp_path, zero_state, kind, entry):
+        if kind == "density-matrix":
+            payload = {"type": kind, "dim": 1, "matrix": [[entry]]}
+        else:
+            payload = {"type": kind, "dim": 1, "amplitudes": [entry]}
+        bad = write_json(tmp_path / "bad.json", payload)
+        assert main(["fidelity", zero_state, bad]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed")
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(a=state_payloads(), b=state_payloads())
+    def test_fuzz_exits_zero_or_two(self, tmp_path, a, b):
+        files = [write_json(tmp_path / f"{name}.json", payload)
+                 for name, payload in (("a", a), ("b", b))]
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main(["fidelity", *files])
+        assert rc in (0, 2), (a, b)
+        if rc == 0:
+            assert out.getvalue().startswith("F = ") and len(out.getvalue().splitlines()) == 4
+        else:
+            assert err.getvalue().startswith("error:") and out.getvalue() == ""
 
 
 SWEEP_FLAGS = [
@@ -323,9 +394,8 @@ class TestRegionCommand:
     def test_fuzz_exits_zero_or_two(self, tmp_path, metric, overlap, dim, points):
         out = tmp_path / "fuzz.csv"
         out.unlink(missing_ok=True)
-        # "--overlap=-inf": a bare "-inf" would be read as an option name
-        argv = ["region", f"--metric={metric}", f"--overlap={overlap!r}", f"--dim={dim}",
-                f"--points={points}", f"--out={out}"]
+        argv = ["region", "--metric", metric, "--overlap", repr(overlap), "--dim", str(dim),
+                "--points", str(points), "--out", str(out)]
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             rc = main(argv)
@@ -407,3 +477,42 @@ class TestModuleEntryPoint:
         result = self.run_cli("fidelity", "nosuch.json", "nosuch.json")
         assert result.returncode == 2
         assert result.stderr.startswith("error:")
+
+
+class TestNegativeValueAsSeparateWord:
+    """"--opt -inf" reaches the program's checks exactly as "--opt=-inf" does."""
+
+    @staticmethod
+    def _run(argv):
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main(argv)
+        return rc, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan", "-1e-9", "-0.5", "-1E3"])
+    def test_region_overlap(self, value):
+        head = ["region", "--metric", "angle"]
+        tail = ["--dim", "4", "--points", "5"]
+        separate = self._run(head + ["--overlap", value] + tail)
+        assert separate == self._run(head + [f"--overlap={value}"] + tail)
+        rc, out, err = separate
+        assert rc == 2 and out == ""
+        assert err.startswith("error: overlap") and "outside" in err
+
+    def test_sweep_tolerance(self):
+        separate = self._run(SWEEP_FLAGS + ["--tolerance", "-1e-9"])
+        assert separate == self._run(SWEEP_FLAGS + ["--tolerance=-1e-9"])
+        assert separate == (2, "", "error: tolerance must be a positive finite number\n")
+
+    def test_check_ur_tolerance(self, zero_state, comp_obs, hadamard_obs):
+        # check-ur takes a negative tolerance: slack ~0 is then a violation.
+        head = ["check-ur", zero_state, comp_obs, hadamard_obs, "--metric", "angle"]
+        separate = self._run(head + ["--tolerance", "-1e-9"])
+        assert separate == self._run(head + ["--tolerance=-1e-9"])
+        assert separate[0] == 3
+
+    def test_non_number_is_still_an_option_name(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["region", "--metric", "angle", "--overlap", "-x", "--dim", "4",
+                  "--points", "5"])
+        assert exc.value.code == 2

@@ -5,9 +5,6 @@ from hypothesis import given, settings, strategies as st
 from fidur.errors import DimensionMismatch, NotHermitian, NotPSD, ValidationError
 from fidur.linalg import (
     hermitian_eig,
-    mat_adjoint,
-    mat_mul,
-    mat_trace,
     nuclear_norm,
     psd_sqrt,
 )
@@ -149,7 +146,7 @@ class TestNuclearNorm:
     def test_dominates_trace_scale_gap(self):
         # Singular values spread over eight orders of magnitude must all count.
         m = np.diag([1.0, 1e-8])
-        assert nuclear_norm(m) >= abs(mat_trace(m))
+        assert nuclear_norm(m) >= abs(np.trace(m))
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(
@@ -158,21 +155,5 @@ class TestNuclearNorm:
     )
     def test_dominates_trace(self, re, im):
         m = (np.array(re) + 1j * np.array(im)).reshape(2, 2)
-        assert nuclear_norm(m) + 1e-12 >= abs(mat_trace(m))
+        assert nuclear_norm(m) + 1e-12 >= abs(np.trace(m))
 
-
-class TestMatOps:
-    def test_trace(self):
-        assert mat_trace(np.diag([1.0, 2.0])) == pytest.approx(3.0)
-
-    def test_adjoint(self):
-        m = np.array([[1.0, 2.0j], [0.0, 1.0]])
-        assert np.array_equal(mat_adjoint(m), m.conj().T)
-
-    def test_mul(self):
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.array_equal(mat_mul(a, a), np.eye(2))
-
-    def test_mul_rejects_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            mat_mul(np.eye(2), np.eye(3))

@@ -10,7 +10,6 @@ from fidur.metrics import (
     f_of,
     metric_distance,
     metric_kind,
-    wootters_distance,
 )
 from fidur.states import DensityMatrix, PureState, derived_seed, sample_mixed, sample_pure
 
@@ -77,6 +76,46 @@ class TestFOf:
             assert f_of(kind, hi) <= f_of(kind, lo) + 1e-12
 
 
+# Floats at and around the edges of [0, 1] and its guard band, subnormals
+# included, and a few interior points.
+SCALAR_GRID = [
+    0.0, -0.0, 1.0, 1e-9, -1e-9, 1.0 + 1e-9, 1.0 - 1e-9, 5e-324, -5e-324, 1e-310,
+    2.2250738585072014e-308, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+    0.25, 0.5, 1.0 / 3.0, 0.999999999999, 1e-300,
+] + np.linspace(0.0, 1.0, 41).tolist()
+
+
+class TestScalarFOf:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_float_is_bitwise_the_array_element(self, kind):
+        array = f_of(kind, np.array(SCALAR_GRID))
+        for x, expected in zip(SCALAR_GRID, array):
+            y = f_of(kind, x)
+            assert type(y) is float
+            assert np.float64(y).tobytes() == expected.tobytes(), x
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -2e-9, 1.0 + 2e-9])
+    def test_float_outside_the_guard_band_raises(self, kind, x):
+        with pytest.raises(DomainError):
+            f_of(kind, x)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_numpy_float_and_int_inputs(self, kind):
+        for x in (0.0, 0.25, 1.0):
+            assert f_of(kind, np.float64(x)) == f_of(kind, x)
+            assert type(f_of(kind, np.float64(x))) is float
+        assert f_of(kind, 0) == f_of(kind, 0.0)
+        assert f_of(kind, 1) == f_of(kind, 1.0) == 0.0
+        with pytest.raises(DomainError):
+            f_of(kind, 2)
+
+    def test_callable_takes_a_float(self):
+        seen = []
+        assert f_of(lambda x: seen.append(x) or 0.5, 1.0 + 5e-10) == 0.5
+        assert seen == [1.0]
+
+
 class TestMetricDistance:
     def test_zero_for_identical_states(self):
         rho = sample_mixed(3, 3, seed=3)
@@ -132,21 +171,17 @@ class TestMetricDistance:
             assert metric_distance(kind, rho, sigma) == pytest.approx(f_of(kind, f), abs=1e-12)
 
 
-class TestWoottersDistance:
-    def test_identical_states(self):
-        psi = sample_pure(3, seed=4)
-        assert wootters_distance(psi, psi) < 1e-7
-
-    def test_orthogonal_states(self):
-        assert wootters_distance(ZERO, ONE) == pytest.approx(math.pi / 2, abs=1e-12)
-
+class TestAngleOnPureStates:
     def test_plus_against_zero(self):
-        assert wootters_distance(ZERO, PLUS) == pytest.approx(math.pi / 4, abs=1e-12)
+        d = metric_distance(MetricKind.ANGLE, ZERO.density(), PLUS.density())
+        assert d == pytest.approx(math.pi / 4, abs=1e-7)
 
-    def test_matches_angle_distance_on_pure_states(self):
+    def test_matches_arccos_of_the_overlap(self):
+        # The angle metric on pure states is arccos |<psi|phi>|.
         for t in range(25):
             psi = sample_pure(4, seed=derived_seed(73, t, 0))
             phi = sample_pure(4, seed=derived_seed(73, t, 1))
-            assert wootters_distance(psi, phi) == pytest.approx(
+            overlap = abs(np.vdot(psi.amplitudes, phi.amplitudes))
+            assert math.acos(min(overlap, 1.0)) == pytest.approx(
                 metric_distance(MetricKind.ANGLE, psi.density(), phi.density()), abs=1e-7
             )

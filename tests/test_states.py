@@ -1,5 +1,8 @@
+import collections
+import hashlib
 import json
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -7,8 +10,10 @@ import pytest
 from fidur.errors import DimensionMismatch, IndexOutOfRange, ValidationError
 from fidur.fidelity import fidelity
 from fidur.linalg import psd_sqrt
+from fidur.metrics import MetricKind, metric_distance
 from fidur.states import (
     _DERIVED_STATES,
+    _derived,
     DensityMatrix,
     ProjectiveObservable,
     PureState,
@@ -48,6 +53,21 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError):
             DensityMatrix(np.diag([0.5, 0.6]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[0, 1] = bad
+        with pytest.raises(ValidationError):
+            DensityMatrix(m)
+
+    def test_rejects_imaginary_trace_within_the_hermitian_band(self):
+        # Each diagonal entry is Hermitian within TOL.hermitian, but the
+        # imaginary parts add up to 4e-10 in the trace.
+        m = np.diag(np.full(10, 0.1 + 4e-11j))
+        with pytest.raises(ValidationError, match="unit trace"):
+            DensityMatrix(m)
+        assert DensityMatrix(m.real).dim == 10
+
     def test_payload_round_trip_is_exact(self):
         rho = sample_mixed(3, 3, seed=9)
         back = DensityMatrix.from_payload(json.loads(json.dumps(rho.to_payload())))
@@ -79,10 +99,10 @@ class TestDensityMatrixStorage:
         assert np.array_equal(rho.matrix, np.diag([0.5, 0.5]))
 
     def test_sqrt_is_cached_psd_sqrt(self):
-        for dim in range(2, 7):
+        for dim in range(2, 11):
             rho = sample_mixed(dim, dim, seed=dim)
             root = rho.sqrt
-            assert np.array_equal(root, psd_sqrt(rho.matrix))
+            assert root.tobytes() == psd_sqrt(rho.matrix).tobytes()
             assert rho.sqrt is root
 
     def test_only_recent_states_keep_derived_values(self):
@@ -97,11 +117,66 @@ class TestDensityMatrixStorage:
         g = fidelity(rhos[1], rhos[2])
         assert g is not f and g == f
 
+    def test_stack_keeps_no_derived_values(self):
+        rho = DensityMatrix(_good_stack())
+        assert weakref.ref(rho) not in _derived
+
     def test_pickle_round_trip_is_read_only(self):
         rho = sample_mixed(3, 3, seed=1)
         copy = pickle.loads(pickle.dumps(rho))
         assert np.array_equal(copy.matrix, rho.matrix)
         assert not copy.matrix.flags.writeable
+
+
+# sha256 over the stored matrices, their roots and the 9 metric distances of
+# 10 triples per dimension 2..10, taken before validation kept its
+# eigendecomposition for the root: the values must not move by one bit.
+TRIANGLE_DIGEST = "f145d251e69db1e2d15c32f4036000176e409dd85514d86440627a810732777e"
+
+
+def _triple(dim, t):
+    return [sample_mixed(dim, dim, seed=derived_seed(5005, dim, t, k)) for k in range(3)]
+
+
+def _triangle_distances(triple):
+    rho, sigma, tau = triple
+    return [
+        metric_distance(kind, a, b)
+        for kind in MetricKind
+        for a, b in ((sigma, rho), (tau, rho), (sigma, tau))
+    ]
+
+
+class TestOneEigendecompositionPerState:
+    def test_triangle_values_are_pinned(self):
+        h = hashlib.sha256()
+        for dim in range(2, 11):
+            for t in range(10):
+                triple = _triple(dim, t)
+                for d in _triangle_distances(triple):
+                    h.update(np.float64(d).tobytes())
+                for state in triple:
+                    h.update(state.matrix.tobytes())
+                    h.update(state.sqrt.tobytes())
+        assert h.hexdigest() == TRIANGLE_DIGEST
+
+    @pytest.mark.parametrize("dim", range(2, 11))
+    def test_a_fresh_triple_makes_three_eigh_and_three_eigvalsh(self, monkeypatch, dim):
+        counts = collections.Counter()
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _solve(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert len(_triangle_distances(_triple(dim, 0))) == 9
+        assert counts == {"eigh": 3, "eigvalsh": 3}
+
+    def test_evicted_state_recomputes_the_same_root(self):
+        rho = sample_mixed(4, 4, seed=9)
+        newer = [sample_mixed(3, 3, seed=t) for t in range(_DERIVED_STATES + 1)]
+        assert weakref.ref(rho) not in _derived and weakref.ref(newer[-1]) in _derived
+        assert rho.sqrt.tobytes() == psd_sqrt(rho.matrix).tobytes()
 
 
 class TestStackedDensityMatrix:
@@ -128,6 +203,12 @@ class TestStackedDensityMatrix:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             DensityMatrix(np.zeros((0, 0)))
+
+    def test_one_member_with_imaginary_trace_rejects_the_stack(self):
+        stack = np.stack([np.diag(np.full(10, 0.1))] * 3).astype(complex)
+        stack[1] = np.diag(np.full(10, 0.1 + 4e-11j))
+        with pytest.raises(ValidationError, match="unit trace"):
+            DensityMatrix(stack)
 
 
 class TestStackedObservable:
