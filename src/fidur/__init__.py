@@ -12,12 +12,7 @@ from .errors import (
     NotPSD,
     ValidationError,
 )
-from .linalg import (
-    EigenDecomposition,
-    hermitian_eig,
-    nuclear_norm,
-    psd_sqrt,
-)
+from .linalg import hermitian_eig, nuclear_norm, psd_sqrt
 from .states import (
     DensityMatrix,
     ProjectiveObservable,

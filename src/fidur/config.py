@@ -12,13 +12,9 @@ from dataclasses import dataclass
 class Tolerances:
     hermitian: float = 1e-10          # max element of |H - H^dag|
     psd_clamp: float = 1e-10          # eigenvalues below -psd_clamp are a hard error
-    eig_residual: float = 1e-10       # relative to the spectral norm
-    sqrt_residual: float = 1e-9       # |S@S - M| element-wise
     trace_one: float = 1e-10          # |tr(rho) - 1|
     unit_norm: float = 1e-12          # pure-state normalization
     orthonormal: float = 1e-10        # |E^dag E - I| element-wise
-    unitarity: float = 1e-10          # sampled unitaries
-    projector_idem: float = 1e-12     # |P@P - P|
     rank_cutoff: float = 1e-10        # eigenvalues above this count toward rank
     fidelity_guard: float = 1e-9      # admissible excursion of F outside [0, 1]
     probability_imag: float = 1e-10   # |Im <a|rho|a>|
@@ -27,8 +23,6 @@ class Tolerances:
     overlap_guard: float = 1e-9       # admissible excursion of c outside [1/sqrt(N), 1]
     metric_domain_guard: float = 1e-9 # admissible excursion of f's argument outside [0, 1]
     ur_slack: float = 1e-9            # default violation tolerance for UR checks
-    branch_continuity: float = 1e-9   # g at the flat/curved junction
-    boundary_cross: float = 1e-10     # quadratic route vs closed-form boundary
     domain_guard: float = 1e-9        # membership slack for feasibility domains
 
 

@@ -71,7 +71,10 @@ class DomainSpec:
         if self.dim < 2:
             raise ValidationError("dimension must be at least 2")
         c = float(self.overlap_c)
-        lo = 1.0 / math.sqrt(self.dim) - TOL.overlap_guard
+        try:
+            lo = 1.0 / math.sqrt(self.dim) - TOL.overlap_guard
+        except OverflowError:
+            raise ValidationError("dimension is too large") from None
         if not lo <= c <= 1.0 + TOL.overlap_guard:
             raise ValidationError(
                 f"overlap {c!r} outside [1/sqrt({self.dim}), 1]"

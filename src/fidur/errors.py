@@ -5,15 +5,19 @@ class FidurError(Exception):
     """Base class for every error raised by this package."""
 
 
+class ValidationError(FidurError):
+    """A value fails its type invariants (state, observable, or fixture payload)."""
+
+
 class DimensionMismatch(FidurError):
     """Operands have incompatible shapes or dimensions."""
 
 
-class NotHermitian(FidurError):
+class NotHermitian(ValidationError):
     """A matrix required to be Hermitian is not, beyond tolerance."""
 
 
-class NotPSD(FidurError):
+class NotPSD(ValidationError):
     """A matrix required to be positive semidefinite has a genuinely negative eigenvalue."""
 
 
@@ -27,7 +31,3 @@ class IndexOutOfRange(FidurError):
 
 class DomainError(FidurError):
     """A scalar argument lies outside its admissible interval."""
-
-
-class ValidationError(FidurError):
-    """A value fails its type invariants (state, observable, or fixture payload)."""

@@ -16,10 +16,9 @@ import numpy as np
 
 from . import linalg
 from .config import TOL
-from .errors import DimensionMismatch, DomainError, NoConvergence, NotPSD
+from .errors import DimensionMismatch, DomainError
+from .linalg import _EPS
 from .states import DensityMatrix, PureState, purify, sample_haar_unitary, derived_seed
-
-_EPS = float(np.finfo(np.float64).eps)
 
 __all__ = [
     "fidelity",
@@ -76,12 +75,7 @@ def _root_fidelity(s: np.ndarray, sigma: np.ndarray) -> float:
     if sigma.ndim != 2:
         raise DimensionMismatch(f"expected a single state, got shape {sigma.shape}")
     m = s @ sigma @ s
-    try:
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigendecomposition failed: {exc}") from exc
-    if float(w[0]) < -TOL.psd_clamp:
-        raise NotPSD(f"eigenvalue {float(w[0]):.3e} below -{TOL.psd_clamp:.0e}")
+    w = linalg.check_psd(linalg.eigensolve(np.linalg.eigvalsh, (m + linalg.adjoint(m)) / 2))
     w = np.where(w < 4 * w.size * _EPS, 0.0, w)
     return _clamp_unit(float(np.sqrt(w).sum()) ** 2)
 

@@ -1,39 +1,32 @@
-"""Dense complex Hermitian linear algebra kernel.
+"""Dense complex Hermitian linear algebra kernel, and the one place that
+decides what a valid Hermitian positive semidefinite matrix is.
 
-All higher-level quantities in this package reduce to three operations on
-small dense matrices: the Hermitian eigendecomposition, the principal
-square root of a positive semidefinite matrix, and the nuclear norm. The
-eigendecomposition is LAPACK-backed (numpy.linalg.eigh), which is
-deterministic for a fixed input and keeps the Monte Carlo sweeps fast.
-
-A matrix here is a plain square numpy array of complex128; ``ComplexMatrix``
-is an alias, not a wrapper type.
+All higher-level quantities reduce to three operations on small dense
+matrices or stacks ``(..., N, N)`` of them (plain complex128 arrays): the
+LAPACK-backed Hermitian eigendecomposition (numpy.linalg.eigh, deterministic
+for a fixed input), the principal PSD square root and the nuclear norm.
+States, roots and fidelity share one set of checks: ``as_complex_stack``
+coerces, ``hermitian_part`` tests Hermiticity and symmetrizes,
+``check_psd`` tests ascending eigenvalues and ``eigensolve`` maps a solver
+failure to NoConvergence. Their tolerances are those of ``fidur.config.TOL``;
+only ``psd_sqrt`` and ``nuclear_norm`` also take an explicit ``noise_floor``.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .config import TOL
-from .errors import (
-    DimensionMismatch,
-    NoConvergence,
-    NotHermitian,
-    NotPSD,
-    ValidationError,
-)
-
-ComplexMatrix = np.ndarray
+from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD, ValidationError
 
 _EPS = float(np.finfo(np.float64).eps)
 
 __all__ = [
-    "ComplexMatrix",
-    "EigenDecomposition",
+    "adjoint",
     "as_complex_stack",
-    "as_complex_matrix",
+    "hermitian_part",
+    "check_psd",
+    "eigensolve",
     "hermitian_eig",
     "psd_sqrt",
     "nuclear_norm",
@@ -41,49 +34,63 @@ __all__ = [
 
 
 def as_complex_stack(m) -> np.ndarray:
-    """Coerce ``m`` to a complex128 stack ``(..., N, N)`` of square matrices
-    with finite entries; a single matrix is the stack with no leading axes."""
+    """Coerce ``m`` to a nonempty complex128 stack ``(..., N, N)`` of square
+    matrices with finite entries; a single matrix is the stack with no
+    leading axes."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
+    if a.size == 0:
+        raise ValidationError(f"expected nonempty matrices, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValidationError("matrix entries must be finite")
     return a
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce ``m`` to a square complex128 array with finite entries."""
-    a = as_complex_stack(m)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    return a
+def adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
-class EigenDecomposition(NamedTuple):
-    """Eigenvalues in ascending order with eigenvectors as matching columns."""
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A^dag) / 2 of a coerced stack ``a``, whose every member must be
+    Hermitian within ``TOL.hermitian`` (max element of |A - A^dag|), else
+    NotHermitian. Solving the symmetrized matrix keeps round-off in the
+    input from leaking into complex eigenvalues."""
+    h = adjoint(a)
+    deviation = float(np.abs(a - h).max())
+    if deviation > TOL.hermitian:
+        raise NotHermitian(f"matrix deviates from Hermitian by {deviation:.3e}")
+    return (a + h) / 2
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+
+def check_psd(w: np.ndarray) -> np.ndarray:
+    """Return the ascending eigenvalues ``w`` (one vector, or a stack
+    ``(..., N)``), or raise NotPSD if any lowest one is below
+    ``-TOL.psd_clamp``."""
+    lowest = float(w[0]) if w.ndim == 1 else float(w[..., 0].min())
+    if lowest < -TOL.psd_clamp:
+        raise NotPSD(f"eigenvalue {lowest:.3e} below -{TOL.psd_clamp:.0e}")
+    return w
 
 
-def hermitian_eig(h) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
-
-    The input must be Hermitian within ``TOL.hermitian`` (max element of
-    |H - H^dag|); it is symmetrized before the solve so round-off in the
-    input cannot leak into complex eigenvalues. Eigenvalues come back
-    ascending, eigenvector columns in lockstep.
-    """
-    a = as_complex_matrix(h)
-    if a.size and float(np.abs(a - a.conj().T).max()) > TOL.hermitian:
-        raise NotHermitian(
-            f"matrix deviates from Hermitian by {float(np.abs(a - a.conj().T).max()):.3e}"
-        )
+def eigensolve(solver, h: np.ndarray):
+    """``solver(h)`` for a numpy Hermitian eigensolver (``np.linalg.eigh``
+    or ``np.linalg.eigvalsh``), with a LAPACK failure raised as
+    NoConvergence."""
     try:
-        w, v = np.linalg.eigh((a + a.conj().T) / 2)
+        return solver(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigendecomposition failed: {exc}") from exc
-    return EigenDecomposition(w, v)
+
+
+def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(w, v)`` of a Hermitian matrix or stack.
+
+    Eigenvalues come back ascending, eigenvector columns in lockstep; the
+    input is checked and symmetrized by ``hermitian_part`` first.
+    """
+    return eigensolve(np.linalg.eigh, hermitian_part(as_complex_stack(h)))
 
 
 def psd_sqrt(m, noise_floor: float | None = None) -> np.ndarray:
@@ -94,8 +101,8 @@ def psd_sqrt(m, noise_floor: float | None = None) -> np.ndarray:
     floor matters: an eigenvalue that is pure round-off (~1e-16) would
     otherwise contribute ~1e-8 to the root and wreck downstream
     tolerances. By default the floor is N*eps*lambda_max (the usual
-    numerical-rank cutoff); callers that know the absolute scale of their
-    operands may pass a tighter absolute floor.
+    numerical-rank cutoff, per member of a stack); callers that know the
+    absolute scale of their operands may pass a tighter absolute floor.
     """
     w, v = hermitian_eig(m)
     return _psd_root(w, v, noise_floor)
@@ -105,30 +112,26 @@ def _psd_root(w: np.ndarray, v: np.ndarray, noise_floor: float | None = None) ->
     """The root ``psd_sqrt`` builds from the eigenpairs ``(w, v)`` (ascending
     ``w``) of the Hermitian part of a checked matrix; ``DensityMatrix.sqrt``
     passes the pairs its validation already computed."""
-    if w.size and float(w[0]) < -TOL.psd_clamp:
-        raise NotPSD(f"eigenvalue {float(w[0]):.3e} below -{TOL.psd_clamp:.0e}")
-    if noise_floor is None:
-        noise_floor = w.size * _EPS * max(float(w[-1]), 0.0) if w.size else 0.0
-    w = np.where(w < max(noise_floor, 0.0), 0.0, w)
-    s = (v * np.sqrt(w)) @ v.conj().T
-    return (s + s.conj().T) / 2
+    check_psd(w)
+    # With lambda_max <= 0 the default floor lies above every eigenvalue,
+    # so all of them are zeroed, as a zero floor would do.
+    floor = w.shape[-1] * _EPS * w[..., -1:] if noise_floor is None else max(noise_floor, 0.0)
+    w = np.where(w < floor, 0.0, w)
+    s = (v * np.sqrt(w)[..., None, :]) @ adjoint(v)
+    return (s + adjoint(s)) / 2
 
 
-def nuclear_norm(m, noise_floor: float = 0.0) -> float:
-    """Nuclear (trace) norm: the sum of singular values of ``m``.
+def nuclear_norm(m, noise_floor: float = 0.0):
+    """Nuclear (trace) norm: the sum of singular values of ``m`` (a float;
+    an array over the leading axes of a stack).
 
     Computed as the sum of square roots of the eigenvalues of M^dag M.
     Negative round-off eigenvalues are clamped to zero; by default no
     further flooring is applied, so tiny genuine singular values are kept
     and ``nuclear_norm(M) >= |tr M|`` holds without tolerance.
     """
-    a = as_complex_matrix(m)
-    g = a.conj().T @ a
-    g = (g + g.conj().T) / 2
-    try:
-        w = np.linalg.eigvalsh(g)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigendecomposition failed: {exc}") from exc
-    w = np.where(w < max(noise_floor, 0.0), 0.0, w)
-    return float(np.sum(np.sqrt(w)))
-
+    a = as_complex_stack(m)
+    g = adjoint(a) @ a
+    w = eigensolve(np.linalg.eigvalsh, (g + adjoint(g)) / 2)
+    norm = np.sqrt(np.where(w < max(noise_floor, 0.0), 0.0, w)).sum(axis=-1)
+    return float(norm) if norm.ndim == 0 else norm

@@ -55,11 +55,6 @@ __all__ = [
 # containers
 
 
-def _adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of every matrix in a stack."""
-    return m.conj().swapaxes(-1, -2)
-
-
 def _norm(a: np.ndarray) -> np.ndarray:
     """Euclidean norm along the last axis."""
     return np.sqrt((a.real**2 + a.imag**2).sum(axis=-1))
@@ -109,24 +104,21 @@ class DensityMatrix:
     (``sqrt``, the fidelity memo) stay valid as long as they are kept. A
     single matrix is validated with a full eigendecomposition, which
     ``sqrt`` later turns into the root; a stack needs only eigenvalues.
+    The Hermitian and PSD checks are ``linalg``'s, so a bad matrix raises
+    the same ``NotHermitian`` or ``NotPSD`` (both ``ValidationError``) here
+    as from ``linalg.psd_sqrt``.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = linalg.as_complex_stack(self.matrix)
-        if m.size == 0:
-            raise ValidationError("density matrix must be nonempty")
-        h = _adjoint(m)
-        if float(np.abs(m - h).max()) > TOL.hermitian:
-            raise ValidationError("density matrix must be Hermitian")
+        h = linalg.hermitian_part(m)
         if m.ndim == 2:
-            eig = np.linalg.eigh((m + h) / 2)
-            lowest = float(eig[0][0])
+            eig = linalg.eigensolve(np.linalg.eigh, h)
+            linalg.check_psd(eig[0])
         else:
-            lowest = float(np.linalg.eigvalsh((m + h) / 2)[..., 0].min())
-        if lowest < -TOL.psd_clamp:
-            raise ValidationError(f"density matrix has negative eigenvalue {lowest:.3e}")
+            linalg.check_psd(linalg.eigensolve(np.linalg.eigvalsh, h))
         tr = m.trace(axis1=-2, axis2=-1) - 1.0
         if float(np.abs([tr.real, tr.imag]).max()) > TOL.trace_one:
             raise ValidationError("density matrix must have unit trace")
@@ -237,9 +229,7 @@ class ProjectiveObservable:
 
     def __post_init__(self):
         e = linalg.as_complex_stack(self.eigenbasis)
-        if e.size == 0:
-            raise ValidationError("observable eigenbasis must be nonempty")
-        gram = _adjoint(e) @ e
+        gram = linalg.adjoint(e) @ e
         if float(np.abs(gram - np.eye(e.shape[-1])).max()) > TOL.orthonormal:
             raise ValidationError("observable eigenbasis columns must be orthonormal")
         object.__setattr__(self, "eigenbasis", e)
@@ -317,8 +307,8 @@ def partial_trace_aux(psi: PureState, sys_dim: int, aux_dim: int) -> DensityMatr
             f"state dimension {psi.dim} is not {sys_dim}*{aux_dim}"
         )
     m = psi.amplitudes.reshape(*psi.amplitudes.shape[:-1], sys_dim, aux_dim)
-    rho = m @ _adjoint(m)
-    return DensityMatrix((rho + _adjoint(rho)) / 2)
+    rho = m @ linalg.adjoint(m)
+    return DensityMatrix((rho + linalg.adjoint(rho)) / 2)
 
 
 # ---------------------------------------------------------------------------

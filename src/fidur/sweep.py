@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import numbers
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -85,7 +85,7 @@ class SweepConfig:
         if (
             isinstance(self.tolerance, bool)
             or not isinstance(self.tolerance, numbers.Real)
-            or not 0 < self.tolerance < math.inf
+            or not 0 < self.tolerance <= sys.float_info.max
         ):
             raise ValidationError("tolerance must be a positive finite number")
         object.__setattr__(self, "dims", dims)

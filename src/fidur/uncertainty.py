@@ -46,9 +46,9 @@ class URReport:
     """One evaluated instance of the uncertainty relation.
 
     slack = u_a + u_b - bound; the relation asserts slack >= 0 up to
-    round-off. For the bures kind, ``scaled(1/sqrt(2))`` restates the
-    report in the equivalent pairwise-root normalization
-    sqrt(1 - sqrt(P_A)) + sqrt(1 - sqrt(P_B)) >= sqrt(1 - c).
+    round-off. For the bures kind, dividing u_a, u_b and the bound by
+    sqrt(2) restates the report in the equivalent pairwise-root
+    normalization sqrt(1 - sqrt(P_A)) + sqrt(1 - sqrt(P_B)) >= sqrt(1 - c).
     Built from stacked inputs, every field is an array of one common
     shape, element i being the report of trial i.
     """
@@ -74,24 +74,6 @@ class URReport:
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True)
-
-    def scaled(self, factor: float) -> "URReport":
-        """Rescale the uncertainty values and bound by a positive factor.
-
-        Rescaling by a positive constant preserves the inequality; the
-        probabilities and the overlap are reported unchanged.
-        """
-        if not factor > 0:
-            raise DomainError("scale factor must be positive")
-        return URReport(
-            p_max_a=self.p_max_a,
-            p_max_b=self.p_max_b,
-            u_a=self.u_a * factor,
-            u_b=self.u_b * factor,
-            overlap_c=self.overlap_c,
-            bound=self.bound * factor,
-            slack=self.slack * factor,
-        )
 
 
 def outcome_probabilities(obs: ProjectiveObservable, rho: DensityMatrix) -> np.ndarray:

@@ -287,10 +287,11 @@ class TestSweepCommand:
             ("trials_per_dim", True),
             ("seed", 1.5),
             ("tolerance", math.inf),
+            ("tolerance", 10**400),
             ("dims", 5),
         ],
         ids=["fractional-trials", "boolean-trials", "fractional-seed",
-             "infinite-tolerance", "scalar-dims"],
+             "infinite-tolerance", "huge-int-tolerance", "scalar-dims"],
     )
     def test_malformed_config_exits_2(self, capsys, tmp_path, key, value):
         payload = {"dims": [2], "trials_per_dim": 2, "seed": 1,
@@ -322,6 +323,53 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         json.loads(captured.out)
         assert "chunks done" in captured.err
+
+
+SWEEP_CONFIG = {"dims": [2, 3], "trials_per_dim": 2, "seed": 1, "kinds": ["angle"],
+                "mixedness": "pure", "tolerance": 1e-9}
+# Values of the wrong type or range for most keys. Large dims and trial
+# counts are left out: a valid one runs a real sweep of that size.
+ANY_BAD = st.sampled_from([True, False, None, 1.5, math.nan, math.inf, -math.inf, -1, 0,
+                           -(10**400), "x", {}, [], [[2]]])
+SWEEP_VALUES = {
+    "dims": st.one_of(ANY_BAD, st.integers(-1, 4),
+                      st.lists(st.one_of(st.integers(-1, 4), ANY_BAD), max_size=3)),
+    "trials_per_dim": st.one_of(ANY_BAD, st.integers(-2, 3)),
+    "seed": st.one_of(ANY_BAD, st.integers(-5, 5), st.just(10**400)),
+    "kinds": st.one_of(ANY_BAD, st.just("angle"), st.lists(
+        st.one_of(st.sampled_from(["angle", "bures", "root-infidelity", "nope"]), ANY_BAD),
+        max_size=3)),
+    "mixedness": st.one_of(ANY_BAD, st.sampled_from(["pure", "mixed", "both", "neither"])),
+    "tolerance": st.one_of(ANY_BAD, st.just(10**400), st.just(1e308), st.floats()),
+}
+
+
+@st.composite
+def sweep_payloads(draw):
+    payload = dict(SWEEP_CONFIG)
+    for key in draw(st.sets(st.sampled_from(sorted(SWEEP_VALUES)), max_size=2)):
+        payload[key] = draw(SWEEP_VALUES[key])
+    for key in draw(st.sets(st.sampled_from(sorted(SWEEP_VALUES)), max_size=1)):
+        del payload[key]
+    if draw(st.booleans()):
+        payload["workers"] = 2
+    return payload
+
+
+class TestSweepConfigFuzz:
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(payload=st.one_of(sweep_payloads(), st.sampled_from([[], "x", 3, None])))
+    def test_fuzz_exits_zero_two_or_three(self, tmp_path, payload):
+        path = write_json(tmp_path / "sweep.json", payload)
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main(["sweep", "--config", path])
+        assert rc in (0, 2, 3), payload
+        if rc == 2:
+            assert err.getvalue().startswith("error:") and out.getvalue() == ""
+        else:
+            assert json.loads(out.getvalue())["total_trials"] > 0
 
 
 class TestRegionCommand:
@@ -357,6 +405,11 @@ class TestRegionCommand:
 
     def test_overlap_below_floor_rejected(self, capsys):
         assert main(["region", "--metric", "angle", "--overlap", "0.1", "--dim", "4",
+                     "--points", "5"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_dimension_beyond_float_range_rejected(self, capsys):
+        assert main(["region", "--metric", "angle", "--overlap", "0.5", "--dim", str(10**400),
                      "--points", "5"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 

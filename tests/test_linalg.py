@@ -2,12 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fidur.errors import DimensionMismatch, NotHermitian, NotPSD, ValidationError
+from fidur.errors import (
+    DimensionMismatch,
+    NoConvergence,
+    NotHermitian,
+    NotPSD,
+    ValidationError,
+)
+from fidur.fidelity import fidelity
 from fidur.linalg import (
     hermitian_eig,
     nuclear_norm,
     psd_sqrt,
 )
+from fidur.states import DensityMatrix
 
 
 def random_hermitian(dim, rng):
@@ -72,6 +80,14 @@ class TestHermitianEig:
         with pytest.raises(ValidationError):
             hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_stack_matches_each_member(self):
+        rng = np.random.default_rng(13)
+        h = np.stack([random_hermitian(4, rng) for _ in range(5)])
+        w, v = hermitian_eig(h)
+        for k in range(5):
+            wk, vk = hermitian_eig(h[k])
+            assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
+
     def test_deterministic_for_fixed_input(self):
         rng = np.random.default_rng(3)
         h = random_hermitian(5, rng)
@@ -116,6 +132,13 @@ class TestPsdSqrt:
         with pytest.raises(NotPSD):
             psd_sqrt(np.diag([1.0, -1e-6]))
 
+    def test_stack_matches_each_member(self):
+        rng = np.random.default_rng(29)
+        m = np.stack([random_psd(3, rng) for _ in range(3)])
+        roots = psd_sqrt(m)
+        for k in range(3):
+            assert np.array_equal(roots[k], psd_sqrt(m[k]))
+
     def test_clamps_tiny_negative(self):
         s = psd_sqrt(np.diag([1.0, -1e-12]))
         assert s[1, 1] == 0.0
@@ -143,6 +166,10 @@ class TestNuclearNorm:
             v = random_unitary(dim, rng)
             assert nuclear_norm(u @ m @ v) == pytest.approx(nuclear_norm(m), abs=1e-9)
 
+    def test_stack_gives_one_norm_per_member(self):
+        m = np.stack([np.eye(2), np.diag([-3.0, 4.0])])
+        assert nuclear_norm(m) == pytest.approx([2.0, 7.0], abs=1e-12)
+
     def test_dominates_trace_scale_gap(self):
         # Singular values spread over eight orders of magnitude must all count.
         m = np.diag([1.0, 1e-8])
@@ -157,3 +184,55 @@ class TestNuclearNorm:
         m = (np.array(re) + 1j * np.array(im)).reshape(2, 2)
         assert nuclear_norm(m) + 1e-12 >= abs(np.trace(m))
 
+
+# One bad matrix, every entry point: the Hermitian and PSD checks are linalg's.
+NON_HERMITIAN = np.array([[0.5, 0.5], [0.0, 0.5]])
+NEGATIVE = np.diag([1.0 + 1e-6, -1e-6])
+GOOD = np.diag([0.5, 0.5])
+ENTRY_POINTS = {
+    "DensityMatrix": DensityMatrix,
+    "DensityMatrix stack member": lambda m: DensityMatrix(np.stack([GOOD, m, GOOD])),
+    "hermitian_eig": hermitian_eig,
+    "psd_sqrt": psd_sqrt,
+}
+
+
+class TestOneCheck:
+    def test_check_errors_are_validation_errors(self):
+        assert issubclass(NotHermitian, ValidationError)
+        assert issubclass(NotPSD, ValidationError)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_non_hermitian_is_not_hermitian_everywhere(self, entry):
+        with pytest.raises(NotHermitian):
+            ENTRY_POINTS[entry](NON_HERMITIAN)
+
+    @pytest.mark.parametrize("entry", ["DensityMatrix", "DensityMatrix stack member", "psd_sqrt"])
+    def test_negative_eigenvalue_is_not_psd_everywhere(self, entry):
+        with pytest.raises(NotPSD):
+            ENTRY_POINTS[entry](NEGATIVE)
+
+    @pytest.mark.parametrize("call", [DensityMatrix, hermitian_eig, psd_sqrt, nuclear_norm])
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 2, 2)])
+    def test_empty_is_a_validation_error_everywhere(self, call, shape):
+        with pytest.raises(ValidationError):
+            call(np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "solver, call",
+        [
+            ("eigh", lambda: DensityMatrix(GOOD)),
+            ("eigh", lambda: hermitian_eig(GOOD)),
+            ("eigh", lambda: psd_sqrt(GOOD)),
+            ("eigvalsh", lambda: DensityMatrix(np.stack([GOOD, GOOD]))),
+            ("eigvalsh", lambda: nuclear_norm(GOOD)),
+            ("eigvalsh", lambda: fidelity(DensityMatrix(np.diag([0.25, 0.75])), DensityMatrix(GOOD))),
+        ],
+    )
+    def test_solver_failure_is_no_convergence_everywhere(self, monkeypatch, solver, call):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np.linalg, solver, fail)
+        with pytest.raises(NoConvergence):
+            call()

@@ -205,16 +205,15 @@ class TestCheckUR:
         b = sample_observable(3, seed=12)
         rho = sample_mixed(3, 3, seed=13)
         report = check_ur(MetricKind.BURES, a, b, rho)
-        paired = report.scaled(1.0 / math.sqrt(2.0))
-        assert paired.u_a == pytest.approx(
+        r2 = math.sqrt(2.0)
+        assert report.u_a / r2 == pytest.approx(
             math.sqrt(1.0 - math.sqrt(report.p_max_a)), abs=1e-12
         )
-        assert paired.u_b == pytest.approx(
+        assert report.u_b / r2 == pytest.approx(
             math.sqrt(1.0 - math.sqrt(report.p_max_b)), abs=1e-12
         )
-        assert paired.bound == pytest.approx(math.sqrt(1.0 - report.overlap_c), abs=1e-12)
-        assert paired.slack == pytest.approx(report.slack / math.sqrt(2.0), abs=1e-15)
-        assert paired.slack >= -1e-9
+        assert report.bound / r2 == pytest.approx(math.sqrt(1.0 - report.overlap_c), abs=1e-12)
+        assert report.slack >= -1e-9
 
     def test_angle_slack_matches_arccos_identity(self):
         """The angle bound evaluates f at c^2, which collapses to arccos(c)."""
@@ -269,19 +268,6 @@ class TestURReport:
             assert report.slack == pytest.approx(
                 report.u_a + report.u_b - report.bound, abs=1e-15
             )
-
-    def test_scaled_rejects_bad_factor(self):
-        report = URReport(
-            p_max_a=1.0,
-            p_max_b=0.5,
-            u_a=0.0,
-            u_b=math.pi / 4,
-            overlap_c=1.0 / math.sqrt(2.0),
-            bound=math.pi / 4,
-            slack=0.0,
-        )
-        with pytest.raises(DomainError):
-            report.scaled(0.0)
 
 
 FIELDS = ("p_max_a", "p_max_b", "u_a", "u_b", "overlap_c", "bound", "slack")
