@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .config import TOL
 from .errors import DomainError
 from .fidelity import _check_dims
@@ -113,7 +114,7 @@ def max_probability(obs: ProjectiveObservable, rho: DensityMatrix):
 def overlap(a: ProjectiveObservable, b: ProjectiveObservable):
     """c = max_ij |<a_i|b_j>|, in [1/sqrt(N), 1]; an array for stacks."""
     _check_dims(a, b)
-    c = np.abs(a.eigenbasis.conj().swapaxes(-1, -2) @ b.eigenbasis).max(axis=(-2, -1))
+    c = np.abs(linalg.adjoint(a.eigenbasis) @ b.eigenbasis).max(axis=(-2, -1))
     c = np.minimum(c, 1.0)
     return float(c) if c.ndim == 0 else c
 
