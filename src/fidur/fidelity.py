@@ -64,6 +64,8 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     memo = rho._fidelity_memo
     f = memo.get(sigma)
     if f is None:
+        if rho.matrix.ndim != 2 or sigma.matrix.ndim != 2:
+            raise DimensionMismatch("fidelity takes single states, not stacks")
         if _same_matrix(rho.matrix, sigma.matrix):
             return 1.0
         f = memo[sigma] = _root_fidelity(rho.sqrt, sigma.matrix)
@@ -72,8 +74,6 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def _root_fidelity(s: np.ndarray, sigma: np.ndarray) -> float:
     """(tr sqrt(s sigma s))^2 for the root s of rho, from eigenvalues alone."""
-    if sigma.ndim != 2:
-        raise DimensionMismatch(f"expected a single state, got shape {sigma.shape}")
     m = s @ sigma @ s
     w = linalg.check_psd(linalg.eigensolve(np.linalg.eigvalsh, (m + linalg.adjoint(m)) / 2))
     w = np.where(w < 4 * w.size * _EPS, 0.0, w)

@@ -2,14 +2,15 @@
 decides what a valid Hermitian positive semidefinite matrix is.
 
 All higher-level quantities reduce to three operations on small dense
-matrices or stacks ``(..., N, N)`` of them (plain complex128 arrays): the
-LAPACK-backed Hermitian eigendecomposition (numpy.linalg.eigh, deterministic
-for a fixed input), the principal PSD square root and the nuclear norm.
-States, roots and fidelity share one set of checks: ``as_complex_stack``
-coerces, ``hermitian_part`` tests Hermiticity and symmetrizes,
-``check_psd`` tests ascending eigenvalues and ``eigensolve`` maps a solver
-failure to NoConvergence. Their tolerances are those of ``fidur.config.TOL``;
-only ``psd_sqrt`` and ``nuclear_norm`` also take an explicit ``noise_floor``.
+complex128 arrays: the LAPACK-backed Hermitian eigendecomposition
+(numpy.linalg.eigh, deterministic for a fixed input; of a matrix or a
+stack ``(..., N, N)``), and the principal PSD square root and the nuclear
+norm of one matrix. States, roots and fidelity share one set of internal
+checks: ``as_complex_stack`` coerces, ``hermitian_part`` tests
+Hermiticity and symmetrizes, ``check_psd`` tests ascending eigenvalues
+and ``eigensolve`` maps a solver failure to NoConvergence. Their
+tolerances are those of ``fidur.config.TOL``; only ``psd_sqrt`` and
+``nuclear_norm`` also take an explicit ``noise_floor``.
 """
 
 from __future__ import annotations
@@ -21,16 +22,7 @@ from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD, Vali
 
 _EPS = float(np.finfo(np.float64).eps)
 
-__all__ = [
-    "adjoint",
-    "as_complex_stack",
-    "hermitian_part",
-    "check_psd",
-    "eigensolve",
-    "hermitian_eig",
-    "psd_sqrt",
-    "nuclear_norm",
-]
+__all__ = ["as_complex_stack", "hermitian_eig", "psd_sqrt", "nuclear_norm"]
 
 
 def as_complex_stack(m) -> np.ndarray:
@@ -44,6 +36,14 @@ def as_complex_stack(m) -> np.ndarray:
         raise ValidationError(f"expected nonempty matrices, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValidationError("matrix entries must be finite")
+    return a
+
+
+def _single(m) -> np.ndarray:
+    """``as_complex_stack`` of exactly one matrix, else DimensionMismatch."""
+    a = as_complex_stack(m)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"expected a single matrix, got shape {a.shape}")
     return a
 
 
@@ -101,10 +101,10 @@ def psd_sqrt(m, noise_floor: float | None = None) -> np.ndarray:
     floor matters: an eigenvalue that is pure round-off (~1e-16) would
     otherwise contribute ~1e-8 to the root and wreck downstream
     tolerances. By default the floor is N*eps*lambda_max (the usual
-    numerical-rank cutoff, per member of a stack); callers that know the
-    absolute scale of their operands may pass a tighter absolute floor.
+    numerical-rank cutoff); callers that know the absolute scale of their
+    operands may pass a tighter absolute floor.
     """
-    w, v = hermitian_eig(m)
+    w, v = eigensolve(np.linalg.eigh, hermitian_part(_single(m)))
     return _psd_root(w, v, noise_floor)
 
 
@@ -115,23 +115,21 @@ def _psd_root(w: np.ndarray, v: np.ndarray, noise_floor: float | None = None) ->
     check_psd(w)
     # With lambda_max <= 0 the default floor lies above every eigenvalue,
     # so all of them are zeroed, as a zero floor would do.
-    floor = w.shape[-1] * _EPS * w[..., -1:] if noise_floor is None else max(noise_floor, 0.0)
+    floor = w.size * _EPS * float(w[-1]) if noise_floor is None else max(noise_floor, 0.0)
     w = np.where(w < floor, 0.0, w)
-    s = (v * np.sqrt(w)[..., None, :]) @ adjoint(v)
+    s = (v * np.sqrt(w)) @ adjoint(v)
     return (s + adjoint(s)) / 2
 
 
-def nuclear_norm(m, noise_floor: float = 0.0):
-    """Nuclear (trace) norm: the sum of singular values of ``m`` (a float;
-    an array over the leading axes of a stack).
+def nuclear_norm(m, noise_floor: float = 0.0) -> float:
+    """Nuclear (trace) norm: the sum of singular values of ``m``.
 
     Computed as the sum of square roots of the eigenvalues of M^dag M.
     Negative round-off eigenvalues are clamped to zero; by default no
     further flooring is applied, so tiny genuine singular values are kept
     and ``nuclear_norm(M) >= |tr M|`` holds without tolerance.
     """
-    a = as_complex_stack(m)
+    a = _single(m)
     g = adjoint(a) @ a
     w = eigensolve(np.linalg.eigvalsh, (g + adjoint(g)) / 2)
-    norm = np.sqrt(np.where(w < max(noise_floor, 0.0), 0.0, w)).sum(axis=-1)
-    return float(norm) if norm.ndim == 0 else norm
+    return float(np.sqrt(np.where(w < max(noise_floor, 0.0), 0.0, w)).sum())

@@ -1,4 +1,5 @@
 import gc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fidur.fidelity import (
     purification_overlap_search,
 )
 from fidur.linalg import psd_sqrt
+from fidur.metrics import MetricKind, metric_distance
 from fidur.states import (
     DensityMatrix,
     PureState,
@@ -136,10 +138,20 @@ class TestFidelityCaching:
         assert fidelity(rho, sample_mixed(4, 4, seed=3)) == 0.0  # fidelity does read it
         assert fidelity_oracle(rho, sigma) == expected
 
-    def test_rejects_a_stacked_partner(self):
-        rho = sample_mixed(3, 3, seed=1)
+    @pytest.mark.parametrize("stacked", ["sigma", "rho", "both", "same"])
+    @pytest.mark.parametrize("kind", [None, *MetricKind], ids=lambda k: getattr(k, "value", "F"))
+    def test_rejects_a_stacked_state(self, stacked, kind):
+        stack = sample_mixed(3, 3, seed=1, count=2)
+        rho, sigma = {
+            "sigma": (sample_mixed(3, 3, seed=2), stack),
+            "rho": (stack, sample_mixed(3, 3, seed=2)),
+            "both": (stack, sample_mixed(3, 3, seed=2, count=2)),
+            "same": (stack, stack),
+        }[stacked]
+        f = fidelity if kind is None else partial(metric_distance, kind)
         with pytest.raises(DimensionMismatch):
-            fidelity(rho, sample_mixed(3, 3, seed=2, count=2))
+            f(rho, sigma)
+        assert len(rho._fidelity_memo) == 0
 
 
 class TestPurePaths:

@@ -132,12 +132,9 @@ class TestPsdSqrt:
         with pytest.raises(NotPSD):
             psd_sqrt(np.diag([1.0, -1e-6]))
 
-    def test_stack_matches_each_member(self):
-        rng = np.random.default_rng(29)
-        m = np.stack([random_psd(3, rng) for _ in range(3)])
-        roots = psd_sqrt(m)
-        for k in range(3):
-            assert np.array_equal(roots[k], psd_sqrt(m[k]))
+    def test_rejects_a_stack(self):
+        with pytest.raises(DimensionMismatch):
+            psd_sqrt(np.stack([np.eye(2), np.eye(2)]))
 
     def test_clamps_tiny_negative(self):
         s = psd_sqrt(np.diag([1.0, -1e-12]))
@@ -166,9 +163,9 @@ class TestNuclearNorm:
             v = random_unitary(dim, rng)
             assert nuclear_norm(u @ m @ v) == pytest.approx(nuclear_norm(m), abs=1e-9)
 
-    def test_stack_gives_one_norm_per_member(self):
-        m = np.stack([np.eye(2), np.diag([-3.0, 4.0])])
-        assert nuclear_norm(m) == pytest.approx([2.0, 7.0], abs=1e-12)
+    def test_rejects_a_stack(self):
+        with pytest.raises(DimensionMismatch):
+            nuclear_norm(np.stack([np.eye(2), np.diag([-3.0, 4.0])]))
 
     def test_dominates_trace_scale_gap(self):
         # Singular values spread over eight orders of magnitude must all count.
