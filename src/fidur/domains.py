@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .config import TOL
 from .errors import DomainError, ValidationError
 from .metrics import MetricKind
@@ -246,6 +247,7 @@ def region_samples(spec: DomainSpec, n_points: int) -> np.ndarray:
     """(p, g(p)) pairs on a uniform p-grid over [1/N, 1], as an (n, 2) array."""
     if n_points < 2:
         raise DomainError("n_points must be at least 2")
+    linalg.array_shape(n_points)
     p = np.linspace(1.0 / spec.dim, 1.0, int(n_points))
     return np.column_stack([p, g_boundary(spec.kind, spec.overlap_c, p, spec.dim)])
 

@@ -12,6 +12,8 @@ from below.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import linalg
@@ -48,28 +50,30 @@ def _same_matrix(a: np.ndarray, b: np.ndarray) -> bool:
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """F(rho, sigma) = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1].
 
-    The result is memoized on ``rho`` per partner state, and the memo is
-    read first: asking again for the same ordered pair returns the same
-    float without new work (while ``rho`` keeps its derived values; see
-    ``DensityMatrix.sqrt``). On a miss, bitwise-identical inputs
-    short-circuit to exactly 1.0 (the value is exact in that case, while
-    the numerical route would land ~1e-13 short and downstream arccos
-    would amplify the gap) and are never memoized. Otherwise sqrt(rho) is
-    the state's cached root, and tr sqrt(M) for M = sqrt(rho) sigma
-    sqrt(rho) is the sum of the square roots of M's eigenvalues, with an
-    absolute noise floor of 4*N*eps: both operands have operator norm at
-    most 1, so eigenvalues below that are round-off, not signal.
+    Values are cached for the 64 ordered pairs of states asked most
+    recently, keyed by state identity; the cache holds its states
+    strongly, so an entry lives until it is evicted. A hit returns the
+    same float without new work. Bitwise-identical matrices short-circuit
+    to exactly 1.0 (the value is exact in that case, while the numerical
+    route would land ~1e-13 short and downstream arccos would amplify the
+    gap). Otherwise sqrt(rho) is the state's cached root, and tr sqrt(M)
+    for M = sqrt(rho) sigma sqrt(rho) is the sum of the square roots of
+    M's eigenvalues, with an absolute noise floor of 4*N*eps: both
+    operands have operator norm at most 1, so eigenvalues below that are
+    round-off, not signal.
     """
     _check_dims(rho, sigma)
-    memo = rho._fidelity_memo
-    f = memo.get(sigma)
-    if f is None:
-        if rho.matrix.ndim != 2 or sigma.matrix.ndim != 2:
-            raise DimensionMismatch("fidelity takes single states, not stacks")
-        if _same_matrix(rho.matrix, sigma.matrix):
-            return 1.0
-        f = memo[sigma] = _root_fidelity(rho.sqrt, sigma.matrix)
-    return f
+    return _fidelity(rho, sigma)
+
+
+@functools.lru_cache(maxsize=64)
+def _fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    # An exception is never cached, so a stack is rejected on every call.
+    if rho.matrix.ndim != 2 or sigma.matrix.ndim != 2:
+        raise DimensionMismatch("fidelity takes single states, not stacks")
+    if _same_matrix(rho.matrix, sigma.matrix):
+        return 1.0
+    return _root_fidelity(rho.sqrt, sigma.matrix)
 
 
 def _root_fidelity(s: np.ndarray, sigma: np.ndarray) -> float:

@@ -9,11 +9,14 @@ norm of one matrix. States, roots and fidelity share one set of internal
 checks: ``as_complex_stack`` coerces, ``hermitian_part`` tests
 Hermiticity and symmetrizes, ``check_psd`` tests ascending eigenvalues
 and ``eigensolve`` maps a solver failure to NoConvergence. Their
-tolerances are those of ``fidur.config.TOL``; only ``psd_sqrt`` and
-``nuclear_norm`` also take an explicit ``noise_floor``.
+tolerances are those of ``fidur.config.TOL``; only ``nuclear_norm`` also
+takes an explicit ``noise_floor``. ``array_shape`` is the one size check
+for the arrays the samplers and the region grid build.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,6 +26,14 @@ from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD, Vali
 _EPS = float(np.finfo(np.float64).eps)
 
 __all__ = ["as_complex_stack", "hermitian_eig", "psd_sqrt", "nuclear_norm"]
+
+
+def array_shape(*shape: int) -> tuple:
+    """``shape``, or ValidationError when a complex128 array of that shape
+    would hold more bytes than numpy can index."""
+    if math.prod(map(int, shape)) * 16 > np.iinfo(np.intp).max:
+        raise ValidationError("requested size is too large for one array")
+    return shape
 
 
 def as_complex_stack(m) -> np.ndarray:
@@ -93,30 +104,27 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     return eigensolve(np.linalg.eigh, hermitian_part(as_complex_stack(h)))
 
 
-def psd_sqrt(m, noise_floor: float | None = None) -> np.ndarray:
+def psd_sqrt(m) -> np.ndarray:
     """Principal square root of a positive semidefinite matrix.
 
     Eigenvalues below ``-TOL.psd_clamp`` raise NotPSD; anything below the
-    noise floor is treated as an exact zero before the square root. The
-    floor matters: an eigenvalue that is pure round-off (~1e-16) would
-    otherwise contribute ~1e-8 to the root and wreck downstream
-    tolerances. By default the floor is N*eps*lambda_max (the usual
-    numerical-rank cutoff); callers that know the absolute scale of their
-    operands may pass a tighter absolute floor.
+    noise floor N*eps*lambda_max (the usual numerical-rank cutoff) is
+    treated as an exact zero before the square root. The floor matters: an
+    eigenvalue that is pure round-off (~1e-16) would otherwise contribute
+    ~1e-8 to the root and wreck downstream tolerances.
     """
-    w, v = eigensolve(np.linalg.eigh, hermitian_part(_single(m)))
-    return _psd_root(w, v, noise_floor)
+    return _psd_root(*eigensolve(np.linalg.eigh, hermitian_part(_single(m))))
 
 
-def _psd_root(w: np.ndarray, v: np.ndarray, noise_floor: float | None = None) -> np.ndarray:
+def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The root ``psd_sqrt`` builds from the eigenpairs ``(w, v)`` (ascending
-    ``w``) of the Hermitian part of a checked matrix; ``DensityMatrix.sqrt``
-    passes the pairs its validation already computed."""
+    ``w``) of the Hermitian part of a checked matrix. ``DensityMatrix.sqrt``
+    calls it on a state's matrix, which was coerced and checked when the
+    state was built."""
     check_psd(w)
-    # With lambda_max <= 0 the default floor lies above every eigenvalue,
-    # so all of them are zeroed, as a zero floor would do.
-    floor = w.size * _EPS * float(w[-1]) if noise_floor is None else max(noise_floor, 0.0)
-    w = np.where(w < floor, 0.0, w)
+    # With lambda_max <= 0 the floor lies above every eigenvalue, so all of
+    # them are zeroed.
+    w = np.where(w < w.size * _EPS * float(w[-1]), 0.0, w)
     s = (v * np.sqrt(w)) @ adjoint(v)
     return (s + adjoint(s)) / 2
 

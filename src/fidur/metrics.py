@@ -6,18 +6,11 @@ this family. Three are built in:
     angle            f(x) = arccos(sqrt(x))
     bures            f(x) = sqrt(2 - 2 sqrt(x))
     root-infidelity  f(x) = sqrt(1 - x)
-
-``f_of`` and the uncertainty checkers also accept an arbitrary callable in
-place of a MetricKind, as an extension point for experimenting with other
-members of the family; the caller is responsible for that callable being
-decreasing with f(1) = 0. Closed-form feasibility boundaries exist only
-for the three named kinds.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Union
 
 import numpy as np
 
@@ -28,7 +21,6 @@ from .states import DensityMatrix
 
 __all__ = [
     "MetricKind",
-    "MetricLike",
     "metric_kind",
     "f_of",
     "metric_distance",
@@ -39,9 +31,6 @@ class MetricKind(enum.Enum):
     ANGLE = "angle"
     BURES = "bures"
     ROOT_INFIDELITY = "root-infidelity"
-
-
-MetricLike = Union[MetricKind, Callable[[float], float]]
 
 
 def metric_kind(name: str) -> MetricKind:
@@ -70,7 +59,7 @@ def _clamp_argument(x) -> np.ndarray:
     return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
-def f_of(kind: MetricLike, x):
+def f_of(kind: MetricKind, x):
     """Evaluate the generating function of ``kind`` at x in [0, 1].
 
     ``x`` may be a float, giving a float, or an array, giving the array of
@@ -87,14 +76,12 @@ def f_of(kind: MetricLike, x):
         y = np.sqrt(2.0 - 2.0 * np.sqrt(x))
     elif kind is MetricKind.ROOT_INFIDELITY:
         y = np.sqrt(1.0 - x)
-    elif callable(kind):
-        y = np.array([float(kind(v)) for v in x.ravel().tolist()]).reshape(x.shape)
     else:
-        raise ValidationError(f"not a metric kind or callable: {kind!r}")
+        raise ValidationError(f"not a metric kind: {kind!r}")
     return float(y) if y.ndim == 0 else y
 
 
-def metric_distance(kind: MetricLike, rho: DensityMatrix, sigma: DensityMatrix) -> float:
+def metric_distance(kind: MetricKind, rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """d(rho, sigma) = f(F(rho, sigma))."""
     return f_of(kind, fidelity(rho, sigma))
 

@@ -19,9 +19,8 @@ JSON payloads encode complex entries as [re, im] pairs, row-major.
 
 from __future__ import annotations
 
-import collections
+import functools
 import numbers
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,65 +59,25 @@ def _norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt((a.real**2 + a.imag**2).sum(axis=-1))
 
 
-# Values derived from a state's matrix, its eigendecomposition (until the
-# root is built from it), its root and F(state, sigma) per partner sigma,
-# are kept for at most _DERIVED_STATES states: when one more state needs
-# them, the state that first needed them longest ago drops its own (first
-# in, first out). They live here, keyed by weak references, and
-# not on the states: no state is kept alive by them, and a caller that
-# keeps many states (a list of samples) keeps only their matrices.
-_DERIVED_STATES = 64
-_derived = collections.OrderedDict()  # weakref(state) -> _Derived
-
-
-class _Derived:
-    __slots__ = ("eig", "sqrt", "fidelity")
-
-    def __init__(self):
-        self.eig = None  # (w, v) from validation, dropped once sqrt is built
-        self.sqrt = None
-        # F(state, sigma) by partner; weak keys keep no partner alive.
-        self.fidelity = weakref.WeakKeyDictionary()
-
-
-def _forget(ref) -> None:
-    _derived.pop(ref, None)
-
-
-def _derived_for(state) -> _Derived:
-    d = _derived.get(weakref.ref(state))
-    if d is None:
-        d = _derived[weakref.ref(state, _forget)] = _Derived()
-        if len(_derived) > _DERIVED_STATES:
-            _derived.popitem(last=False)
-    return d
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace matrix.
 
     ``matrix`` may also be a stack ``(..., N, N)``; every member is checked
-    and one bad member rejects the whole stack. The stored ``matrix`` is
-    read-only and never the caller's own array, so values derived from it
-    (``sqrt``, the fidelity memo) stay valid as long as they are kept. A
-    single matrix is validated with a full eigendecomposition, which
-    ``sqrt`` later turns into the root; a stack needs only eigenvalues.
-    The Hermitian and PSD checks are ``linalg``'s, so a bad matrix raises
-    the same ``NotHermitian`` or ``NotPSD`` (both ``ValidationError``) here
-    as from ``linalg.psd_sqrt``.
+    and one bad member rejects the whole stack. A single matrix and a stack
+    are validated alike, with one ``eigvalsh`` call. The stored ``matrix``
+    is read-only and never the caller's own array, so a cached ``sqrt`` or
+    fidelity always belongs to it. The Hermitian and PSD checks are
+    ``linalg``'s, so a bad matrix raises the same ``NotHermitian`` or
+    ``NotPSD`` (both ``ValidationError``) here as from ``linalg.psd_sqrt``.
+    States compare and hash by identity, which is how the caches key them.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = linalg.as_complex_stack(self.matrix)
-        h = linalg.hermitian_part(m)
-        if m.ndim == 2:
-            eig = linalg.eigensolve(np.linalg.eigh, h)
-            linalg.check_psd(eig[0])
-        else:
-            linalg.check_psd(linalg.eigensolve(np.linalg.eigvalsh, h))
+        linalg.check_psd(linalg.eigensolve(np.linalg.eigvalsh, linalg.hermitian_part(m)))
         tr = m.trace(axis1=-2, axis2=-1) - 1.0
         if float(np.abs([tr.real, tr.imag]).max()) > TOL.trace_one:
             raise ValidationError("density matrix must have unit trace")
@@ -126,8 +85,6 @@ class DensityMatrix:
             m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        if m.ndim == 2:
-            _derived_for(self).eig = eig
 
     def __reduce__(self):
         # Rebuild through the constructor, so that an unpickled state is
@@ -140,22 +97,9 @@ class DensityMatrix:
 
     @property
     def sqrt(self) -> np.ndarray:
-        """The principal square root ``linalg.psd_sqrt(matrix)``, computed on
-        first use and kept while this state is among the ``_DERIVED_STATES``
-        that needed a derived value most recently. It is built from the
-        eigendecomposition validation kept, or, once that was dropped, by
-        ``psd_sqrt`` itself; both take the same root formula."""
-        d = _derived_for(self)
-        if d.sqrt is None:
-            d.sqrt = linalg.psd_sqrt(self.matrix) if d.eig is None else linalg._psd_root(*d.eig)
-            d.eig = None
-        return d.sqrt
-
-    @property
-    def _fidelity_memo(self) -> weakref.WeakKeyDictionary:
-        """F(self, sigma) by partner state, filled by ``fidelity.fidelity``
-        and kept as long as ``sqrt``."""
-        return _derived_for(self).fidelity
+        """The principal square root, with the bits of
+        ``linalg.psd_sqrt(matrix)``; see ``_root``."""
+        return _root(self)
 
     def to_payload(self) -> dict:
         return {
@@ -168,6 +112,23 @@ class DensityMatrix:
     def from_payload(cls, payload: dict) -> "DensityMatrix":
         _expect_type(payload, "density-matrix")
         return cls(pairs_to_matrix(_field(payload, "matrix"), payload.get("dim")))
+
+
+@functools.lru_cache(maxsize=64)
+def _root(state: DensityMatrix) -> np.ndarray:
+    """Root of a single state, computed on first use and kept for the 64
+    states asked most recently. The cache holds its states strongly, so
+    an entry lives until it is evicted, not until its state is dropped.
+    The matrix was checked at construction, so of ``psd_sqrt`` only the
+    symmetrization (without the Hermitian test) and the eigendecomposition
+    run here, with the same bits. Every caller gets the same array, so it
+    is read-only."""
+    m = state.matrix
+    if m.ndim != 2:
+        raise DimensionMismatch("a stack of states has no single root")
+    root = linalg._psd_root(*linalg.eigensolve(np.linalg.eigh, (m + linalg.adjoint(m)) / 2))
+    root.flags.writeable = False
+    return root
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,11 +310,11 @@ def _gaussian(seed: int, shape: tuple) -> np.ndarray:
 
 
 def _stack_shape(count, *shape: int) -> tuple:
-    if count is None:
-        return shape
-    if count < 1:
-        raise ValidationError("count must be at least 1")
-    return (int(count), *shape)
+    if count is not None:
+        if count < 1:
+            raise ValidationError("count must be at least 1")
+        shape = (int(count), *shape)
+    return linalg.array_shape(*shape)
 
 
 def sample_haar_unitary(dim: int, seed: int, count: int | None = None) -> np.ndarray:

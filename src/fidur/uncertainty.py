@@ -28,7 +28,7 @@ from . import linalg
 from .config import TOL
 from .errors import DomainError
 from .fidelity import _check_dims
-from .metrics import MetricLike, f_of
+from .metrics import MetricKind, f_of
 from .states import DensityMatrix, ProjectiveObservable
 
 __all__ = [
@@ -119,13 +119,13 @@ def overlap(a: ProjectiveObservable, b: ProjectiveObservable):
     return float(c) if c.ndim == 0 else c
 
 
-def uncertainty_measure(kind: MetricLike, obs: ProjectiveObservable, rho: DensityMatrix) -> float:
+def uncertainty_measure(kind: MetricKind, obs: ProjectiveObservable, rho: DensityMatrix) -> float:
     """U(A; rho) = f(max_i p_i)."""
     value, _ = max_probability(obs, rho)
     return f_of(kind, value)
 
 
-def report_from_probabilities(kind: MetricLike, p_max_a, p_max_b, c) -> URReport:
+def report_from_probabilities(kind: MetricKind, p_max_a, p_max_b, c) -> URReport:
     """Assemble a URReport from already-measured quantities.
 
     Floats give a report of floats. Arrays broadcast against each other and
@@ -143,7 +143,7 @@ def report_from_probabilities(kind: MetricLike, p_max_a, p_max_b, c) -> URReport
 
 
 def check_ur(
-    kind: MetricLike,
+    kind: MetricKind,
     a: ProjectiveObservable,
     b: ProjectiveObservable,
     rho: DensityMatrix,

@@ -11,7 +11,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fidur.cli import main
 from fidur.metrics import metric_kind
-from fidur.states import DensityMatrix, ProjectiveObservable, PureState, matrix_to_pairs
+from fidur.states import (
+    DensityMatrix,
+    ProjectiveObservable,
+    PureState,
+    fourier_observable,
+    matrix_to_pairs,
+    observable_from_payload,
+    state_from_payload,
+)
 from fidur.sweep import SweepConfig
 
 
@@ -166,13 +174,13 @@ MUTATIONS = ["valid", "non-finite", "non-hermitian", "negative-eigenvalue", "tra
 
 
 @st.composite
-def state_payloads(draw):
+def state_payloads(draw, n=None, mutations=MUTATIONS):
     """Density-matrix payloads, valid or broken in one of the ways above."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4)) if n is None else n
     weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
     p = weights / weights.sum() if weights.sum() > 0 else np.eye(n)[0]
     m = np.diag(p).astype(complex)
-    mutation = draw(st.sampled_from(MUTATIONS))
+    mutation = draw(st.sampled_from(mutations))
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     if mutation == "non-finite":
         m[i, j] = draw(st.sampled_from([complex(math.nan, 0), complex(0, math.inf),
@@ -226,6 +234,134 @@ class TestFidelityFuzz:
             assert out.getvalue().startswith("F = ") and len(out.getvalue().splitlines()) == 4
         else:
             assert err.getvalue().startswith("error:") and out.getvalue() == ""
+
+
+OBSERVABLE_MUTATIONS = ["valid", "non-orthonormal", "non-finite", "bad-entry", "ragged",
+                        "empty", "dim-mismatch", "state"]
+
+
+@st.composite
+def observable_payloads(draw, n, mutations=OBSERVABLE_MUTATIONS):
+    """Observable payloads of dimension n, valid or broken in one of the ways above."""
+    e = draw(st.sampled_from([np.eye(n, dtype=complex), fourier_observable(n).eigenbasis]))
+    e = e.copy()
+    mutation = draw(st.sampled_from(mutations))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if mutation == "state":
+        return DensityMatrix(np.eye(n) / n).to_payload()
+    if mutation == "non-orthonormal":
+        e[i, j] += draw(st.floats(0.01, 2.0))
+    elif mutation == "non-finite":
+        e[i, j] = draw(st.sampled_from([complex(math.nan, 0), complex(0, -math.inf)]))
+    rows = matrix_to_pairs(e)
+    if mutation == "empty":
+        rows = draw(st.sampled_from([[], [[]]]))
+    elif mutation == "ragged":
+        rows[i] = rows[i][:-1]
+    elif mutation == "bad-entry":
+        rows[i][j] = draw(st.sampled_from(BAD_ENTRIES))
+    dim = n + draw(st.sampled_from([-n, 1])) if mutation == "dim-mismatch" else n
+    return {"type": "observable", "dim": dim, "eigenbasis": rows}
+
+
+@st.composite
+def check_ur_payloads(draw):
+    """(rho, a, b) fixtures: all valid, or one broken, or one of another dimension."""
+    n = draw(st.integers(1, 4))
+    broken = draw(st.sampled_from([None, "rho", "a", "b", "dim"]))
+    rho = draw(state_payloads(n, MUTATIONS if broken == "rho" else ["valid"]))
+    a = draw(observable_payloads(n + (broken == "dim"),
+                                 OBSERVABLE_MUTATIONS if broken == "a" else ["valid"]))
+    b = draw(observable_payloads(n, OBSERVABLE_MUTATIONS if broken == "b" else ["valid"]))
+    return rho, a, b
+
+
+def _run_main(argv):
+    """main(argv) with captured output; an argparse error counts as its exit code."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+class TestCheckURFuzz:
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        fixtures=check_ur_payloads(),
+        metric=st.sampled_from(["angle", "bures", "root-infidelity", "trace"]),
+        tolerance=st.one_of(
+            st.none(),
+            st.sampled_from([math.nan, math.inf, -math.inf, -0.5, -1e-9, 0.0]),
+            st.floats(),
+        ),
+    )
+    def test_fuzz_exits_zero_two_or_three(self, tmp_path, fixtures, metric, tolerance):
+        files = [write_json(tmp_path / f"{name}.json", payload)
+                 for name, payload in zip(("rho", "a", "b"), fixtures)]
+        argv = ["check-ur", *files, "--metric", metric]
+        if tolerance is not None:
+            argv += ["--tolerance", repr(tolerance)]
+        rc, out, err = _run_main(argv)
+        assert rc in (0, 2, 3), argv
+        if rc == 2:
+            assert out == "" and err != ""
+        else:
+            assert set(json.loads(out)) >= {"p_max_a", "p_max_b", "slack"}
+
+
+# Bad sizes and seeds: zero, negatives and one far beyond any array numpy
+# can index (never a size it would try to allocate). 10**400 is a valid seed.
+SAMPLE_BAD = [0, -1, -3, 10**400, -(10**400)]
+
+
+@st.composite
+def sample_options(draw):
+    """``sample`` options: valid values (<= 6), then up to two replaced by bad ones."""
+    what = draw(st.sampled_from(["pure", "mixed", "observable"]))
+    options = {"--dim": draw(st.integers(1, 6)), "--seed": draw(st.integers(0, 6))}
+    if what == "mixed" or draw(st.integers(0, 9)) == 0:
+        options["--aux-dim"] = draw(st.integers(1, 6))
+    for key in draw(st.sets(st.sampled_from(["--dim", "--aux-dim", "--seed"]), max_size=2)):
+        options[key] = draw(st.sampled_from(SAMPLE_BAD))
+    return what, options
+
+
+class TestSampleFuzz:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(case=sample_options())
+    def test_fuzz_exits_zero_or_two(self, case):
+        what, options = case
+        argv = ["sample", what] + [w for key, value in options.items() for w in (key, str(value))]
+        rc, out, err = _run_main(argv)
+        assert rc in (0, 2), argv
+        if rc == 2:
+            assert err.startswith("error:") and out == ""
+        elif what == "observable":
+            assert observable_from_payload(json.loads(out)).dim == options["--dim"]
+        else:
+            assert state_from_payload(json.loads(out)).dim == options["--dim"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "pure", "--dim", str(10**400), "--seed", "1"],
+        ["sample", "observable", "--dim", str(10**400), "--seed", "1"],
+        ["sample", "mixed", "--dim", "2", "--aux-dim", str(10**400), "--seed", "1"],
+        ["sweep", "--dim", str(10**400), "--trials", "1", "--seed", "1", "--metric", "angle",
+         "--mixedness", "pure"],
+        ["region", "--metric", "angle", "--overlap", "0.8", "--dim", "2",
+         "--points", str(10**400)],
+    ],
+    ids=["sample-pure-dim", "sample-observable-dim", "sample-mixed-aux-dim", "sweep-dim",
+         "region-points"],
+)
+def test_oversized_size_exits_2(argv):
+    assert _run_main(argv) == (2, "", "error: requested size is too large for one array\n")
 
 
 SWEEP_FLAGS = [

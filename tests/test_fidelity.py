@@ -1,11 +1,13 @@
-import gc
+import importlib
 from functools import partial
 
 import numpy as np
 import pytest
 
+from fidur import states
 from fidur.errors import DimensionMismatch, DomainError
 from fidur.fidelity import (
+    _fidelity,
     fidelity,
     fidelity_oracle,
     fidelity_pure_mixed,
@@ -17,7 +19,6 @@ from fidur.metrics import MetricKind, metric_distance
 from fidur.states import (
     DensityMatrix,
     PureState,
-    _derived_for,
     derived_seed,
     sample_mixed,
     sample_pure,
@@ -79,11 +80,13 @@ class TestFidelity:
 
 def nested_root_fidelity(rho, sigma):
     """The textbook route: (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 with both
-    roots built in full."""
+    roots built in full, the inner one with an absolute 4*N*eps floor."""
     s = psd_sqrt(rho.matrix)
     m = s @ sigma.matrix @ s
-    noise = 4 * rho.dim * np.finfo(np.float64).eps
-    return float(np.trace(psd_sqrt((m + m.conj().T) / 2, noise_floor=noise)).real) ** 2
+    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    w = np.where(w < 4 * rho.dim * np.finfo(np.float64).eps, 0.0, w)
+    root = (v * np.sqrt(w)) @ v.conj().T
+    return float(np.trace(root).real) ** 2
 
 
 class TestFidelityCaching:
@@ -100,41 +103,47 @@ class TestFidelityCaching:
         first = fidelity(rho, sigma)
         assert fidelity(rho, sigma) is first
 
-    def test_memo_hit_skips_the_equality_test(self, monkeypatch):
+    def test_cache_hit_skips_the_equality_test(self, monkeypatch):
         rho = sample_mixed(4, 4, seed=1)
         sigma = sample_mixed(4, 4, seed=2)
         first = fidelity(rho, sigma)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("np.array_equal called on a memo hit")
+            raise AssertionError("matrices compared on a cache hit")
 
-        monkeypatch.setattr(np, "array_equal", refuse)
+        monkeypatch.setattr(importlib.import_module("fidur.fidelity"), "_same_matrix", refuse)
         assert fidelity(rho, sigma) is first
 
-    def test_identical_inputs_stay_exactly_one_and_unmemoized(self):
+    def test_identical_inputs_give_exactly_one_on_every_call(self):
         rho = sample_mixed(4, 4, seed=1)
         twin = DensityMatrix(rho.matrix.copy())
         for sigma in (rho, twin):
             assert fidelity(rho, sigma) == 1.0
             assert fidelity(rho, sigma) == 1.0
-        assert len(rho._fidelity_memo) == 0
 
-    def test_memo_does_not_keep_partner_alive(self):
+    def test_only_recent_pairs_keep_their_value(self):
+        assert _fidelity.cache_info().maxsize == 64
         rho = sample_mixed(3, 3, seed=1)
-        partners = [sample_mixed(3, 3, seed=derived_seed(2, t)) for t in range(5)]
-        for sigma in partners:
-            fidelity(rho, sigma)
-        assert len(rho._fidelity_memo) == 5
-        del partners, sigma
-        gc.collect()
-        assert len(rho._fidelity_memo) == 0
+        partners = [sample_mixed(3, 3, seed=derived_seed(2, t)) for t in range(65)]
+        values = [fidelity(rho, sigma) for sigma in partners]
+        assert _fidelity.cache_info().currsize == 64
+        assert fidelity(rho, partners[-1]) is values[-1]
+        again = fidelity(rho, partners[0])  # least recently used, so it was evicted
+        assert again is not values[0] and again == values[0]
 
-    def test_oracle_ignores_the_cached_root(self):
+    def test_a_new_state_never_reads_a_dropped_state_value(self):
+        # Each sigma is dropped when the next is drawn. The cache holds its
+        # states, so no new state can take a cached state's identity.
+        rho = sample_mixed(3, 3, seed=1)
+        for t in range(20):
+            sigma = sample_mixed(3, 3, seed=derived_seed(4, t))
+            assert fidelity(rho, sigma) == pytest.approx(fidelity_oracle(rho, sigma), abs=1e-9)
+
+    def test_oracle_ignores_the_cached_root(self, monkeypatch):
         rho = sample_mixed(4, 4, seed=1)
         sigma = sample_mixed(4, 4, seed=2)
         expected = fidelity_oracle(rho, sigma)
-        _derived_for(rho).sqrt = np.zeros((4, 4), dtype=complex)
-        _derived_for(sigma).sqrt = np.full((4, 4), np.nan + 0j)
+        monkeypatch.setattr(states, "_root", lambda state: np.zeros((4, 4), dtype=complex))
         assert fidelity(rho, sample_mixed(4, 4, seed=3)) == 0.0  # fidelity does read it
         assert fidelity_oracle(rho, sigma) == expected
 
@@ -149,9 +158,11 @@ class TestFidelityCaching:
             "same": (stack, stack),
         }[stacked]
         f = fidelity if kind is None else partial(metric_distance, kind)
-        with pytest.raises(DimensionMismatch):
-            f(rho, sigma)
-        assert len(rho._fidelity_memo) == 0
+        _fidelity.cache_clear()
+        for _ in range(2):
+            with pytest.raises(DimensionMismatch):
+                f(rho, sigma)
+        assert _fidelity.cache_info().currsize == 0
 
 
 class TestPurePaths:

@@ -218,7 +218,8 @@ class TestOneCheck:
     @pytest.mark.parametrize(
         "solver, call",
         [
-            ("eigh", lambda: DensityMatrix(GOOD)),
+            ("eigvalsh", lambda: DensityMatrix(GOOD)),
+            ("eigh", lambda: DensityMatrix(GOOD).sqrt),
             ("eigh", lambda: hermitian_eig(GOOD)),
             ("eigh", lambda: psd_sqrt(GOOD)),
             ("eigvalsh", lambda: DensityMatrix(np.stack([GOOD, GOOD]))),

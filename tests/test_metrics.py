@@ -65,8 +65,12 @@ class TestFOf:
         with pytest.raises(DomainError):
             f_of(MetricKind.BURES, -0.1)
 
-    def test_accepts_custom_callable(self):
-        assert f_of(lambda x: 1.0 - x, 0.25) == pytest.approx(0.75)
+    @pytest.mark.parametrize("kind", ["angle", None, lambda x: 1.0 - x], ids=["name", "none", "callable"])
+    def test_rejects_anything_but_a_kind(self, kind):
+        with pytest.raises(ValidationError):
+            f_of(kind, 0.25)
+        with pytest.raises(ValidationError):
+            f_of(kind, np.array([0.25, 1.0]))
 
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -109,11 +113,6 @@ class TestScalarFOf:
         assert f_of(kind, 1) == f_of(kind, 1.0) == 0.0
         with pytest.raises(DomainError):
             f_of(kind, 2)
-
-    def test_callable_takes_a_float(self):
-        seen = []
-        assert f_of(lambda x: seen.append(x) or 0.5, 1.0 + 5e-10) == 0.5
-        assert seen == [1.0]
 
 
 class TestMetricDistance:

@@ -2,18 +2,15 @@ import collections
 import hashlib
 import json
 import pickle
-import weakref
 
 import numpy as np
 import pytest
 
 from fidur.errors import DimensionMismatch, IndexOutOfRange, ValidationError
-from fidur.fidelity import fidelity
 from fidur.linalg import psd_sqrt
 from fidur.metrics import MetricKind, metric_distance
 from fidur.states import (
-    _DERIVED_STATES,
-    _derived,
+    _root,
     DensityMatrix,
     ProjectiveObservable,
     PureState,
@@ -104,22 +101,27 @@ class TestDensityMatrixStorage:
             root = rho.sqrt
             assert root.tobytes() == psd_sqrt(rho.matrix).tobytes()
             assert rho.sqrt is root
+            with pytest.raises(ValueError):
+                root[0, 0] = 0.0
 
-    def test_only_recent_states_keep_derived_values(self):
-        rhos = [sample_mixed(2, 2, seed=t) for t in range(_DERIVED_STATES + 1)]
+    def test_only_recent_states_keep_their_root(self):
+        assert _root.cache_info().maxsize == 64
+        rhos = [sample_mixed(2, 2, seed=t) for t in range(65)]
         roots = [rho.sqrt for rho in rhos]
+        assert _root.cache_info().currsize == 64
         assert all(rho.sqrt is root for rho, root in zip(rhos[1:], roots[1:]))
-        f = fidelity(rhos[1], rhos[2])
-        assert fidelity(rhos[1], rhos[2]) is f
-        recomputed = rhos[0].sqrt  # the first state dropped its root; rhos[1] drops now
-        assert recomputed is not roots[0] and np.array_equal(recomputed, roots[0])
-        assert rhos[1].sqrt is not roots[1] and np.array_equal(rhos[1].sqrt, roots[1])
-        g = fidelity(rhos[1], rhos[2])
-        assert g is not f and g == f
+        recomputed = rhos[0].sqrt  # least recently used, so it was evicted
+        assert recomputed is not roots[0] and recomputed.tobytes() == roots[0].tobytes()
+        assert rhos[1].sqrt is not roots[1]  # evicted by the recomputation
+        assert rhos[1].sqrt.tobytes() == roots[1].tobytes()
 
-    def test_stack_keeps_no_derived_values(self):
+    def test_stack_has_no_root_and_caches_nothing(self):
         rho = DensityMatrix(_good_stack())
-        assert weakref.ref(rho) not in _derived
+        _root.cache_clear()
+        for _ in range(2):
+            with pytest.raises(DimensionMismatch):
+                rho.sqrt
+        assert _root.cache_info().currsize == 0
 
     def test_pickle_round_trip_is_read_only(self):
         rho = sample_mixed(3, 3, seed=1)
@@ -147,7 +149,18 @@ def _triangle_distances(triple):
     ]
 
 
-class TestOneEigendecompositionPerState:
+def _count_solver_calls(monkeypatch) -> collections.Counter:
+    counts = collections.Counter()
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+class TestSolverCalls:
     def test_triangle_values_are_pinned(self):
         h = hashlib.sha256()
         for dim in range(2, 11):
@@ -161,22 +174,30 @@ class TestOneEigendecompositionPerState:
         assert h.hexdigest() == TRIANGLE_DIGEST
 
     @pytest.mark.parametrize("dim", range(2, 11))
-    def test_a_fresh_triple_makes_three_eigh_and_three_eigvalsh(self, monkeypatch, dim):
-        counts = collections.Counter()
-        for name in ("eigh", "eigvalsh"):
-            def counted(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
-                counts[_name] += 1
-                return _solve(*args, **kwargs)
+    def test_a_fresh_triple_makes_two_eigh_and_six_eigvalsh(self, monkeypatch, dim):
+        counts = _count_solver_calls(monkeypatch)
+        triple = _triple(dim, 0)
+        assert counts == {"eigvalsh": 3}  # one validation per state
+        first = _triangle_distances(triple)
+        assert counts == {"eigh": 2, "eigvalsh": 6}  # roots of sigma and tau, one M per pair
+        counts.clear()
+        assert _triangle_distances(triple) == first
+        assert counts == {}
 
-            monkeypatch.setattr(np.linalg, name, counted)
-        assert len(_triangle_distances(_triple(dim, 0))) == 9
-        assert counts == {"eigh": 3, "eigvalsh": 3}
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    def test_validation_makes_one_solver_call(self, monkeypatch, stacked):
+        m = sample_mixed(3, 3, seed=2, count=4).matrix
+        counts = _count_solver_calls(monkeypatch)
+        DensityMatrix(m if stacked else m[0])
+        assert counts == {"eigvalsh": 1}
 
     def test_evicted_state_recomputes_the_same_root(self):
         rho = sample_mixed(4, 4, seed=9)
-        newer = [sample_mixed(3, 3, seed=t) for t in range(_DERIVED_STATES + 1)]
-        assert weakref.ref(rho) not in _derived and weakref.ref(newer[-1]) in _derived
-        assert rho.sqrt.tobytes() == psd_sqrt(rho.matrix).tobytes()
+        first = rho.sqrt
+        for t in range(64):
+            sample_mixed(3, 3, seed=t).sqrt
+        assert rho.sqrt is not first
+        assert rho.sqrt.tobytes() == first.tobytes() == psd_sqrt(rho.matrix).tobytes()
 
 
 class TestStackedDensityMatrix:
