@@ -12,7 +12,7 @@ from .errors import (
     NotPSD,
     ValidationError,
 )
-from .linalg import hermitian_eig, nuclear_norm, psd_sqrt
+from .linalg import hermitian_eig, psd_sqrt
 from .states import (
     DensityMatrix,
     ProjectiveObservable,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -93,6 +94,8 @@ def cmd_check_ur(
     tolerance: float = TOL.ur_slack,
 ) -> int:
     """Print one URReport as JSON; exit 3 when the slack is a violation."""
+    if math.isnan(tolerance):
+        raise ValidationError("tolerance must not be nan")
     rho = _load_state(file_rho)
     a = _load_observable(file_a)
     b = _load_observable(file_b)

@@ -1,11 +1,17 @@
-"""Centralized numerical tolerances.
+"""Centralized numerical tolerances and the one guard-band clamp.
 
-Every tolerance used by the package lives in this one record so that the
-guard bands applied across modules stay consistent and auditable. All
-values are absolute unless the field comment says otherwise.
+Every tolerance used by the package lives in the one record ``TOL``, and
+every value that round-off may push slightly outside its interval (F,
+p_i, c, a metric argument, a boundary point) goes through ``clamp`` under
+the name of its ``TOL`` field, so the guard bands stay consistent and
+auditable. All values are absolute unless the field comment says otherwise.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -18,7 +24,7 @@ class Tolerances:
     rank_cutoff: float = 1e-10        # eigenvalues above this count toward rank
     fidelity_guard: float = 1e-9      # admissible excursion of F outside [0, 1]
     probability_imag: float = 1e-10   # |Im <a|rho|a>|
-    probability_clamp: float = 1e-10  # admissible excursion of p_i outside [0, 1]
+    probability_clamp: float = 1e-9   # admissible excursion of p_i outside [0, 1]
     probability_sum: float = 1e-9     # |sum p_i - 1|
     overlap_guard: float = 1e-9       # admissible excursion of c outside [1/sqrt(N), 1]
     metric_domain_guard: float = 1e-9 # admissible excursion of f's argument outside [0, 1]
@@ -27,3 +33,20 @@ class Tolerances:
 
 
 TOL = Tolerances()
+
+
+def clamp(x, guard: str, lo: float = 0.0, hi: float = 1.0):
+    """``x`` clamped to [lo, hi]; DomainError when any element lies more
+    than ``TOL.<guard>`` outside it (nan and +-inf included). A float or a
+    0-d input gives an ``np.float64``, anything else a float64 array."""
+    band = getattr(TOL, guard)
+    # Both comparisons are false for nan, so nan and +-inf fail here too.
+    if isinstance(x, float):
+        if not lo - band <= x <= hi + band:
+            raise DomainError(f"{x!r} outside [{lo!r}, {hi!r}] beyond {guard}")
+        return np.float64(min(max(x, lo), hi))
+    x = np.asarray(x, dtype=np.float64)
+    ok = (x >= lo - band) & (x <= hi + band)
+    if not ok.all():
+        raise DomainError(f"{float(x[~ok].flat[0])!r} outside [{lo!r}, {hi!r}] beyond {guard}")
+    return np.minimum(np.maximum(x, lo), hi)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .config import TOL
+from .config import TOL, clamp
 from .errors import DomainError, ValidationError
 from .metrics import MetricKind
 
@@ -122,26 +122,8 @@ def _check_c(c: float) -> float:
     return min(c, 1.0)
 
 
-def _check_unit(x: float, name: str) -> float:
-    x = float(x)
-    if not -TOL.domain_guard <= x <= 1.0 + TOL.domain_guard:
-        raise DomainError(f"{name} = {x!r} outside [0, 1]")
-    return min(max(x, 0.0), 1.0)
-
-
-def _check_p(p, lo: float, lo_text: str) -> np.ndarray:
-    """``p`` as a float64 array, every element in [lo, 1] up to the guard."""
-    p = np.asarray(p, dtype=np.float64)
-    # Both comparisons are false for nan, so nan and +-inf fail here too.
-    ok = (p >= lo - TOL.domain_guard) & (p <= 1.0 + TOL.domain_guard)
-    if not ok.all():
-        raise DomainError(f"p = {float(p[~ok].flat[0])!r} outside [{lo_text}, 1]")
-    return p
-
-
 def _h(kind: MetricKind, c: float, p: np.ndarray) -> np.ndarray:
-    """The curved-branch formula, elementwise on checked ``p``."""
-    p = np.minimum(np.maximum(p, 0.0), 1.0)
+    """The curved-branch formula, elementwise on ``p`` clamped to [0, 1]."""
     if kind is MetricKind.ANGLE:
         base = np.sqrt(1.0 - p) * math.sqrt(1.0 - c * c) + c * np.sqrt(p)
         h = base * base
@@ -150,34 +132,34 @@ def _h(kind: MetricKind, c: float, p: np.ndarray) -> np.ndarray:
         h = base * base
     else:
         h = p + 2.0 * np.sqrt(1.0 - p) * math.sqrt(1.0 - c * c) + c * c - 1.0
-    return np.minimum(np.maximum(h, 0.0), 1.0)
+    return clamp(h, "domain_guard")
 
 
 def h_boundary(kind: MetricKind, c: float, p):
     """Curved-branch boundary h_{kind,c}(p) on p in [c^2, 1], clamped to [0, 1].
 
     ``p`` may be a float, giving a float, or an array, giving the array of
-    values; any element outside [c^2, 1] (nan and +-inf included) raises
-    ``DomainError``, since h covers the curved branch only.
+    values. p is clamped to [c^2, 1]; beyond the guard band (nan and +-inf
+    included) it raises ``DomainError``, since h covers the curved branch only.
     """
     _check_kind(kind)
     c = _check_c(c)
-    h = _h(kind, c, _check_p(p, c * c, f"c^2 = {c * c!r}"))
+    h = _h(kind, c, clamp(p, "domain_guard", c * c))
     return float(h) if h.ndim == 0 else h
 
 
 def g_boundary(kind: MetricKind, c: float, p, dim: int):
     """Full boundary: 1 on the flat branch [1/N, c^2], h on [c^2, 1].
 
-    ``p`` may be a float or an array, as for ``h_boundary``; every element
-    must lie in [1/N, 1]. Flat points are masked to 1, so h's narrower
-    [c^2, 1] check never sees them.
+    ``p`` may be a float or an array, as for ``h_boundary``, and is clamped
+    to [1/N, 1] under the same guard. Flat points are masked to 1, so h's
+    narrower [c^2, 1] check never sees them.
     """
     _check_kind(kind)
     c = _check_c(c)
     if dim < 2:
         raise DomainError("dimension must be at least 2")
-    p = _check_p(p, 1.0 / dim, f"1/{dim}")
+    p = clamp(p, "domain_guard", 1.0 / dim)
     g = np.where(p <= c * c, 1.0, _h(kind, c, p))
     return float(g) if g.ndim == 0 else g
 
@@ -189,7 +171,7 @@ def in_domain(kind: MetricKind, c: float, dim: int, p_a: float, p_b: float) -> b
     if not (lo <= p_a <= hi and lo <= p_b <= hi):
         return False
     try:
-        g = g_boundary(kind, c, min(max(float(p_a), lo), 1.0), dim)
+        g = g_boundary(kind, c, p_a, dim)
     except DomainError:
         return False
     return p_b <= g + TOL.domain_guard
@@ -199,8 +181,8 @@ def quadratic_form(kind: MetricKind, c: float, p_a: float, p_b: float) -> Quadra
     """Coefficients and substitution value of the boundary quadratic."""
     _check_kind(kind)
     c = _check_c(c)
-    p_a = _check_unit(p_a, "p_a")
-    p_b = _check_unit(p_b, "p_b")
+    p_a = float(clamp(p_a, "domain_guard"))
+    p_b = float(clamp(p_b, "domain_guard"))
     if kind is MetricKind.ANGLE:
         return QuadraticForm(
             a1=2.0 * c * math.sqrt(1.0 - p_a),
@@ -229,18 +211,14 @@ def boundary_from_quadratic(kind: MetricKind, c: float, p_a: float) -> float:
     """
     _check_kind(kind)
     c = _check_c(c)
-    p_a = float(p_a)
-    if p_a < c * c - TOL.domain_guard or p_a > 1.0 + TOL.domain_guard:
-        raise DomainError(f"p_a = {p_a!r} outside [c^2, 1]")
-    p_a = min(max(p_a, 0.0), 1.0)
-    q = quadratic_form(kind, c, p_a, 1.0)
+    q = quadratic_form(kind, c, clamp(p_a, "domain_guard", c * c), 1.0)
     _, xi_plus = q.roots()
     xi_plus = max(xi_plus, 0.0)
     if kind is MetricKind.BURES:
         p_b = (1.0 - xi_plus * xi_plus / 2.0) ** 2
     else:
         p_b = 1.0 - xi_plus * xi_plus
-    return min(max(p_b, 0.0), 1.0)
+    return float(clamp(p_b, "domain_guard"))
 
 
 def region_samples(spec: DomainSpec, n_points: int) -> np.ndarray:

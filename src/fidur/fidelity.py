@@ -17,7 +17,7 @@ import functools
 import numpy as np
 
 from . import linalg
-from .config import TOL
+from .config import TOL, clamp
 from .errors import DimensionMismatch, DomainError
 from .linalg import _EPS
 from .states import DensityMatrix, PureState, purify, sample_haar_unitary, derived_seed
@@ -37,9 +37,8 @@ def _check_dims(a, b):
 
 
 def _clamp_unit(f: float) -> float:
-    # Round-off may push F outside [0, 1] by up to TOL.fidelity_guard;
-    # downstream arccos/sqrt need the clamped value.
-    return min(max(float(f), 0.0), 1.0)
+    # Round-off may push F outside [0, 1]; downstream arccos/sqrt need it inside.
+    return float(clamp(f, "fidelity_guard"))
 
 
 def _same_matrix(a: np.ndarray, b: np.ndarray) -> bool:
@@ -104,19 +103,21 @@ def fidelity_pure_mixed(psi: PureState, sigma: DensityMatrix) -> float:
 
 
 def fidelity_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """F via the squared nuclear norm of sqrt(rho) sqrt(sigma).
+    """F via the squared nuclear norm of A = sqrt(rho) sqrt(sigma).
 
     Algorithmically independent from ``fidelity``: one square root per
-    operand and a singular-value sum instead of the nested root. The same
-    absolute noise floor reasoning applies to the Gram matrix whose
-    eigenvalues are the squared singular values.
+    operand and a singular-value sum instead of the nested root. The sum
+    runs over the roots of the eigenvalues of A^dag A, with the same
+    absolute noise floor 4*N*eps.
     """
     _check_dims(rho, sigma)
     if _same_matrix(rho.matrix, sigma.matrix):
         return 1.0
-    n = rho.dim
     a = linalg.psd_sqrt(rho.matrix) @ linalg.psd_sqrt(sigma.matrix)
-    return _clamp_unit(linalg.nuclear_norm(a, noise_floor=4 * n * _EPS) ** 2)
+    g = linalg.adjoint(a) @ a
+    w = linalg.eigensolve(np.linalg.eigvalsh, (g + linalg.adjoint(g)) / 2)
+    w = np.where(w < 4 * w.size * _EPS, 0.0, w)
+    return _clamp_unit(float(np.sqrt(w).sum()) ** 2)
 
 
 def purification_overlap_search(
@@ -150,4 +151,4 @@ def purification_overlap_search(
         # (I (x) U)|phi> in the (n, k) amplitude layout is B @ U.T.
         overlap = np.vdot(a, b @ u.T)
         best = max(best, abs(overlap) ** 2)
-    return min(best, 1.0)
+    return _clamp_unit(best)

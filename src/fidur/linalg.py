@@ -1,17 +1,16 @@
 """Dense complex Hermitian linear algebra kernel, and the one place that
 decides what a valid Hermitian positive semidefinite matrix is.
 
-All higher-level quantities reduce to three operations on small dense
+All higher-level quantities reduce to two operations on small dense
 complex128 arrays: the LAPACK-backed Hermitian eigendecomposition
 (numpy.linalg.eigh, deterministic for a fixed input; of a matrix or a
-stack ``(..., N, N)``), and the principal PSD square root and the nuclear
-norm of one matrix. States, roots and fidelity share one set of internal
-checks: ``as_complex_stack`` coerces, ``hermitian_part`` tests
-Hermiticity and symmetrizes, ``check_psd`` tests ascending eigenvalues
-and ``eigensolve`` maps a solver failure to NoConvergence. Their
-tolerances are those of ``fidur.config.TOL``; only ``nuclear_norm`` also
-takes an explicit ``noise_floor``. ``array_shape`` is the one size check
-for the arrays the samplers and the region grid build.
+stack ``(..., N, N)``), and the principal PSD square root of one matrix.
+States, roots and fidelity share one set of internal checks:
+``as_complex_stack`` coerces, ``hermitian_part`` tests Hermiticity and
+symmetrizes, ``check_psd`` tests ascending eigenvalues and ``eigensolve``
+maps a solver failure to NoConvergence. Their tolerances are those of
+``fidur.config.TOL``. ``array_shape`` is the one size check for the
+arrays the samplers and the region grid build.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD, Vali
 
 _EPS = float(np.finfo(np.float64).eps)
 
-__all__ = ["as_complex_stack", "hermitian_eig", "psd_sqrt", "nuclear_norm"]
+__all__ = ["as_complex_stack", "hermitian_eig", "psd_sqrt"]
 
 
 def array_shape(*shape: int) -> tuple:
@@ -47,14 +46,6 @@ def as_complex_stack(m) -> np.ndarray:
         raise ValidationError(f"expected nonempty matrices, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValidationError("matrix entries must be finite")
-    return a
-
-
-def _single(m) -> np.ndarray:
-    """``as_complex_stack`` of exactly one matrix, else DimensionMismatch."""
-    a = as_complex_stack(m)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a single matrix, got shape {a.shape}")
     return a
 
 
@@ -113,7 +104,10 @@ def psd_sqrt(m) -> np.ndarray:
     eigenvalue that is pure round-off (~1e-16) would otherwise contribute
     ~1e-8 to the root and wreck downstream tolerances.
     """
-    return _psd_root(*eigensolve(np.linalg.eigh, hermitian_part(_single(m))))
+    a = as_complex_stack(m)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"expected a single matrix, got shape {a.shape}")
+    return _psd_root(*eigensolve(np.linalg.eigh, hermitian_part(a)))
 
 
 def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -128,16 +122,3 @@ def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     s = (v * np.sqrt(w)) @ adjoint(v)
     return (s + adjoint(s)) / 2
 
-
-def nuclear_norm(m, noise_floor: float = 0.0) -> float:
-    """Nuclear (trace) norm: the sum of singular values of ``m``.
-
-    Computed as the sum of square roots of the eigenvalues of M^dag M.
-    Negative round-off eigenvalues are clamped to zero; by default no
-    further flooring is applied, so tiny genuine singular values are kept
-    and ``nuclear_norm(M) >= |tr M|`` holds without tolerance.
-    """
-    a = _single(m)
-    g = adjoint(a) @ a
-    w = eigensolve(np.linalg.eigvalsh, (g + adjoint(g)) / 2)
-    return float(np.sqrt(np.where(w < max(noise_floor, 0.0), 0.0, w)).sum())

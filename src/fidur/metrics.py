@@ -14,8 +14,8 @@ import enum
 
 import numpy as np
 
-from .config import TOL
-from .errors import DomainError, ValidationError
+from .config import clamp
+from .errors import ValidationError
 from .fidelity import fidelity
 from .states import DensityMatrix
 
@@ -42,23 +42,6 @@ def metric_kind(name: str) -> MetricKind:
         raise ValidationError(f"unknown metric {name!r} (valid: {valid})") from None
 
 
-def _domain_error(x: float) -> DomainError:
-    return DomainError(f"argument {x!r} outside [0, 1] beyond the guard band")
-
-
-def _clamp_argument(x) -> np.ndarray:
-    # Both comparisons are false for nan, so nan and +-inf fail here too.
-    if isinstance(x, float):
-        if not -TOL.metric_domain_guard <= x <= 1.0 + TOL.metric_domain_guard:
-            raise _domain_error(float(x))
-        return np.float64(min(max(x, 0.0), 1.0))
-    x = np.asarray(x, dtype=np.float64)
-    ok = (x >= -TOL.metric_domain_guard) & (x <= 1.0 + TOL.metric_domain_guard)
-    if not ok.all():
-        raise _domain_error(float(x[~ok].flat[0]))
-    return np.minimum(np.maximum(x, 0.0), 1.0)
-
-
 def f_of(kind: MetricKind, x):
     """Evaluate the generating function of ``kind`` at x in [0, 1].
 
@@ -67,7 +50,7 @@ def f_of(kind: MetricKind, x):
     with plain comparisons and clamped to an ``np.float64``, which then
     takes the same kernel as an array.
     """
-    x = _clamp_argument(x)
+    x = clamp(x, "metric_domain_guard")
     # x is clamped to [0, 1] and IEEE sqrt is monotone with sqrt(1) = 1, so
     # sqrt(x) <= 1 and both differences are >= 0: no further guard is needed.
     if kind is MetricKind.ANGLE:

@@ -17,6 +17,7 @@ is selected by a total order).
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import json
 import numbers
@@ -195,6 +196,18 @@ def _chunk_worker(args):
     return _run_chunk(*args)
 
 
+def _in_order(pool, plan, workers: int):
+    """``_chunk_worker`` over ``plan`` through ``pool``, in plan order. At
+    most two chunks per worker are submitted and not yet yielded: enough to
+    keep every worker busy, few enough that a huge plan is never submitted."""
+    pending = collections.deque()
+    for args in plan:
+        pending.append(pool.submit(_chunk_worker, args))
+        if len(pending) == 2 * workers:
+            yield pending.popleft().result()
+    yield from (future.result() for future in pending)
+
+
 def _witness(config: SweepConfig, best) -> dict:
     (slack, dim, trial, v_idx, k_idx), rho, a, b = best
     return {
@@ -218,27 +231,29 @@ def run_sweep(
     """Run the full sweep; identical output for any worker count.
 
     At most min(workers, chunks, CPUs) worker processes are started; with
-    one, the chunks run in this process.
+    one, the chunks run in this process. The chunk plan is generated as
+    the run goes, so memory does not grow with the trial count.
     """
     if workers < 1:
         raise ValidationError("workers must be at least 1")
     blocks = -(-config.trials_per_dim // BLOCK)
-    chunks = [(config, d, j) for d in config.dims for j in range(blocks)]
-    workers = min(workers, len(chunks), os.cpu_count() or 1)
+    n_chunks = len(config.dims) * blocks
+    plan = ((config, d, j) for d in config.dims for j in range(blocks))
+    workers = min(workers, n_chunks, os.cpu_count() or 1)
 
     total = 0
     violations = 0
     best = None
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
-        results = (pool.map if pool else map)(_chunk_worker, chunks)
+        results = _in_order(pool, plan, workers) if pool else map(_chunk_worker, plan)
         for done, (count, bad, cand) in enumerate(results, start=1):
             total += count
             violations += bad
             if best is None or cand[0] < best[0]:
                 best = cand
             if progress is not None:
-                progress(f"{done}/{len(chunks)} chunks done")
+                progress(f"{done}/{n_chunks} chunks done")
 
     return SweepResult(
         total_trials=total,

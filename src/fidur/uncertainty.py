@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .config import TOL
+from .config import TOL, clamp
 from .errors import DomainError
 from .fidelity import _check_dims
 from .metrics import MetricKind, f_of
@@ -94,7 +94,7 @@ def outcome_probabilities(obs: ProjectiveObservable, rho: DensityMatrix) -> np.n
     off = np.abs(total - 1.0) > TOL.probability_sum
     if off.any():
         raise DomainError(f"probabilities sum to {float(total[off].flat[0])!r}, not 1")
-    return np.minimum(np.maximum(p, 0.0), 1.0)
+    return clamp(p, "probability_clamp")
 
 
 def max_probability(obs: ProjectiveObservable, rho: DensityMatrix):
@@ -115,7 +115,8 @@ def overlap(a: ProjectiveObservable, b: ProjectiveObservable):
     """c = max_ij |<a_i|b_j>|, in [1/sqrt(N), 1]; an array for stacks."""
     _check_dims(a, b)
     c = np.abs(linalg.adjoint(a.eigenbasis) @ b.eigenbasis).max(axis=(-2, -1))
-    c = np.minimum(c, 1.0)
+    # Valid bases keep c far above 1/sqrt(N), so only the upper guard is reachable.
+    c = clamp(c, "overlap_guard")
     return float(c) if c.ndim == 0 else c
 
 

@@ -699,6 +699,11 @@ class TestNegativeValueAsSeparateWord:
         separate = self._run(head + ["--tolerance", "-1e-9"])
         assert separate == self._run(head + ["--tolerance=-1e-9"])
         assert separate[0] == 3
+        # No slack compares below -nan, so a nan tolerance is an input error.
+        for value in ("nan", "-nan"):
+            separate = self._run(head + ["--tolerance", value])
+            assert separate == self._run(head + [f"--tolerance={value}"])
+            assert separate == (2, "", "error: tolerance must not be nan\n")
 
     def test_non_number_is_still_an_option_name(self):
         with pytest.raises(SystemExit) as exc:

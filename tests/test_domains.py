@@ -373,3 +373,18 @@ class TestRegionSampling:
         assert region_filename(MetricKind.BURES, 0.7071067811865476) == (
             "region_bures_0.7071067811865476.csv"
         )
+
+
+class TestGuardBand:
+    """p within the guard band of its branch's lower end is clamped to it."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_p_just_below_the_branch_is_clamped_to_it(self, kind):
+        c, dim = 0.3, 4  # c^2 < 1/N: g is h over all of [1/N, 1]
+        below = 0.25 - 5e-10
+        assert g_boundary(kind, c, below, dim) == g_boundary(kind, c, 0.25, dim)
+        assert h_boundary(kind, c, c * c - 5e-10) == h_boundary(kind, c, c * c)
+        assert boundary_from_quadratic(kind, c, c * c - 5e-10) == boundary_from_quadratic(
+            kind, c, c * c
+        )
+        assert in_domain(kind, c, dim, below, g_boundary(kind, c, 0.25, dim))

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from fidur.errors import (
     DimensionMismatch,
@@ -9,12 +8,8 @@ from fidur.errors import (
     NotPSD,
     ValidationError,
 )
-from fidur.fidelity import fidelity
-from fidur.linalg import (
-    hermitian_eig,
-    nuclear_norm,
-    psd_sqrt,
-)
+from fidur.fidelity import fidelity, fidelity_oracle
+from fidur.linalg import hermitian_eig, psd_sqrt
 from fidur.states import DensityMatrix
 
 
@@ -26,11 +21,6 @@ def random_hermitian(dim, rng):
 def random_psd(dim, rng):
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return z @ z.conj().T
-
-
-def random_unitary(dim, rng):
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestHermitianEig:
@@ -141,51 +131,12 @@ class TestPsdSqrt:
         assert s[1, 1] == 0.0
 
 
-class TestNuclearNorm:
-    def test_identity(self):
-        assert nuclear_norm(np.eye(2)) == pytest.approx(2.0, abs=1e-12)
-
-    def test_zero(self):
-        assert nuclear_norm(np.zeros((3, 3))) == 0.0
-
-    def test_sign_indefinite_diagonal(self):
-        """For a normal matrix the nuclear norm is the sum of |eigenvalues|."""
-        m = np.diag([-3.0, 4.0])
-        oracle = float(np.abs(np.linalg.eigvals(m)).sum())
-        assert nuclear_norm(m) == pytest.approx(oracle, abs=1e-12)
-        assert nuclear_norm(m) == pytest.approx(7.0, abs=1e-12)
-
-    def test_unitary_invariance(self):
-        rng = np.random.default_rng(31)
-        for dim in range(2, 9):
-            m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            u = random_unitary(dim, rng)
-            v = random_unitary(dim, rng)
-            assert nuclear_norm(u @ m @ v) == pytest.approx(nuclear_norm(m), abs=1e-9)
-
-    def test_rejects_a_stack(self):
-        with pytest.raises(DimensionMismatch):
-            nuclear_norm(np.stack([np.eye(2), np.diag([-3.0, 4.0])]))
-
-    def test_dominates_trace_scale_gap(self):
-        # Singular values spread over eight orders of magnitude must all count.
-        m = np.diag([1.0, 1e-8])
-        assert nuclear_norm(m) >= abs(np.trace(m))
-
-    @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(
-        st.lists(st.floats(-10, 10), min_size=4, max_size=4),
-        st.lists(st.floats(-10, 10), min_size=4, max_size=4),
-    )
-    def test_dominates_trace(self, re, im):
-        m = (np.array(re) + 1j * np.array(im)).reshape(2, 2)
-        assert nuclear_norm(m) + 1e-12 >= abs(np.trace(m))
-
-
 # One bad matrix, every entry point: the Hermitian and PSD checks are linalg's.
 NON_HERMITIAN = np.array([[0.5, 0.5], [0.0, 0.5]])
 NEGATIVE = np.diag([1.0 + 1e-6, -1e-6])
 GOOD = np.diag([0.5, 0.5])
+# Built before any solver is made to fail, so the fidelity routes reach their own solve.
+PAIR = (DensityMatrix(np.diag([0.25, 0.75])), DensityMatrix(GOOD))
 ENTRY_POINTS = {
     "DensityMatrix": DensityMatrix,
     "DensityMatrix stack member": lambda m: DensityMatrix(np.stack([GOOD, m, GOOD])),
@@ -209,7 +160,7 @@ class TestOneCheck:
         with pytest.raises(NotPSD):
             ENTRY_POINTS[entry](NEGATIVE)
 
-    @pytest.mark.parametrize("call", [DensityMatrix, hermitian_eig, psd_sqrt, nuclear_norm])
+    @pytest.mark.parametrize("call", [DensityMatrix, hermitian_eig, psd_sqrt])
     @pytest.mark.parametrize("shape", [(0, 0), (0, 2, 2)])
     def test_empty_is_a_validation_error_everywhere(self, call, shape):
         with pytest.raises(ValidationError):
@@ -223,8 +174,8 @@ class TestOneCheck:
             ("eigh", lambda: hermitian_eig(GOOD)),
             ("eigh", lambda: psd_sqrt(GOOD)),
             ("eigvalsh", lambda: DensityMatrix(np.stack([GOOD, GOOD]))),
-            ("eigvalsh", lambda: nuclear_norm(GOOD)),
-            ("eigvalsh", lambda: fidelity(DensityMatrix(np.diag([0.25, 0.75])), DensityMatrix(GOOD))),
+            ("eigvalsh", lambda: fidelity_oracle(*PAIR)),
+            ("eigvalsh", lambda: fidelity(*PAIR)),
         ],
     )
     def test_solver_failure_is_no_convergence_everywhere(self, monkeypatch, solver, call):

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -186,18 +187,54 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    monkeypatch.setattr(fidur.sweep, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(fidur.sweep.os, "cpu_count", lambda: 4)
+    return _RecordingPool
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestHugeTrialCount:
+    """The chunk plan is generated as the run goes, never built whole."""
+
+    @pytest.mark.parametrize("workers", [1, 4], ids=["serial", "pool"])
+    def test_raising_progress_stops_the_run(self, pool, monkeypatch, workers):
+        ran = []
+        run_chunk = fidur.sweep._run_chunk
+        monkeypatch.setattr(fidur.sweep, "_run_chunk", lambda *a: ran.append(a) or run_chunk(*a))
+        messages = []
+
+        def progress(message):
+            messages.append(message)
+            if len(messages) == 3:
+                raise _Stop
+
+        config = small_config(dims=(2,), trials_per_dim=10**400, kinds=(MetricKind.ANGLE,),
+                              mixedness="pure")
+        with pytest.raises(_Stop):
+            run_sweep(config, workers=workers, progress=progress)
+        n_chunks = -(-(10**400) // BLOCK)
+        assert messages == [f"{done}/{n_chunks} chunks done" for done in (1, 2, 3)]
+        assert [block for _, _, block in ran[:3]] == [0, 1, 2]
+        # Serially a chunk runs only when it is merged; a pool runs at most
+        # two chunks per worker ahead of the merge.
+        ahead = 2 * workers - 1 if workers > 1 else 0
+        assert len(ran) == 3 + ahead
+        assert pool.started == ([workers] if workers > 1 else [])
 
 
 class TestWorkerClamp:
-    @pytest.fixture
-    def pool(self, monkeypatch):
-        monkeypatch.setattr(_RecordingPool, "started", [])
-        monkeypatch.setattr(fidur.sweep, "ProcessPoolExecutor", _RecordingPool)
-        monkeypatch.setattr(fidur.sweep.os, "cpu_count", lambda: 4)
-        return _RecordingPool
-
     def test_clamped_to_cpu_count(self, pool):
         run_sweep(small_config(trials_per_dim=3 * BLOCK), workers=1000)
         assert pool.started == [4]
