@@ -17,7 +17,7 @@ from .errors import DomainError
 @dataclass(frozen=True)
 class Tolerances:
     hermitian: float = 1e-10          # max element of |H - H^dag|
-    psd_clamp: float = 1e-10          # eigenvalues below -psd_clamp are a hard error
+    psd_clamp: float = 1e-10          # negative eigenvalues summing below -psd_clamp: hard error
     trace_one: float = 1e-10          # |tr(rho) - 1|
     unit_norm: float = 1e-12          # pure-state normalization
     orthonormal: float = 1e-10        # |E^dag E - I| element-wise

@@ -18,7 +18,7 @@ class NotHermitian(ValidationError):
 
 
 class NotPSD(ValidationError):
-    """A matrix required to be positive semidefinite has a genuinely negative eigenvalue."""
+    """A matrix required to be positive semidefinite has genuinely negative eigenvalues."""
 
 
 class NoConvergence(FidurError):

@@ -67,12 +67,14 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def check_psd(w: np.ndarray) -> np.ndarray:
-    """Return the ascending eigenvalues ``w`` (one vector, or a stack
-    ``(..., N)``), or raise NotPSD if any lowest one is below
-    ``-TOL.psd_clamp``."""
+    """Return the ascending eigenvalues ``w`` (a vector or a stack ``(..., N)``), or
+    raise NotPSD if any member's negative ones sum below ``-TOL.psd_clamp``. That keeps
+    lambda_max <= tr + psd_clamp at any N, so p_i and F stay inside their guards."""
+    floor = -TOL.psd_clamp
     lowest = float(w[0]) if w.ndim == 1 else float(w[..., 0].min())
-    if lowest < -TOL.psd_clamp:
-        raise NotPSD(f"eigenvalue {lowest:.3e} below -{TOL.psd_clamp:.0e}")
+    # N * lowest bounds the sum of the negative ones from below; sum them only past it.
+    if lowest * w.shape[-1] < floor and np.minimum(w, 0.0).sum(axis=-1).min() < floor:
+        raise NotPSD(f"negative eigenvalues sum below {floor:.0e}")
     return w
 
 
@@ -98,11 +100,11 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
 def psd_sqrt(m) -> np.ndarray:
     """Principal square root of a positive semidefinite matrix.
 
-    Eigenvalues below ``-TOL.psd_clamp`` raise NotPSD; anything below the
-    noise floor N*eps*lambda_max (the usual numerical-rank cutoff) is
-    treated as an exact zero before the square root. The floor matters: an
-    eigenvalue that is pure round-off (~1e-16) would otherwise contribute
-    ~1e-8 to the root and wreck downstream tolerances.
+    Negative eigenvalues summing below ``-TOL.psd_clamp`` raise NotPSD;
+    anything below the noise floor N*eps*lambda_max (the usual numerical
+    rank cutoff) is treated as an exact zero before the square root. The
+    floor matters: an eigenvalue that is pure round-off (~1e-16) would
+    otherwise contribute ~1e-8 to the root and wreck downstream tolerances.
     """
     a = as_complex_stack(m)
     if a.ndim != 2:

@@ -197,13 +197,12 @@ def _chunk_worker(args):
 
 
 def _in_order(pool, plan, workers: int):
-    """``_chunk_worker`` over ``plan`` through ``pool``, in plan order. At
-    most two chunks per worker are submitted and not yet yielded: enough to
-    keep every worker busy, few enough that a huge plan is never submitted."""
+    """``_chunk_worker`` over ``plan`` through ``pool``, in plan order, with at most
+    eight chunks per worker submitted and not yet yielded: a huge plan is never submitted."""
     pending = collections.deque()
     for args in plan:
         pending.append(pool.submit(_chunk_worker, args))
-        if len(pending) == 2 * workers:
+        if len(pending) == 8 * workers:
             yield pending.popleft().result()
     yield from (future.result() for future in pending)
 

@@ -84,18 +84,24 @@ def _edge(dim: int, seed: int, spectrum):
         return None
 
 
-@pytest.mark.parametrize("dim", [2, 3, 5])
+@pytest.mark.parametrize("dim", [2, 3, 5, 11, 16])
 def test_edge_states_and_observables_pass_every_guard(dim):
     """States and observables the constructors accept at their edges, in
     Haar-rotated bases, pass every guard downstream. The PSD edge is
-    rho = U diag(1 + psd_clamp, -psd_clamp, 0, ...) U^dag, the trace edge
-    rho = U diag(1 + trace_one, 0, ...) U^dag; with the outcome basis U,
-    p_0 lies ~2e-10 above 1 and c ~1e-10 above 1."""
+    rho = U diag(1 + w, -w, 0, ...) U^dag with w = 0.99 psd_clamp (at
+    exactly psd_clamp, the round-off of the zero eigenvalues decides), the
+    trace edge rho = U diag(1 + trace_one, 0, ...) U^dag, and the spread
+    edge puts 0.99 psd_clamp of negative weight over all N - 1 lower
+    eigenvalues and the trace 0.99 trace_one above 1, so lambda_max is as
+    large as a valid state allows. With the outcome basis U, p_0 lies up
+    to ~3e-10 above 1 and c ~1e-10 above 1."""
     psd_edge = np.zeros(dim)
-    psd_edge[:2] = 1.0 + TOL.psd_clamp, -TOL.psd_clamp
+    psd_edge[:2] = 1.0 + 0.99 * TOL.psd_clamp, -0.99 * TOL.psd_clamp
     trace_edge = np.zeros(dim)
     trace_edge[0] = 1.0 + TOL.trace_one
-    for spectrum in (psd_edge, trace_edge):
+    spread_edge = np.full(dim, -0.99 * TOL.psd_clamp / (dim - 1))
+    spread_edge[0] = 1.0 + 0.99 * (TOL.trace_one + TOL.psd_clamp)
+    for spectrum in (psd_edge, trace_edge, spread_edge):
         cases = [_edge(dim, derived_seed(808, dim, t), spectrum) for t in range(200)]
         cases = [case for case in cases if case is not None]
         assert len(cases) >= 20

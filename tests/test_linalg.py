@@ -134,12 +134,14 @@ class TestPsdSqrt:
 # One bad matrix, every entry point: the Hermitian and PSD checks are linalg's.
 NON_HERMITIAN = np.array([[0.5, 0.5], [0.0, 0.5]])
 NEGATIVE = np.diag([1.0 + 1e-6, -1e-6])
+# Each eigenvalue is above -psd_clamp, their sum is not: lambda_max would reach 1 + 1e-9.
+SPREAD_NEGATIVE = np.diag([1.0 + 9.9e-10] + [-0.99e-10] * 10)
 GOOD = np.diag([0.5, 0.5])
 # Built before any solver is made to fail, so the fidelity routes reach their own solve.
 PAIR = (DensityMatrix(np.diag([0.25, 0.75])), DensityMatrix(GOOD))
 ENTRY_POINTS = {
     "DensityMatrix": DensityMatrix,
-    "DensityMatrix stack member": lambda m: DensityMatrix(np.stack([GOOD, m, GOOD])),
+    "DensityMatrix stack member": lambda m: DensityMatrix(np.stack([np.eye(len(m)) / len(m), m])),
     "hermitian_eig": hermitian_eig,
     "psd_sqrt": psd_sqrt,
 }
@@ -155,10 +157,11 @@ class TestOneCheck:
         with pytest.raises(NotHermitian):
             ENTRY_POINTS[entry](NON_HERMITIAN)
 
+    @pytest.mark.parametrize("m", [NEGATIVE, SPREAD_NEGATIVE], ids=["one", "spread"])
     @pytest.mark.parametrize("entry", ["DensityMatrix", "DensityMatrix stack member", "psd_sqrt"])
-    def test_negative_eigenvalue_is_not_psd_everywhere(self, entry):
+    def test_negative_eigenvalue_is_not_psd_everywhere(self, entry, m):
         with pytest.raises(NotPSD):
-            ENTRY_POINTS[entry](NEGATIVE)
+            ENTRY_POINTS[entry](m)
 
     @pytest.mark.parametrize("call", [DensityMatrix, hermitian_eig, psd_sqrt])
     @pytest.mark.parametrize("shape", [(0, 0), (0, 2, 2)])

@@ -228,8 +228,8 @@ class TestHugeTrialCount:
         assert messages == [f"{done}/{n_chunks} chunks done" for done in (1, 2, 3)]
         assert [block for _, _, block in ran[:3]] == [0, 1, 2]
         # Serially a chunk runs only when it is merged; a pool runs at most
-        # two chunks per worker ahead of the merge.
-        ahead = 2 * workers - 1 if workers > 1 else 0
+        # eight chunks per worker ahead of the merge.
+        ahead = 8 * workers - 1 if workers > 1 else 0
         assert len(ran) == 3 + ahead
         assert pool.started == ([workers] if workers > 1 else [])
 
