@@ -3,8 +3,8 @@
 ``fidelity`` evaluates (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 directly,
 from the state's cached root and the eigenvalues of the inner product;
 ``fidelity_oracle`` evaluates the equivalent squared nuclear norm of
-sqrt(rho) sqrt(sigma), computing both roots itself. The two share no code
-beyond the eigensolver and serve as mutual oracles.
+sqrt(rho) sqrt(sigma), computing both roots itself. The two share only the
+eigensolver and the root kernel, and serve as mutual oracles.
 ``purification_overlap_search`` exhibits the third characterization: the
 supremum of |<psi|phi>|^2 over purifications, approached stochastically
 from below.
@@ -18,9 +18,10 @@ import numpy as np
 
 from . import linalg
 from .config import TOL, clamp
-from .errors import DimensionMismatch, DomainError
+from .errors import DomainError
 from .linalg import _EPS
 from .states import DensityMatrix, PureState, purify, sample_haar_unitary, derived_seed
+from .states import _eigenpairs, _single
 
 __all__ = [
     "fidelity",
@@ -29,11 +30,6 @@ __all__ = [
     "fidelity_oracle",
     "purification_overlap_search",
 ]
-
-
-def _check_dims(a, b):
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
 def _clamp_unit(f: float) -> float:
@@ -61,15 +57,13 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     operands have operator norm at most 1, so eigenvalues below that are
     round-off, not signal.
     """
-    _check_dims(rho, sigma)
     return _fidelity(rho, sigma)
 
 
 @functools.lru_cache(maxsize=64)
 def _fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     # An exception is never cached, so a stack is rejected on every call.
-    if rho.matrix.ndim != 2 or sigma.matrix.ndim != 2:
-        raise DimensionMismatch("fidelity takes single states, not stacks")
+    _single(rho, sigma)
     if _same_matrix(rho.matrix, sigma.matrix):
         return 1.0
     return _root_fidelity(rho.sqrt, sigma.matrix)
@@ -78,14 +72,15 @@ def _fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def _root_fidelity(s: np.ndarray, sigma: np.ndarray) -> float:
     """(tr sqrt(s sigma s))^2 for the root s of rho, from eigenvalues alone."""
     m = s @ sigma @ s
-    w = linalg.check_psd(linalg.eigensolve(np.linalg.eigvalsh, (m + linalg.adjoint(m)) / 2))
+    w = linalg.eigensolve(np.linalg.eigvalsh, (m + linalg.adjoint(m)) / 2)
+    # The states were judged PSD when built; the floor zeroes M's negative round-off.
     w = np.where(w < 4 * w.size * _EPS, 0.0, w)
     return _clamp_unit(float(np.sqrt(w).sum()) ** 2)
 
 
 def fidelity_pure_pure(psi: PureState, phi: PureState) -> float:
     """|<psi|phi>|^2."""
-    _check_dims(psi, phi)
+    _single(psi, phi)
     if _same_matrix(psi.amplitudes, phi.amplitudes):
         return 1.0
     return _clamp_unit(abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2)
@@ -93,7 +88,7 @@ def fidelity_pure_pure(psi: PureState, phi: PureState) -> float:
 
 def fidelity_pure_mixed(psi: PureState, sigma: DensityMatrix) -> float:
     """<psi|sigma|psi> for pure psi against a density matrix."""
-    _check_dims(psi, sigma)
+    _single(psi, sigma)
     val = complex(np.vdot(psi.amplitudes, sigma.matrix @ psi.amplitudes))
     if abs(val.imag) > TOL.probability_imag:
         raise DomainError(
@@ -110,10 +105,10 @@ def fidelity_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     runs over the roots of the eigenvalues of A^dag A, with the same
     absolute noise floor 4*N*eps.
     """
-    _check_dims(rho, sigma)
+    _single(rho, sigma)
     if _same_matrix(rho.matrix, sigma.matrix):
         return 1.0
-    a = linalg.psd_sqrt(rho.matrix) @ linalg.psd_sqrt(sigma.matrix)
+    a = linalg._psd_root(*_eigenpairs(rho)) @ linalg._psd_root(*_eigenpairs(sigma))
     g = linalg.adjoint(a) @ a
     w = linalg.eigensolve(np.linalg.eigvalsh, (g + linalg.adjoint(g)) / 2)
     w = np.where(w < 4 * w.size * _EPS, 0.0, w)
@@ -132,7 +127,7 @@ def purification_overlap_search(
     |<psi|phi_U>|^2 is at most F, and the supremum over all U equals F,
     so the returned maximum converges to F from below as trials grow.
     """
-    _check_dims(rho, sigma)
+    _single(rho, sigma)
     if trials < 1:
         raise DomainError("trials must be at least 1")
     n = rho.dim

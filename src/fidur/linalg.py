@@ -5,12 +5,13 @@ All higher-level quantities reduce to two operations on small dense
 complex128 arrays: the LAPACK-backed Hermitian eigendecomposition
 (numpy.linalg.eigh, deterministic for a fixed input; of a matrix or a
 stack ``(..., N, N)``), and the principal PSD square root of one matrix.
-States, roots and fidelity share one set of internal checks:
+States and raw matrices share one set of internal checks:
 ``as_complex_stack`` coerces, ``hermitian_part`` tests Hermiticity and
-symmetrizes, ``check_psd`` tests ascending eigenvalues and ``eigensolve``
-maps a solver failure to NoConvergence. Their tolerances are those of
-``fidur.config.TOL``. ``array_shape`` is the one size check for the
-arrays the samplers and the region grid build.
+symmetrizes, ``check_psd`` tests ascending eigenvalues (of a state once,
+when it is built) and ``eigensolve`` maps a solver failure to
+NoConvergence. Their tolerances are those of ``fidur.config.TOL``.
+``array_shape`` is the one size check for the arrays the samplers and
+the region grid build.
 """
 
 from __future__ import annotations
@@ -109,15 +110,14 @@ def psd_sqrt(m) -> np.ndarray:
     a = as_complex_stack(m)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a single matrix, got shape {a.shape}")
-    return _psd_root(*eigensolve(np.linalg.eigh, hermitian_part(a)))
+    w, v = eigensolve(np.linalg.eigh, hermitian_part(a))
+    return _psd_root(check_psd(w), v)
 
 
 def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The root ``psd_sqrt`` builds from the eigenpairs ``(w, v)`` (ascending
-    ``w``) of the Hermitian part of a checked matrix. ``DensityMatrix.sqrt``
-    calls it on a state's matrix, which was coerced and checked when the
-    state was built."""
-    check_psd(w)
+    ``w``) of the Hermitian part of a matrix judged PSD already: by
+    ``psd_sqrt``, or by ``DensityMatrix`` when the state was built."""
     # With lambda_max <= 0 the floor lies above every eigenvalue, so all of
     # them are zeroed.
     w = np.where(w < w.size * _EPS * float(w[-1]), 0.0, w)

@@ -65,26 +65,27 @@ class DensityMatrix:
 
     ``matrix`` may also be a stack ``(..., N, N)``; every member is checked
     and one bad member rejects the whole stack. A single matrix and a stack
-    are validated alike, with one ``eigvalsh`` call. The stored ``matrix``
-    is read-only and never the caller's own array, so a cached ``sqrt`` or
-    fidelity always belongs to it. The Hermitian and PSD checks are
-    ``linalg``'s, so a bad matrix raises the same ``NotHermitian`` or
-    ``NotPSD`` (both ``ValidationError``) here as from ``linalg.psd_sqrt``.
-    States compare and hash by identity, which is how the caches key them.
+    are validated alike, with one ``eigvalsh`` call, and this is the only
+    judge of a state. The stored ``matrix`` is the Hermitian part
+    (A + A^dag) / 2 that was judged, read-only and never the caller's own
+    array, so a cached ``sqrt`` or fidelity always belongs to it. The
+    Hermitian and PSD checks are ``linalg``'s, so a bad matrix raises the
+    same ``NotHermitian`` or ``NotPSD`` (both ``ValidationError``) here as
+    from ``linalg.psd_sqrt``. States compare and hash by identity, which
+    is how the caches key them.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = linalg.as_complex_stack(self.matrix)
-        linalg.check_psd(linalg.eigensolve(np.linalg.eigvalsh, linalg.hermitian_part(m)))
+        h = linalg.hermitian_part(m)  # a new array, so never the caller's own
+        linalg.check_psd(linalg.eigensolve(np.linalg.eigvalsh, h))
         tr = m.trace(axis1=-2, axis2=-1) - 1.0
         if float(np.abs([tr.real, tr.imag]).max()) > TOL.trace_one:
             raise ValidationError("density matrix must have unit trace")
-        if isinstance(self.matrix, np.ndarray) and np.may_share_memory(m, self.matrix):
-            m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        h.flags.writeable = False
+        object.__setattr__(self, "matrix", h)
 
     def __reduce__(self):
         # Rebuild through the constructor, so that an unpickled state is
@@ -114,19 +115,34 @@ class DensityMatrix:
         return cls(pairs_to_matrix(_field(payload, "matrix"), payload.get("dim")))
 
 
+def _check_dims(a, b):
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
+
+
+def _single(*states) -> None:
+    """DimensionMismatch unless ``states`` are single states of one dimension."""
+    for state in states:
+        a, ndim = (state.amplitudes, 1) if isinstance(state, PureState) else (state.matrix, 2)
+        if a.ndim != ndim:
+            raise DimensionMismatch(f"expected a single state, got shape {a.shape}")
+        _check_dims(states[0], state)
+
+
+def _eigenpairs(state: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of a single state, with the bits of ``psd_sqrt``'s
+    ``eigh``: the stored matrix is the Hermitian part that was judged."""
+    _single(state)
+    return linalg.eigensolve(np.linalg.eigh, state.matrix)
+
+
 @functools.lru_cache(maxsize=64)
 def _root(state: DensityMatrix) -> np.ndarray:
     """Root of a single state, computed on first use and kept for the 64
     states asked most recently. The cache holds its states strongly, so
     an entry lives until it is evicted, not until its state is dropped.
-    The matrix was checked at construction, so of ``psd_sqrt`` only the
-    symmetrization (without the Hermitian test) and the eigendecomposition
-    run here, with the same bits. Every caller gets the same array, so it
-    is read-only."""
-    m = state.matrix
-    if m.ndim != 2:
-        raise DimensionMismatch("a stack of states has no single root")
-    root = linalg._psd_root(*linalg.eigensolve(np.linalg.eigh, (m + linalg.adjoint(m)) / 2))
+    Every caller gets the same array, so it is read-only."""
+    root = linalg._psd_root(*_eigenpairs(state))
     root.flags.writeable = False
     return root
 
@@ -239,7 +255,7 @@ def purify(rho: DensityMatrix) -> PureState:
     invariant; the round trip through partial_trace_aux reproduces rho
     within 1e-10.
     """
-    w, v = linalg.hermitian_eig(rho.matrix)
+    w, v = _eigenpairs(rho)
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = v[:, order]
@@ -268,8 +284,7 @@ def partial_trace_aux(psi: PureState, sys_dim: int, aux_dim: int) -> DensityMatr
             f"state dimension {psi.dim} is not {sys_dim}*{aux_dim}"
         )
     m = psi.amplitudes.reshape(*psi.amplitudes.shape[:-1], sys_dim, aux_dim)
-    rho = m @ linalg.adjoint(m)
-    return DensityMatrix((rho + linalg.adjoint(rho)) / 2)
+    return DensityMatrix(m @ linalg.adjoint(m))
 
 
 # ---------------------------------------------------------------------------

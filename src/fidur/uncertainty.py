@@ -20,16 +20,15 @@ implementation bug.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import linalg
 from .config import TOL, clamp
 from .errors import DomainError
-from .fidelity import _check_dims
 from .metrics import MetricKind, f_of
-from .states import DensityMatrix, ProjectiveObservable
+from .states import DensityMatrix, ProjectiveObservable, _check_dims
 
 __all__ = [
     "URReport",
@@ -62,19 +61,8 @@ class URReport:
     bound: float
     slack: float
 
-    def as_dict(self) -> dict:
-        return {
-            "p_max_a": self.p_max_a,
-            "p_max_b": self.p_max_b,
-            "u_a": self.u_a,
-            "u_b": self.u_b,
-            "overlap_c": self.overlap_c,
-            "bound": self.bound,
-            "slack": self.slack,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def outcome_probabilities(obs: ProjectiveObservable, rho: DensityMatrix) -> np.ndarray:

@@ -88,34 +88,38 @@ def _edge(dim: int, seed: int, spectrum):
 def test_edge_states_and_observables_pass_every_guard(dim):
     """States and observables the constructors accept at their edges, in
     Haar-rotated bases, pass every guard downstream. The PSD edge is
-    rho = U diag(1 + w, -w, 0, ...) U^dag with w = 0.99 psd_clamp (at
-    exactly psd_clamp, the round-off of the zero eigenvalues decides), the
-    trace edge rho = U diag(1 + trace_one, 0, ...) U^dag, and the spread
-    edge puts 0.99 psd_clamp of negative weight over all N - 1 lower
-    eigenvalues and the trace 0.99 trace_one above 1, so lambda_max is as
-    large as a valid state allows. With the outcome basis U, p_0 lies up
-    to ~3e-10 above 1 and c ~1e-10 above 1."""
-    psd_edge = np.zeros(dim)
-    psd_edge[:2] = 1.0 + 0.99 * TOL.psd_clamp, -0.99 * TOL.psd_clamp
+    rho = U diag(1 + w, -w, 0, ...) U^dag, the spread edge puts w of
+    negative weight over all N - 1 lower eigenvalues and the trace tr above
+    1, so lambda_max is as large as a valid state allows, and the trace edge
+    is rho = U diag(1 + trace_one, 0, ...) U^dag. With w = 0.99 psd_clamp
+    and tr = 0.99 trace_one every state is accepted; with w and tr exactly at
+    the tolerances, round-off decides which are. With the outcome basis U,
+    p_0 lies up to ~3e-10 above 1 and c ~1e-10 above 1. A state is judged
+    once, so every accepted one has a root, and F and the oracle in either
+    order against the top and bottom eigenvectors of U."""
+    spectra = []  # (spectrum, least number of the 200 states accepted)
+    for scale, least in ((0.99, 20), (1.0, 0)):
+        w, tr = scale * TOL.psd_clamp, scale * TOL.trace_one
+        psd_edge = np.zeros(dim)
+        psd_edge[:2] = 1.0 + w, -w
+        spread_edge = np.full(dim, -w / (dim - 1))
+        spread_edge[0] = 1.0 + tr + w
+        spectra += [(psd_edge, least), (spread_edge, least)]
     trace_edge = np.zeros(dim)
     trace_edge[0] = 1.0 + TOL.trace_one
-    spread_edge = np.full(dim, -0.99 * TOL.psd_clamp / (dim - 1))
-    spread_edge[0] = 1.0 + 0.99 * (TOL.trace_one + TOL.psd_clamp)
-    for spectrum in (psd_edge, trace_edge, spread_edge):
+    for spectrum, least in (*spectra, (trace_edge, 20)):
         cases = [_edge(dim, derived_seed(808, dim, t), spectrum) for t in range(200)]
         cases = [case for case in cases if case is not None]
-        assert len(cases) >= 20
+        assert len(cases) >= least
         for rho, obs, u in cases:
             top, bottom = PureState(u[:, 0]), PureState(u[:, 1])
             p = outcome_probabilities(obs, rho)
             assert p[0] == 1.0 and 0.0 <= p[1] < 1e-9
             assert overlap(obs, obs) == 1.0
-            assert 0.0 <= fidelity_pure_mixed(bottom, rho) < 1e-9
-            fidelities = [fidelity(top.density(), rho), fidelity_pure_mixed(top, rho)]
-            if spectrum is trace_edge:
-                # psd_sqrt and a state's root judge PSD again with eigh, and
-                # may reject a PSD-edge state that eigvalsh accepted; the
-                # trace-edge state has no negative eigenvalue to judge.
-                fidelities += [fidelity(rho, top.density()), fidelity_oracle(rho, top.density())]
-            for f in fidelities:
-                assert 1.0 - 1e-9 <= f <= 1.0
+            assert np.abs(rho.sqrt @ rho.sqrt - rho.matrix).max() < 1e-9
+            for pure, lo, hi in ((top, 1.0 - 1e-9, 1.0), (bottom, 0.0, 1e-9)):
+                other = pure.density()
+                for f in (fidelity_pure_mixed(pure, rho), fidelity(other, rho),
+                          fidelity(rho, other), fidelity_oracle(other, rho),
+                          fidelity_oracle(rho, other)):
+                    assert lo <= f <= hi

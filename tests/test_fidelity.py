@@ -20,6 +20,7 @@ from fidur.states import (
     DensityMatrix,
     PureState,
     derived_seed,
+    purify,
     sample_mixed,
     sample_pure,
 )
@@ -163,6 +164,30 @@ class TestFidelityCaching:
             with pytest.raises(DimensionMismatch):
                 f(rho, sigma)
         assert _fidelity.cache_info().currsize == 0
+
+
+PURE, MIXED = sample_pure(3, seed=3), sample_mixed(3, 3, seed=4)
+PURES, MIXEDS = sample_pure(3, seed=1, count=3), sample_mixed(3, 3, seed=2, count=3)
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (fidelity_pure_pure, (PURES, PURE)),
+        (fidelity_pure_pure, (PURE, PURES)),
+        (fidelity_pure_pure, (PURES, sample_pure(3, seed=5, count=3))),
+        (fidelity_pure_mixed, (PURES, MIXED)),
+        (fidelity_pure_mixed, (PURE, MIXEDS)),
+        (fidelity_oracle, (MIXEDS, MIXEDS)),
+        (purify, (MIXEDS,)),
+        (purification_overlap_search, (MIXEDS, MIXED, 2, 0)),
+        (purification_overlap_search, (MIXED, MIXEDS, 2, 0)),
+    ],
+    ids=lambda x: getattr(x, "__name__", "args"),
+)
+def test_single_state_apis_reject_a_stack(call, args):
+    with pytest.raises(DimensionMismatch):
+        call(*args)
 
 
 class TestPurePaths:

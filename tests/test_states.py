@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fidur.errors import DimensionMismatch, IndexOutOfRange, ValidationError
+from fidur.fidelity import fidelity_pure_mixed
 from fidur.linalg import psd_sqrt
 from fidur.metrics import MetricKind, metric_distance
 from fidur.states import (
@@ -29,6 +30,7 @@ from fidur.states import (
     sample_pure,
     state_from_payload,
 )
+from fidur.uncertainty import outcome_probabilities
 
 BELL = PureState(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0))
 
@@ -94,6 +96,17 @@ class TestDensityMatrixStorage:
         rho = DensityMatrix(stack[1])
         stack[1] = np.diag([1.0, 0.0])
         assert np.array_equal(rho.matrix, np.diag([0.5, 0.5]))
+
+    def test_matrix_is_the_judged_hermitian_part(self):
+        # Hermitian within TOL.hermitian, yet <v|m|v> has imaginary part
+        # 4.95e-10 for the uniform v at N = 11: the stored matrix has none.
+        n = 11
+        m = np.eye(n) / n + 0.495e-10j * (np.ones((n, n)) - np.eye(n))
+        rho = DensityMatrix(m)
+        assert np.array_equal(rho.matrix, (m + m.conj().T) / 2)
+        uniform = fourier_observable(n).basis_state(0)
+        assert fidelity_pure_mixed(uniform, rho) == pytest.approx(1 / n, abs=1e-15)
+        assert outcome_probabilities(fourier_observable(n), rho) == pytest.approx(1 / n, abs=1e-15)
 
     def test_sqrt_is_cached_psd_sqrt(self):
         for dim in range(2, 11):
