@@ -292,7 +292,11 @@ def partial_trace_aux(psi: PureState, sys_dim: int, aux_dim: int) -> DensityMatr
 #
 # Every sampler takes an optional ``count``: without it, one sample; with
 # it, a stack of ``count`` samples drawn from the one seed (a leading axis
-# of that length on the returned array or container).
+# of that length on the returned array or container). ``seed`` may also be
+# a tuple of seeds, which adds one leading member per seed ahead of the
+# ``count`` axis; member i holds exactly what seed i alone would give.
+
+Seed = int | tuple[int, ...]
 
 
 def derived_seed(seed: int, *stream: int) -> int:
@@ -316,9 +320,15 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed))
 
 
-def _gaussian(seed: int, shape: tuple) -> np.ndarray:
-    """Standard complex Gaussian entries (E|z|^2 = 1) of the given shape."""
-    x = _generator(seed).standard_normal((2, *shape))
+def _gaussian(seed: Seed, shape: tuple) -> np.ndarray:
+    """Standard complex Gaussian entries (E|z|^2 = 1) of the given shape,
+    with a leading member per seed when ``seed`` is a tuple."""
+    if isinstance(seed, tuple):
+        if not seed:
+            raise ValidationError("a tuple of seeds must not be empty")
+        x = np.stack([_generator(s).standard_normal((2, *shape)) for s in seed], axis=1)
+    else:
+        x = _generator(seed).standard_normal((2, *shape))
     z = x[0] + 1j * x[1]
     z /= np.sqrt(2.0)
     return z
@@ -332,7 +342,7 @@ def _stack_shape(count, *shape: int) -> tuple:
     return linalg.array_shape(*shape)
 
 
-def sample_haar_unitary(dim: int, seed: int, count: int | None = None) -> np.ndarray:
+def sample_haar_unitary(dim: int, seed: Seed, count: int | None = None) -> np.ndarray:
     """Haar-distributed unitary via a Ginibre matrix and QR.
 
     The QR phase ambiguity is fixed by making the triangular factor's
@@ -345,10 +355,11 @@ def sample_haar_unitary(dim: int, seed: int, count: int | None = None) -> np.nda
     d = np.diagonal(r, axis1=-2, axis2=-1)
     ph = np.where(np.abs(d) > 0, d, 1.0)
     ph = ph / np.abs(ph)
-    return q * ph[..., None, :]
+    q *= ph[..., None, :]  # in place: the stack is the sampler's peak memory
+    return q
 
 
-def sample_pure(dim: int, seed: int, count: int | None = None) -> PureState:
+def sample_pure(dim: int, seed: Seed, count: int | None = None) -> PureState:
     """Haar-random pure state: a normalized complex Gaussian vector.
 
     The Gaussian measure is unitarily invariant, so its direction is
@@ -361,7 +372,7 @@ def sample_pure(dim: int, seed: int, count: int | None = None) -> PureState:
 
 
 def sample_mixed(
-    dim: int, aux_dim: int, seed: int, count: int | None = None
+    dim: int, aux_dim: int, seed: Seed, count: int | None = None
 ) -> DensityMatrix:
     """Random mixed state from the induced measure: the partial trace of a
     Haar pure state on dim*aux_dim (Zyczkowski & Sommers, J. Phys. A 34,
@@ -375,7 +386,7 @@ def sample_mixed(
 
 
 def sample_observable(
-    dim: int, seed: int, count: int | None = None
+    dim: int, seed: Seed, count: int | None = None
 ) -> ProjectiveObservable:
     """Random projective observable: eigenbasis = Haar unitary columns."""
     return ProjectiveObservable(sample_haar_unitary(dim, seed, count))

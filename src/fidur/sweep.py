@@ -7,12 +7,13 @@ metric kind and state variant.
 
 Trials run in blocks of ``BLOCK``: block j of dimension d holds trials
 [j*BLOCK, (j+1)*BLOCK), and each of its random objects is drawn as one
-stack from the seed derived_seed(seed, d, j, role). ``BLOCK`` is a
-constant, so the chunk plan, and with it every sample, depends only on
-the configuration, not on the worker count or the execution order;
-results from any assignment of chunks to workers merge into the same
-SweepResult (violations and totals are sums, the minimum-slack witness
-is selected by a total order).
+stack from the seed derived_seed(seed, d, j, role) (the two observables
+as one stack of their two seeds, each member the draw of its own).
+``BLOCK`` is a constant, so the chunk plan, and with it every sample,
+depends only on the configuration, not on the worker count or the
+execution order; results from any assignment of chunks to workers merge
+into the same SweepResult (violations and totals are sums, the
+minimum-slack witness is selected by a total order).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import json
 import numbers
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -41,7 +41,7 @@ from .states import (
     sample_observable,
     sample_pure,
 )
-from .uncertainty import overlap, max_probability, report_from_probabilities
+from .uncertainty import _overlap, max_probability, report_from_probabilities
 
 __all__ = ["BLOCK", "SweepConfig", "SweepResult", "run_sweep"]
 
@@ -167,29 +167,27 @@ def _run_chunk(config: SweepConfig, dim: int, block: int):
     def seed(role: int) -> int:
         return derived_seed(config.seed, dim, block, role)
 
-    a = sample_observable(dim, seed(_ROLE_A), n)
-    b = sample_observable(dim, seed(_ROLE_B), n)
-    c = overlap(a, b)
-    count = 0
-    violations = 0
-    best = None
-    for v_idx, variant in enumerate(config.variants):
+    # A and B as one (2, n) stack; each member is what its own seed draws.
+    ab = sample_observable(dim, (seed(_ROLE_A), seed(_ROLE_B)), n)
+    c = _overlap(*ab.eigenbasis)
+    states = []
+    p = []  # per variant, the (2, n) maxima for A and B
+    for variant in config.variants:
         if variant == "pure":
             rho = sample_pure(dim, seed(_ROLE_PURE), n).density()
         else:
             rho = sample_mixed(dim, dim, seed(_ROLE_MIXED), n)
-        p_a, _ = max_probability(a, rho)
-        p_b, _ = max_probability(b, rho)
-        for k_idx, kind in enumerate(config.kinds):
-            report = report_from_probabilities(kind, p_a, p_b, c)
-            slack = np.broadcast_to(np.asarray(report.slack, dtype=np.float64), (n,))
-            count += n
-            violations += int(np.count_nonzero(slack < -config.tolerance))
-            i = int(np.argmin(slack))
-            key = (float(slack[i]), dim, t0 + i, v_idx, k_idx)
-            if best is None or key < best[0]:
-                best = (key, rho.matrix[i], a.eigenbasis[i], b.eigenbasis[i])
-    return count, violations, best
+        states.append(rho.matrix)
+        p.append(max_probability(ab, rho)[0])
+    p_a, p_b = np.stack(p, axis=1)
+    reports = [report_from_probabilities(kind, p_a, p_b, c) for kind in config.kinds]
+    # slack[trial, variant, kind]: the first minimum in C order is the
+    # smallest (trial, variant, kind), the witness key's tie-break.
+    slack = np.stack([np.broadcast_to(r.slack, p_a.shape).T for r in reports], axis=-1)
+    t, v, k = map(int, np.unravel_index(np.argmin(slack), slack.shape))
+    key = (float(slack[t, v, k]), dim, t0 + t, v, k)
+    best = (key, states[v][t], ab.eigenbasis[0, t], ab.eigenbasis[1, t])
+    return slack.size, int(np.count_nonzero(slack < -config.tolerance)), best
 
 
 def _chunk_worker(args):
@@ -205,6 +203,13 @@ def _in_order(pool, plan, workers: int):
         if len(pending) == 8 * workers:
             yield pending.popleft().result()
     yield from (future.result() for future in pending)
+
+
+def _pool(workers: int):
+    """A process pool, imported here so that importing fidur loads no multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _witness(config: SweepConfig, best) -> dict:
@@ -243,7 +248,7 @@ def run_sweep(
     total = 0
     violations = 0
     best = None
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = _pool(workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
         results = _in_order(pool, plan, workers) if pool else map(_chunk_worker, plan)
         for done, (count, bad, cand) in enumerate(results, start=1):

@@ -102,10 +102,15 @@ def max_probability(obs: ProjectiveObservable, rho: DensityMatrix):
 def overlap(a: ProjectiveObservable, b: ProjectiveObservable):
     """c = max_ij |<a_i|b_j>|, in [1/sqrt(N), 1]; an array for stacks."""
     _check_dims(a, b)
-    c = np.abs(linalg.adjoint(a.eigenbasis) @ b.eigenbasis).max(axis=(-2, -1))
-    # Valid bases keep c far above 1/sqrt(N), so only the upper guard is reachable.
-    c = clamp(c, "overlap_guard")
+    c = _overlap(a.eigenbasis, b.eigenbasis)
     return float(c) if c.ndim == 0 else c
+
+
+def _overlap(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
+    """``overlap`` of two validated eigenbases (or stacks) of one dimension."""
+    c = np.abs(linalg.adjoint(ea) @ eb).max(axis=(-2, -1))
+    # Valid bases keep c far above 1/sqrt(N), so only the upper guard is reachable.
+    return clamp(c, "overlap_guard")
 
 
 def uncertainty_measure(kind: MetricKind, obs: ProjectiveObservable, rho: DensityMatrix) -> float:
@@ -121,14 +126,14 @@ def report_from_probabilities(kind: MetricKind, p_max_a, p_max_b, c) -> URReport
     give a report whose fields are arrays of the common shape, element i
     equal to the report of the floats at i.
     """
-    c = np.asarray(c, dtype=np.float64)
-    u_a = f_of(kind, p_max_a)
-    u_b = f_of(kind, p_max_b)
-    bound = f_of(kind, c * c)
-    fields = (p_max_a, p_max_b, u_a, u_b, c, bound, u_a + u_b - bound)
-    if all(np.ndim(v) == 0 for v in fields):
-        return URReport(*(float(v) for v in fields))
-    return URReport(*np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in fields)))
+    p_a, p_b, c = np.broadcast_arrays(
+        *(np.asarray(v, dtype=np.float64) for v in (p_max_a, p_max_b, c))
+    )
+    u_a, u_b, bound = f_of(kind, np.stack((p_a, p_b, c * c)))
+    fields = (p_a, p_b, u_a, u_b, c, bound, u_a + u_b - bound)
+    if c.ndim == 0:
+        return URReport(*map(float, fields))
+    return URReport(*fields)
 
 
 def check_ur(

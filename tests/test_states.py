@@ -434,6 +434,29 @@ class TestSamplers:
         with pytest.raises(ValidationError):
             sample_pure(3, seed=1, count=0)
 
+    @pytest.mark.parametrize("count", [None, 3], ids=["single", "count"])
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda seed, count: sample_haar_unitary(3, seed, count),
+            lambda seed, count: sample_observable(3, seed, count).eigenbasis,
+            lambda seed, count: sample_pure(4, seed, count).amplitudes,
+            lambda seed, count: sample_mixed(3, 2, seed, count).matrix,
+        ],
+        ids=["haar", "observable", "pure", "mixed"],
+    )
+    def test_tuple_seed_members_are_the_single_seed_draws(self, draw, count):
+        seeds = (7, derived_seed(7, 1), 0)
+        stack = draw(seeds, count)
+        assert stack.shape[0] == len(seeds)
+        for member, seed in zip(stack, seeds, strict=True):
+            assert np.array_equal(member, draw(seed, count))
+
+    @pytest.mark.parametrize("seeds", [(), (3, -1)], ids=["empty", "negative-member"])
+    def test_rejects_bad_seed_tuple(self, seeds):
+        with pytest.raises(ValidationError):
+            sample_observable(3, seeds)
+
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_mixed_purity_matches_induced_measure(self, dim):
         """Induced measure with aux_dim = dim: E tr(rho^2) = 2d / (d^2 + 1)."""

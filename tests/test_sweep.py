@@ -1,4 +1,8 @@
+import hashlib
 import math
+import pathlib
+import subprocess
+import sys
 from concurrent.futures import Future
 
 import numpy as np
@@ -174,7 +178,7 @@ class TestRunSweep:
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+    """Stands in for the process pool: records max_workers, runs in-process."""
 
     started = []
 
@@ -196,7 +200,7 @@ class _RecordingPool:
 @pytest.fixture
 def pool(monkeypatch):
     monkeypatch.setattr(_RecordingPool, "started", [])
-    monkeypatch.setattr(fidur.sweep, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(fidur.sweep, "_pool", _RecordingPool)
     monkeypatch.setattr(fidur.sweep.os, "cpu_count", lambda: 4)
     return _RecordingPool
 
@@ -232,6 +236,19 @@ class TestHugeTrialCount:
         ahead = 8 * workers - 1 if workers > 1 else 0
         assert len(ran) == 3 + ahead
         assert pool.started == ([workers] if workers > 1 else [])
+
+
+def test_importing_fidur_loads_no_process_pool():
+    """The pool is imported only by a run that starts one."""
+    src = str(pathlib.Path(fidur.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import fidur; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestWorkerClamp:
@@ -297,3 +314,41 @@ class TestBlockedSweep:
         result = run_sweep(small_config())
         assert result.violations == result.total_trials
         assert result.min_slack == -1.0
+
+    def test_witness_ties_break_by_dim_trial_variant_kind(self, monkeypatch):
+        """Equal slacks go to the lowest (dim, trial, variant, kind): trial 3
+        beats trial 5 although its kind comes later."""
+        config = small_config()
+
+        def tied_report(kind, p_a, p_b, c):
+            slack = np.zeros(np.shape(p_a))
+            if kind is config.kinds[0]:
+                slack[..., 5] = -1.0
+            if kind is config.kinds[2]:
+                slack[..., 3] = -1.0
+            return URReport(p_a, p_b, slack, slack, c, slack, slack)
+
+        monkeypatch.setattr(fidur.sweep, "report_from_probabilities", tied_report)
+        witness = run_sweep(config).min_slack_witness
+        assert (witness["dim"], witness["trial"], witness["mixedness"], witness["kind"]) == (
+            2, 3, "pure", config.kinds[2].value)
+
+
+# sha256 of the concatenated run_sweep(config).to_json() over _digest_grid(),
+# taken before the sweep chunk was batched: the bytes must not move.
+SWEEP_DIGEST = "cec5e892ac3e3cf99e0ff4e60214dd1dab5d2202940150b9b7818fd8b7608044"
+
+
+def _digest_grid():
+    for seed in (1, 4004):
+        for mixedness in ("pure", "mixed", "both"):
+            for trials in (1, 20, 65):
+                yield SweepConfig(dims=tuple(range(2, 11)), trials_per_dim=trials, seed=seed,
+                                  kinds=ALL_KINDS, mixedness=mixedness)
+    yield SweepConfig(dims=(3, 5), trials_per_dim=50, seed=3,
+                      kinds=(MetricKind.BURES, MetricKind.ANGLE), mixedness="both")
+
+
+def test_sweep_bytes_are_pinned():
+    text = "".join(run_sweep(config).to_json() for config in _digest_grid())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SWEEP_DIGEST
