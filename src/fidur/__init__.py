@@ -43,7 +43,6 @@ from .uncertainty import (
     outcome_probabilities,
     overlap,
     report_from_probabilities,
-    uncertainty_measure,
 )
 from .domains import (
     DomainSpec,

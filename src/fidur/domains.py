@@ -110,10 +110,6 @@ class QuadraticForm:
         xi_plus = self.a0 / xi_minus if xi_minus != 0.0 else 0.0
         return xi_minus, xi_plus
 
-    def value(self) -> float:
-        """The quadratic evaluated at the stored xi; >= 0 is the relation."""
-        return self.xi * self.xi + self.a1 * self.xi + self.a0
-
 
 def _check_c(c: float) -> float:
     c = float(c)

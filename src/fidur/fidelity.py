@@ -21,7 +21,7 @@ from .config import TOL, clamp
 from .errors import DomainError
 from .linalg import _EPS
 from .states import DensityMatrix, PureState, purify, sample_haar_unitary, derived_seed
-from .states import _eigenpairs, _single
+from .states import _check_dims, _eigenpairs, _single
 
 __all__ = [
     "fidelity",
@@ -42,40 +42,44 @@ def _same_matrix(a: np.ndarray, b: np.ndarray) -> bool:
     return a is b or (a.shape == b.shape and bool((a == b).all()))
 
 
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+def fidelity(rho: DensityMatrix, sigma: DensityMatrix):
     """F(rho, sigma) = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1].
 
-    Values are cached for the 64 ordered pairs of states asked most
-    recently, keyed by state identity; the cache holds its states
-    strongly, so an entry lives until it is evicted. A hit returns the
-    same float without new work. Bitwise-identical matrices short-circuit
-    to exactly 1.0 (the value is exact in that case, while the numerical
-    route would land ~1e-13 short and downstream arccos would amplify the
-    gap). Otherwise sqrt(rho) is the state's cached root, and tr sqrt(M)
-    for M = sqrt(rho) sigma sqrt(rho) is the sum of the square roots of
-    M's eigenvalues, with an absolute noise floor of 4*N*eps: both
-    operands have operator norm at most 1, so eigenvalues below that are
-    round-off, not signal.
+    Bitwise-identical matrices give exactly 1.0 (the numerical route would
+    land ~1e-13 short and downstream arccos would amplify the gap).
+    Otherwise tr sqrt(M) for M = sqrt(rho) sigma sqrt(rho) is the sum of
+    the square roots of M's eigenvalues, with an absolute noise floor of
+    4*N*eps: both operands have operator norm at most 1, so eigenvalues
+    below that are round-off. Two single states give a float, cached for
+    the 64 ordered pairs asked most recently (keyed by, and holding, the
+    states), with sqrt(rho) the state's cached root. Stacks broadcast over
+    their leading axes, take their roots from one uncached ``eigh`` and give
+    an array, member i bitwise the value of the single pair at i.
     """
-    return _fidelity(rho, sigma)
+    if rho.matrix.ndim == sigma.matrix.ndim == 2:
+        return _fidelity(rho, sigma)
+    _check_dims(rho, sigma)
+    f = _root_fidelity(linalg._psd_root(*_eigenpairs(rho)), sigma.matrix)
+    return np.where((rho.matrix == sigma.matrix).all(axis=(-2, -1)), 1.0, f)
 
 
 @functools.lru_cache(maxsize=64)
 def _fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    # An exception is never cached, so a stack is rejected on every call.
-    _single(rho, sigma)
+    _check_dims(rho, sigma)
     if _same_matrix(rho.matrix, sigma.matrix):
         return 1.0
-    return _root_fidelity(rho.sqrt, sigma.matrix)
+    return float(_root_fidelity(rho.sqrt, sigma.matrix))
 
 
-def _root_fidelity(s: np.ndarray, sigma: np.ndarray) -> float:
-    """(tr sqrt(s sigma s))^2 for the root s of rho, from eigenvalues alone."""
+def _root_fidelity(s: np.ndarray, sigma: np.ndarray):
+    """(tr sqrt(s sigma s))^2 for the root s of rho (or stacks), from eigenvalues."""
     m = s @ sigma @ s
     w = linalg.eigensolve(np.linalg.eigvalsh, (m + linalg.adjoint(m)) / 2)
     # The states were judged PSD when built; the floor zeroes M's negative round-off.
-    w = np.where(w < 4 * w.size * _EPS, 0.0, w)
-    return _clamp_unit(float(np.sqrt(w).sum()) ** 2)
+    w = np.where(w < 4 * w.shape[-1] * _EPS, 0.0, w)
+    # An array's ** 2 is x * x, 1 last bit off a float's libm pow(x, 2) ~1 time
+    # in 1000; float_power is pow for both, so a member keeps its pair's bits.
+    return clamp(np.float_power(np.sqrt(w).sum(axis=-1), 2), "fidelity_guard")
 
 
 def fidelity_pure_pure(psi: PureState, phi: PureState) -> float:

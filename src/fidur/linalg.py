@@ -116,11 +116,11 @@ def psd_sqrt(m) -> np.ndarray:
 
 def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The root ``psd_sqrt`` builds from the eigenpairs ``(w, v)`` (ascending
-    ``w``) of the Hermitian part of a matrix judged PSD already: by
-    ``psd_sqrt``, or by ``DensityMatrix`` when the state was built."""
+    ``w``) of the Hermitian part of a matrix judged PSD already (by ``psd_sqrt``
+    or ``DensityMatrix``); a stack of eigenpairs gives the stack of roots."""
     # With lambda_max <= 0 the floor lies above every eigenvalue, so all of
     # them are zeroed.
-    w = np.where(w < w.size * _EPS * float(w[-1]), 0.0, w)
-    s = (v * np.sqrt(w)) @ adjoint(v)
+    w = np.where(w < w.shape[-1] * _EPS * w[..., -1:], 0.0, w)
+    s = (v * np.sqrt(w)[..., None, :]) @ adjoint(v)
     return (s + adjoint(s)) / 2
 

@@ -64,7 +64,7 @@ def f_of(kind: MetricKind, x):
     return float(y) if y.ndim == 0 else y
 
 
-def metric_distance(kind: MetricKind, rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """d(rho, sigma) = f(F(rho, sigma))."""
+def metric_distance(kind: MetricKind, rho: DensityMatrix, sigma: DensityMatrix):
+    """d(rho, sigma) = f(F(rho, sigma)); stacks broadcast as in ``fidelity``."""
     return f_of(kind, fidelity(rho, sigma))
 

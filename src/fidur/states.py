@@ -115,24 +115,35 @@ class DensityMatrix:
         return cls(pairs_to_matrix(_field(payload, "matrix"), payload.get("dim")))
 
 
+def _stack_axes(x) -> tuple:
+    """The leading axes of a state or observable: () for a single one."""
+    if isinstance(x, PureState):
+        return x.amplitudes.shape[:-1]
+    return (x.matrix if isinstance(x, DensityMatrix) else x.eigenbasis).shape[:-2]
+
+
 def _check_dims(a, b):
+    """DimensionMismatch unless ``a`` and ``b`` share N and broadcastable stack axes."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
+    lead_a, lead_b = _stack_axes(a), _stack_axes(b)
+    # numpy's rule: aligned from the right, each pair of axes is equal or has a 1.
+    if any(m != n and 1 not in (m, n) for m, n in zip(lead_a[::-1], lead_b[::-1])):
+        raise DimensionMismatch(f"stack axes {lead_a} and {lead_b} do not broadcast")
 
 
 def _single(*states) -> None:
     """DimensionMismatch unless ``states`` are single states of one dimension."""
     for state in states:
-        a, ndim = (state.amplitudes, 1) if isinstance(state, PureState) else (state.matrix, 2)
-        if a.ndim != ndim:
-            raise DimensionMismatch(f"expected a single state, got shape {a.shape}")
+        lead = _stack_axes(state)
+        if lead:
+            raise DimensionMismatch(f"expected a single state, got stack axes {lead}")
         _check_dims(states[0], state)
 
 
 def _eigenpairs(state: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs of a single state, with the bits of ``psd_sqrt``'s
+    """Ascending eigenpairs of a state or stack, with the bits of ``psd_sqrt``'s
     ``eigh``: the stored matrix is the Hermitian part that was judged."""
-    _single(state)
     return linalg.eigensolve(np.linalg.eigh, state.matrix)
 
 
@@ -142,6 +153,7 @@ def _root(state: DensityMatrix) -> np.ndarray:
     states asked most recently. The cache holds its states strongly, so
     an entry lives until it is evicted, not until its state is dropped.
     Every caller gets the same array, so it is read-only."""
+    _single(state)
     root = linalg._psd_root(*_eigenpairs(state))
     root.flags.writeable = False
     return root
@@ -215,11 +227,6 @@ class ProjectiveObservable:
     def dim(self) -> int:
         return self.eigenbasis.shape[-1]
 
-    def basis_state(self, i: int) -> PureState:
-        if not 0 <= i < self.dim:
-            raise IndexOutOfRange(f"index {i} outside [0, {self.dim})")
-        return PureState(self.eigenbasis[..., :, i].copy())
-
     def to_payload(self) -> dict:
         return {
             "type": "observable",
@@ -255,6 +262,7 @@ def purify(rho: DensityMatrix) -> PureState:
     invariant; the round trip through partial_trace_aux reproduces rho
     within 1e-10.
     """
+    _single(rho)
     w, v = _eigenpairs(rho)
     order = np.argsort(-w, kind="stable")
     w = w[order]

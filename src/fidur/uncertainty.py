@@ -35,7 +35,6 @@ __all__ = [
     "outcome_probabilities",
     "max_probability",
     "overlap",
-    "uncertainty_measure",
     "report_from_probabilities",
     "check_ur",
 ]
@@ -111,12 +110,6 @@ def _overlap(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
     c = np.abs(linalg.adjoint(ea) @ eb).max(axis=(-2, -1))
     # Valid bases keep c far above 1/sqrt(N), so only the upper guard is reachable.
     return clamp(c, "overlap_guard")
-
-
-def uncertainty_measure(kind: MetricKind, obs: ProjectiveObservable, rho: DensityMatrix) -> float:
-    """U(A; rho) = f(max_i p_i)."""
-    value, _ = max_probability(obs, rho)
-    return f_of(kind, value)
 
 
 def report_from_probabilities(kind: MetricKind, p_max_a, p_max_b, c) -> URReport:

@@ -4,7 +4,9 @@ Each criterion prints one [PASS]/[FAIL] line with its measured figure
 (visible under ``pytest -s`` or on failure), then asserts. Criteria are
 numbered test_c01 .. test_c11 and run in definition order; the random
 pair sets for the fidelity criteria are shared through a module fixture
-so both criteria exercise exactly the same states.
+so both criteria exercise exactly the same states. Seeded states are
+drawn as tuple-seeded stacks, member i bitwise the state of seed i alone,
+and evaluated in array passes.
 """
 
 import contextlib
@@ -23,7 +25,7 @@ from fidur.fidelity import (
     fidelity_oracle,
     purification_overlap_search,
 )
-from fidur.metrics import MetricKind, metric_distance
+from fidur.metrics import MetricKind, f_of, metric_distance
 from fidur.states import (
     DensityMatrix,
     ProjectiveObservable,
@@ -47,6 +49,16 @@ def report(label, ok, detail):
     assert ok, f"{label}: {detail}"
 
 
+def seeds(prefix, trials, role):
+    """The tuple of ``derived_seed(*prefix, t, role)`` over ``trials``."""
+    return tuple(derived_seed(*prefix, t, role) for t in trials)
+
+
+def members(stack):
+    """The single states of a stacked DensityMatrix, bitwise its members."""
+    return [DensityMatrix(m) for m in stack.matrix]
+
+
 def spectral_copy(rho):
     """Numerically equal but bitwise distinct, to defeat fast paths."""
     w, v = np.linalg.eigh(rho.matrix)
@@ -57,32 +69,31 @@ def spectral_copy(rho):
 
 @pytest.fixture(scope="module")
 def mixed_pairs():
-    pairs = {}
-    for dim in range(2, 9):
-        pairs[dim] = [
-            (
-                sample_mixed(dim, dim, seed=derived_seed(1001, dim, t, 0)),
-                sample_mixed(dim, dim, seed=derived_seed(1001, dim, t, 1)),
-            )
-            for t in range(1000)
-        ]
-    return pairs
+    """Per dim, the stacks (rho, sigma) of 1000 seeded pairs."""
+    return {
+        dim: tuple(sample_mixed(dim, dim, seeds((1001, dim), range(1000), role)) for role in (0, 1))
+        for dim in range(2, 9)
+    }
 
 
 def test_c01_fidelity_path_equivalence(mixed_pairs):
     start = time.perf_counter()
     worst = 0.0
     count = 0
-    for dim in sorted(mixed_pairs):
-        for rho, sigma in mixed_pairs[dim]:
-            worst = max(worst, abs(fidelity(rho, sigma) - fidelity_oracle(rho, sigma)))
-            count += 1
+    mismatches = 0
+    for rho, sigma in mixed_pairs.values():
+        f = fidelity(rho, sigma)
+        pairs = list(zip(members(rho), members(sigma)))
+        mismatches += np.count_nonzero(f != [fidelity(r, s) for r, s in pairs])
+        oracle = [fidelity_oracle(r, s) for r, s in pairs]
+        worst = max(worst, float(np.abs(f - oracle).max()))
+        count += len(oracle)
     elapsed = time.perf_counter() - start
     report(
         "criterion 1, fidelity path equivalence",
-        worst < 1e-9 and elapsed < 30.0,
+        worst < 1e-9 and mismatches == 0 and elapsed < 30.0,
         f"max |fidelity - fidelity_oracle| = {worst:.3e} over {count} pairs "
-        f"(dims 2-8) in {elapsed:.1f}s",
+        f"(dims 2-8), {mismatches} stacked values off the single-pair bits, in {elapsed:.1f}s",
     )
 
 
@@ -90,24 +101,22 @@ def test_c02_fidelity_properties(mixed_pairs):
     failures = 0
     self_worst = 0.0
     sym_worst = 0.0
-    for dim in sorted(mixed_pairs):
-        for rho, sigma in mixed_pairs[dim]:
-            f = fidelity(rho, sigma)
-            if not 0.0 <= f <= 1.0:
-                failures += 1
-            if abs(f - fidelity(sigma, rho)) >= 1e-10:
-                failures += 1
-            sym_worst = max(sym_worst, abs(f - fidelity(sigma, rho)))
-            if f >= 1.0 - 1e-9 and np.abs(rho.matrix - sigma.matrix).max() >= 1e-6:
-                failures += 1
+    for rho, sigma in mixed_pairs.values():
+        f = fidelity(rho, sigma)
+        asymmetry = np.abs(f - fidelity(sigma, rho))
+        distinct = np.abs(rho.matrix - sigma.matrix).max(axis=(-2, -1)) >= 1e-6
+        failures += np.count_nonzero(~((f >= 0.0) & (f <= 1.0)))
+        failures += np.count_nonzero(~(asymmetry < 1e-10))
+        failures += np.count_nonzero((f >= 1.0 - 1e-9) & distinct)
+        sym_worst = max(sym_worst, float(asymmetry.max()))
         # identity of indiscernibles, forward: F(rho, rho) = 1 within 1e-10,
         # on a bitwise-distinct copy so the full numerical path runs
-        rho = mixed_pairs[dim][0][0]
-        copy = spectral_copy(rho)
-        self_worst = max(self_worst, abs(fidelity(rho, copy) - 1.0))
-        if abs(fidelity(rho, copy) - 1.0) >= 1e-10:
+        first = DensityMatrix(rho.matrix[0])
+        copy = spectral_copy(first)
+        self_worst = max(self_worst, abs(fidelity(first, copy) - 1.0))
+        if abs(fidelity(first, copy) - 1.0) >= 1e-10:
             failures += 1
-        if np.abs(rho.matrix - copy.matrix).max() >= 1e-6:
+        if np.abs(first.matrix - copy.matrix).max() >= 1e-6:
             failures += 1
     report(
         "criterion 2, fidelity properties 1-3",
@@ -122,27 +131,30 @@ def test_c03_triangle_inequality():
     min_slack = math.inf
     failures = 0
     count = 0
+    mismatches = 0
     for dim in range(2, 9):
-        for t in range(10_000):
-            rho = sample_mixed(dim, dim, seed=derived_seed(3003, dim, t, 0))
-            sigma = sample_mixed(dim, dim, seed=derived_seed(3003, dim, t, 1))
-            tau = sample_mixed(dim, dim, seed=derived_seed(3003, dim, t, 2))
-            for kind in ALL_KINDS:
-                slack = (
-                    metric_distance(kind, sigma, rho)
-                    + metric_distance(kind, tau, rho)
-                    - metric_distance(kind, sigma, tau)
-                )
-                min_slack = min(min_slack, slack)
-                if slack < -1e-9:
-                    failures += 1
-            count += 1
+        triple_seeds = [seeds((3003, dim), range(10_000), role) for role in range(3)]
+        rho, sigma, tau = (sample_mixed(dim, dim, s) for s in triple_seeds)
+        # d = f(F): one F per pair serves all three kinds.
+        fidelities = [fidelity(a, b) for a, b in ((sigma, rho), (tau, rho), (sigma, tau))]
+        distances = {kind: [f_of(kind, f) for f in fidelities] for kind in ALL_KINDS}
+        for d_sr, d_tr, d_st in distances.values():
+            slack = d_sr + d_tr - d_st
+            min_slack = min(min_slack, float(slack.min()))
+            failures += np.count_nonzero(~(slack >= -1e-9))
+        # The scalar, cached path must give the same bits on a fixed subset.
+        for t in range(0, 10_000, 500):
+            rho_t, sigma_t, tau_t = (sample_mixed(dim, dim, s[t]) for s in triple_seeds)
+            for kind, stacked in distances.items():
+                for (a, b), d in zip(((sigma_t, rho_t), (tau_t, rho_t), (sigma_t, tau_t)), stacked):
+                    mismatches += metric_distance(kind, a, b) != d[t]
+        count += 10_000
     elapsed = time.perf_counter() - start
     report(
         "criterion 3, triangle inequality",
-        failures == 0,
+        failures == 0 and mismatches == 0,
         f"{failures} failures over {count} triples x 3 kinds, "
-        f"min slack = {min_slack:.3e}, {elapsed:.0f}s",
+        f"min slack = {min_slack:.3e}, {mismatches} scalar mismatches, {elapsed:.0f}s",
     )
 
 
@@ -279,21 +291,23 @@ def test_c09_physical_realizability():
     dims = tuple(range(2, 11))
     exclusions = 0
     count = 0
-    for t in range(10_000):
-        dim = dims[t % len(dims)]
-        a = sample_observable(dim, seed=derived_seed(9009, t, 0))
-        b = sample_observable(dim, seed=derived_seed(9009, t, 1))
-        if t % 2 == 0:
-            rho = sample_pure(dim, seed=derived_seed(9009, t, 2)).density()
-        else:
-            rho = sample_mixed(dim, dim, seed=derived_seed(9009, t, 3))
-        c = overlap(a, b)
-        p_a, _ = max_probability(a, rho)
-        p_b, _ = max_probability(b, rho)
-        for kind in ALL_KINDS:
-            if not in_domain(kind, c, dim, p_a, p_b):
-                exclusions += 1
-        count += 1
+    # Trial t has dim dims[t % 9] and a pure state for even t, a mixed one for odd t.
+    for k, dim in enumerate(dims):
+        for parity in (0, 1):
+            trials = [t for t in range(k, 10_000, len(dims)) if t % 2 == parity]
+            a, b = (sample_observable(dim, seeds((9009,), trials, role)) for role in (0, 1))
+            if parity == 0:
+                rho = sample_pure(dim, seeds((9009,), trials, 2)).density()
+            else:
+                rho = sample_mixed(dim, dim, seeds((9009,), trials, 3))
+            c = overlap(a, b)
+            p_a, _ = max_probability(a, rho)
+            p_b, _ = max_probability(b, rho)
+            for c_t, p_a_t, p_b_t in zip(c.tolist(), p_a.tolist(), p_b.tolist()):
+                for kind in ALL_KINDS:
+                    if not in_domain(kind, c_t, dim, p_a_t, p_b_t):
+                        exclusions += 1
+            count += len(trials)
     report(
         "criterion 9, physical realizability",
         exclusions == 0,

@@ -139,6 +139,22 @@ class TestCheckURCommand:
         assert main(["check-ur", zero_state, zero_state, hadamard_obs, "--metric", "angle"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_readme_example_verbatim(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in (
+            "sample mixed --dim 3 --aux-dim 2 --seed 11 --out rho.json",
+            "sample observable --dim 3 --seed 13 --out a.json",
+            "sample observable --dim 3 --seed 14 --out b.json",
+        ):
+            assert main(argv.split()) == 0
+        capsys.readouterr()
+        assert main("check-ur rho.json a.json b.json --metric angle".split()) == 0
+        assert capsys.readouterr().out == (
+            '{"bound": 0.7178137637432006, "overlap_c": 0.7532455019940689, '
+            '"p_max_a": 0.3615371197327872, "p_max_b": 0.6268030615488046, '
+            '"slack": 0.8650759735135506, "u_a": 0.92569479594047, "u_b": 0.6571949413162812}\n'
+        )
+
 
 def _payload_cases():
     rho = DensityMatrix(np.diag([1.0, 0.0])).to_payload()

@@ -214,7 +214,7 @@ class TestQuadraticForm:
         assert q.a0 == pytest.approx(-0.4, abs=1e-12)
         assert q.xi == pytest.approx(math.sqrt(0.2), abs=1e-12)
         # (0.9, 0.8) sits on the boundary, so the quadratic vanishes there
-        assert q.value() == pytest.approx(0.0, abs=1e-12)
+        assert q.xi * q.xi + q.a1 * q.xi + q.a0 == pytest.approx(0.0, abs=1e-12)
 
     def test_roots_at_named_point(self):
         q = quadratic_form(MetricKind.ANGLE, INV_SQRT2, 0.9, 0.8)
@@ -257,7 +257,8 @@ class TestQuadraticForm:
             p_a, _ = max_probability(a, rho)
             p_b, _ = max_probability(b, rho)
             for kind in ALL_KINDS:
-                assert quadratic_form(kind, c, p_a, p_b).value() >= -1e-9
+                q = quadratic_form(kind, c, p_a, p_b)
+                assert q.xi * q.xi + q.a1 * q.xi + q.a0 >= -1e-9
 
     def test_rejects_inputs_outside_unit_box(self):
         with pytest.raises(DomainError):

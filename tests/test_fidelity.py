@@ -150,20 +150,35 @@ class TestFidelityCaching:
 
     @pytest.mark.parametrize("stacked", ["sigma", "rho", "both", "same"])
     @pytest.mark.parametrize("kind", [None, *MetricKind], ids=lambda k: getattr(k, "value", "F"))
-    def test_rejects_a_stacked_state(self, stacked, kind):
-        stack = sample_mixed(3, 3, seed=1, count=2)
+    def test_broadcasts_over_stacked_states(self, stacked, kind):
+        stack = sample_mixed(3, 3, seed=(1, 2, 3))
         rho, sigma = {
-            "sigma": (sample_mixed(3, 3, seed=2), stack),
-            "rho": (stack, sample_mixed(3, 3, seed=2)),
-            "both": (stack, sample_mixed(3, 3, seed=2, count=2)),
+            "sigma": (sample_mixed(3, 3, seed=4), stack),
+            "rho": (stack, sample_mixed(3, 3, seed=4)),
+            "both": (sample_mixed(3, 3, seed=(5, 6), count=1), stack),
             "same": (stack, stack),
         }[stacked]
         f = fidelity if kind is None else partial(metric_distance, kind)
-        _fidelity.cache_clear()
-        for _ in range(2):
-            with pytest.raises(DimensionMismatch):
-                f(rho, sigma)
-        assert _fidelity.cache_info().currsize == 0
+        caches = _fidelity.cache_info(), states._root.cache_info()
+        values = f(rho, sigma)
+        assert (_fidelity.cache_info(), states._root.cache_info()) == caches
+        lead = np.broadcast_shapes(rho.matrix.shape[:-2], sigma.matrix.shape[:-2])
+        assert values.shape == lead == {"both": (2, 3)}.get(stacked, (3,))
+
+        def member(state, i):
+            return DensityMatrix(np.broadcast_to(state.matrix, lead + (3, 3))[i])
+
+        for i in np.ndindex(lead):
+            single = f(member(rho, i), member(sigma, i))
+            assert type(single) is float and np.float64(single).tobytes() == values[i].tobytes()
+        if stacked == "same":
+            assert np.all(values == (1.0 if kind is None else 0.0))
+
+    @pytest.mark.parametrize("kind", [None, *MetricKind], ids=lambda k: getattr(k, "value", "F"))
+    def test_stacks_that_do_not_broadcast_are_a_dimension_mismatch(self, kind):
+        f = fidelity if kind is None else partial(metric_distance, kind)
+        with pytest.raises(DimensionMismatch):
+            f(sample_mixed(3, 3, seed=(1, 2)), sample_mixed(3, 3, seed=(1, 2, 3)))
 
 
 PURE, MIXED = sample_pure(3, seed=3), sample_mixed(3, 3, seed=4)

@@ -104,7 +104,7 @@ class TestDensityMatrixStorage:
         m = np.eye(n) / n + 0.495e-10j * (np.ones((n, n)) - np.eye(n))
         rho = DensityMatrix(m)
         assert np.array_equal(rho.matrix, (m + m.conj().T) / 2)
-        uniform = fourier_observable(n).basis_state(0)
+        uniform = PureState(fourier_observable(n).eigenbasis[:, 0])
         assert fidelity_pure_mixed(uniform, rho) == pytest.approx(1 / n, abs=1e-15)
         assert outcome_probabilities(fourier_observable(n), rho) == pytest.approx(1 / n, abs=1e-15)
 
@@ -251,9 +251,8 @@ class TestStackedObservable:
         assert obs.eigenbasis.shape == (5, 3, 3)
         assert obs.dim == 3
 
-    def test_basis_state_and_projector_take_columns_of_each_member(self):
+    def test_projector_takes_the_column_of_each_member(self):
         obs = sample_observable(3, seed=4, count=5)
-        assert np.array_equal(obs.basis_state(1).amplitudes, obs.eigenbasis[:, :, 1])
         p = projector(obs, 1).matrix
         for t in range(5):
             single = ProjectiveObservable(obs.eigenbasis[t])
@@ -287,17 +286,6 @@ class TestProjectiveObservable:
         with pytest.raises(ValidationError):
             ProjectiveObservable(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
-    def test_basis_state(self):
-        a = computational_observable(3)
-        assert np.array_equal(a.basis_state(1).amplitudes, np.array([0, 1, 0], dtype=complex))
-
-    def test_basis_state_range(self):
-        a = computational_observable(2)
-        with pytest.raises(IndexOutOfRange):
-            a.basis_state(2)
-        with pytest.raises(IndexOutOfRange):
-            a.basis_state(-1)
-
     def test_payload_round_trip(self):
         b = sample_observable(3, seed=5)
         back = ProjectiveObservable.from_payload(json.loads(json.dumps(b.to_payload())))
@@ -308,6 +296,15 @@ class TestProjector:
     def test_computational(self):
         p = projector(computational_observable(2), 0)
         assert np.array_equal(p.matrix, np.diag([1.0, 0.0]).astype(complex))
+        p = projector(computational_observable(3), 1)
+        assert np.array_equal(p.matrix, np.diag([0.0, 1.0, 0.0]).astype(complex))
+
+    def test_index_range(self):
+        a = computational_observable(2)
+        with pytest.raises(IndexOutOfRange):
+            projector(a, 2)
+        with pytest.raises(IndexOutOfRange):
+            projector(a, -1)
 
     def test_hadamard_plus_projector(self):
         h = ProjectiveObservable(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))

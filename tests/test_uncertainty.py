@@ -13,6 +13,7 @@ from fidur.states import (
     computational_observable,
     derived_seed,
     fourier_observable,
+    projector,
     sample_mixed,
     sample_observable,
     sample_pure,
@@ -24,7 +25,6 @@ from fidur.uncertainty import (
     outcome_probabilities,
     overlap,
     report_from_probabilities,
-    uncertainty_measure,
 )
 
 ALL_KINDS = (MetricKind.ANGLE, MetricKind.BURES, MetricKind.ROOT_INFIDELITY)
@@ -34,7 +34,7 @@ HADAMARD = ProjectiveObservable(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.
 class TestOutcomeProbabilities:
     def test_eigenstate_concentrates(self):
         a = computational_observable(3)
-        rho = a.basis_state(1).density()
+        rho = projector(a, 1)
         p = outcome_probabilities(a, rho)
         assert p == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
 
@@ -64,7 +64,7 @@ class TestOutcomeProbabilities:
 class TestMaxProbability:
     def test_eigenstate(self):
         a = computational_observable(4)
-        p, idx = max_probability(a, a.basis_state(2).density())
+        p, idx = max_probability(a, projector(a, 2))
         assert p == pytest.approx(1.0, abs=1e-12)
         assert idx == 2
 
@@ -104,8 +104,6 @@ class TestOverlap:
 
     def test_matches_projector_form(self):
         """max_ij |<a_i|b_j>| must equal max_ij sqrt(tr(P_i Q_j))."""
-        from fidur.states import projector
-
         a = sample_observable(3, seed=5)
         b = sample_observable(3, seed=6)
         best = 0.0
@@ -117,26 +115,21 @@ class TestOverlap:
 
 
 class TestUncertaintyMeasure:
+    """U(A; rho) = f(max_i p_i), as the reports compute it."""
+
     def test_eigenstate_is_certain(self):
         a = computational_observable(3)
-        rho = a.basis_state(0).density()
+        rho = projector(a, 0)
         for kind in ALL_KINDS:
-            assert uncertainty_measure(kind, a, rho) == pytest.approx(0.0, abs=1e-7)
+            assert f_of(kind, max_probability(a, rho)[0]) == pytest.approx(0.0, abs=1e-7)
 
     def test_maximally_mixed_saturates(self):
         rho = DensityMatrix(np.eye(4) / 4)
         b = sample_observable(4, seed=2)
         for kind in ALL_KINDS:
-            assert uncertainty_measure(kind, b, rho) == pytest.approx(
+            assert f_of(kind, max_probability(b, rho)[0]) == pytest.approx(
                 f_of(kind, 0.25), abs=1e-10
             )
-
-    def test_equals_transform_of_max_probability(self):
-        rho = sample_mixed(3, 3, seed=9)
-        b = sample_observable(3, seed=10)
-        p, _ = max_probability(b, rho)
-        for kind in ALL_KINDS:
-            assert uncertainty_measure(kind, b, rho) == pytest.approx(f_of(kind, p), abs=1e-12)
 
 
 class TestCheckUR:
@@ -192,7 +185,7 @@ class TestCheckUR:
             for t in range(25):
                 a = sample_observable(dim, seed=derived_seed(83, dim, t, 0))
                 b = sample_observable(dim, seed=derived_seed(83, dim, t, 1))
-                rho = a.basis_state(t % dim).density()
+                rho = projector(a, t % dim)
                 for kind in ALL_KINDS:
                     report = check_ur(kind, a, b, rho)
                     assert report.p_max_a == pytest.approx(1.0, abs=1e-12)
@@ -235,7 +228,7 @@ class TestComplementaryObservables:
             a = computational_observable(dim)
             b = fourier_observable(dim)
             assert overlap(a, b) == pytest.approx(1.0 / math.sqrt(dim), abs=1e-12)
-            rho = a.basis_state(0).density()
+            rho = projector(a, 0)
             p_b, _ = max_probability(b, rho)
             assert p_b == pytest.approx(1.0 / dim, abs=1e-12)
             for kind in ALL_KINDS:
@@ -304,3 +297,19 @@ class TestStackedKernels:
     def test_guards_apply_to_every_member(self):
         with pytest.raises(DomainError):
             report_from_probabilities(MetricKind.BURES, np.array([0.5, 1.1, 0.7]), 0.5, 0.8)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            outcome_probabilities,
+            max_probability,
+            lambda a, rho: check_ur(MetricKind.ANGLE, a, a, rho),
+            lambda a, rho: check_ur(MetricKind.ANGLE, computational_observable(3), a, rho),
+        ],
+        ids=["outcome_probabilities", "max_probability", "check_ur", "check_ur_single_a"],
+    )
+    def test_stacks_that_do_not_broadcast_are_a_dimension_mismatch(self, call):
+        a = sample_observable(3, (1, 2))
+        with pytest.raises(DimensionMismatch, match="do not broadcast"):
+            call(a, sample_mixed(3, 3, (1, 2, 3)))
+        call(a, sample_mixed(3, 3, (1, 2), count=1))  # (2,) against (2, 1) broadcasts
