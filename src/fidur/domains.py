@@ -162,6 +162,8 @@ def g_boundary(kind: MetricKind, c: float, p, dim: int):
 
 def in_domain(kind: MetricKind, c: float, dim: int, p_a: float, p_b: float) -> bool:
     """Whether (p_a, p_b) lies in D_{kind,c} up to the membership guard."""
+    if dim < 2:
+        return False
     lo = 1.0 / dim - TOL.domain_guard
     hi = 1.0 + TOL.domain_guard
     if not (lo <= p_a <= hi and lo <= p_b <= hi):

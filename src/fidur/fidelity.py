@@ -1,10 +1,10 @@
 """Uhlmann fidelity by two independent computation routes.
 
 ``fidelity`` evaluates (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 directly,
-from the state's cached root and the eigenvalues of the inner product;
+from the root of rho and the eigenvalues of the inner product;
 ``fidelity_oracle`` evaluates the equivalent squared nuclear norm of
-sqrt(rho) sqrt(sigma), computing both roots itself. The two share only the
-eigensolver and the root kernel, and serve as mutual oracles.
+sqrt(rho) sqrt(sigma). The two share only the eigensolver and the root
+kernel, and serve as mutual oracles.
 ``purification_overlap_search`` exhibits the third characterization: the
 supremum of |<psi|phi>|^2 over purifications, approached stochastically
 from below.
@@ -21,7 +21,7 @@ from .config import TOL, clamp
 from .errors import DomainError
 from .linalg import _EPS
 from .states import DensityMatrix, PureState, purify, sample_haar_unitary, derived_seed
-from .states import _check_dims, _eigenpairs, _single
+from .states import _check_dims, _single
 
 __all__ = [
     "fidelity",
@@ -50,36 +50,32 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix):
     Otherwise tr sqrt(M) for M = sqrt(rho) sigma sqrt(rho) is the sum of
     the square roots of M's eigenvalues, with an absolute noise floor of
     4*N*eps: both operands have operator norm at most 1, so eigenvalues
-    below that are round-off. Two single states give a float, cached for
-    the 64 ordered pairs asked most recently (keyed by, and holding, the
-    states), with sqrt(rho) the state's cached root. Stacks broadcast over
-    their leading axes, take their roots from one uncached ``eigh`` and give
-    an array, member i bitwise the value of the single pair at i.
+    below that are round-off. Stacks broadcast over their leading axes and
+    give an array. A single pair runs the same kernel and gives a float,
+    cached for the 64 ordered pairs asked most recently (keyed by, and
+    holding, the states); a stack reads no cache.
     """
     if rho.matrix.ndim == sigma.matrix.ndim == 2:
         return _fidelity(rho, sigma)
-    _check_dims(rho, sigma)
-    f = _root_fidelity(linalg._psd_root(*_eigenpairs(rho)), sigma.matrix)
-    return np.where((rho.matrix == sigma.matrix).all(axis=(-2, -1)), 1.0, f)
+    return _fidelity_kernel(rho, sigma)
 
 
 @functools.lru_cache(maxsize=64)
 def _fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    return float(_fidelity_kernel(rho, sigma))
+
+
+def _fidelity_kernel(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
     _check_dims(rho, sigma)
-    if _same_matrix(rho.matrix, sigma.matrix):
-        return 1.0
-    return float(_root_fidelity(rho.sqrt, sigma.matrix))
-
-
-def _root_fidelity(s: np.ndarray, sigma: np.ndarray):
-    """(tr sqrt(s sigma s))^2 for the root s of rho (or stacks), from eigenvalues."""
-    m = s @ sigma @ s
+    s = rho.sqrt
+    m = s @ sigma.matrix @ s
     w = linalg.eigensolve(np.linalg.eigvalsh, (m + linalg.adjoint(m)) / 2)
     # The states were judged PSD when built; the floor zeroes M's negative round-off.
     w = np.where(w < 4 * w.shape[-1] * _EPS, 0.0, w)
     # An array's ** 2 is x * x, 1 last bit off a float's libm pow(x, 2) ~1 time
     # in 1000; float_power is pow for both, so a member keeps its pair's bits.
-    return clamp(np.float_power(np.sqrt(w).sum(axis=-1), 2), "fidelity_guard")
+    f = clamp(np.float_power(np.sqrt(w).sum(axis=-1), 2), "fidelity_guard")
+    return np.where((rho.matrix == sigma.matrix).all(axis=(-2, -1)), 1.0, f)
 
 
 def fidelity_pure_pure(psi: PureState, phi: PureState) -> float:
@@ -112,7 +108,7 @@ def fidelity_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     _single(rho, sigma)
     if _same_matrix(rho.matrix, sigma.matrix):
         return 1.0
-    a = linalg._psd_root(*_eigenpairs(rho)) @ linalg._psd_root(*_eigenpairs(sigma))
+    a = rho.sqrt @ sigma.sqrt
     g = linalg.adjoint(a) @ a
     w = linalg.eigensolve(np.linalg.eigvalsh, (g + linalg.adjoint(g)) / 2)
     w = np.where(w < 4 * w.size * _EPS, 0.0, w)

@@ -19,7 +19,6 @@ JSON payloads encode complex entries as [re, im] pairs, row-major.
 
 from __future__ import annotations
 
-import functools
 import numbers
 from dataclasses import dataclass
 
@@ -68,11 +67,11 @@ class DensityMatrix:
     are validated alike, with one ``eigvalsh`` call, and this is the only
     judge of a state. The stored ``matrix`` is the Hermitian part
     (A + A^dag) / 2 that was judged, read-only and never the caller's own
-    array, so a cached ``sqrt`` or fidelity always belongs to it. The
+    array, so a cached fidelity always belongs to it. The
     Hermitian and PSD checks are ``linalg``'s, so a bad matrix raises the
     same ``NotHermitian`` or ``NotPSD`` (both ``ValidationError``) here as
     from ``linalg.psd_sqrt``. States compare and hash by identity, which
-    is how the caches key them.
+    is how the fidelity cache keys them.
     """
 
     matrix: np.ndarray
@@ -98,9 +97,9 @@ class DensityMatrix:
 
     @property
     def sqrt(self) -> np.ndarray:
-        """The principal square root, with the bits of
-        ``linalg.psd_sqrt(matrix)``; see ``_root``."""
-        return _root(self)
+        """The principal square root (the stack of roots for a stack),
+        computed on each access with the bits of ``linalg.psd_sqrt(matrix)``."""
+        return linalg._psd_root(*_eigenpairs(self))
 
     def to_payload(self) -> dict:
         return {
@@ -145,18 +144,6 @@ def _eigenpairs(state: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenpairs of a state or stack, with the bits of ``psd_sqrt``'s
     ``eigh``: the stored matrix is the Hermitian part that was judged."""
     return linalg.eigensolve(np.linalg.eigh, state.matrix)
-
-
-@functools.lru_cache(maxsize=64)
-def _root(state: DensityMatrix) -> np.ndarray:
-    """Root of a single state, computed on first use and kept for the 64
-    states asked most recently. The cache holds its states strongly, so
-    an entry lives until it is evicted, not until its state is dropped.
-    Every caller gets the same array, so it is read-only."""
-    _single(state)
-    root = linalg._psd_root(*_eigenpairs(state))
-    root.flags.writeable = False
-    return root
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,6 +229,7 @@ class ProjectiveObservable:
 
 def projector(obs: ProjectiveObservable, i: int) -> DensityMatrix:
     """Rank-one projector |a_i><a_i| onto the i-th outcome of ``obs``."""
+    i = _integer("index", i)
     if not 0 <= i < obs.dim:
         raise IndexOutOfRange(f"index {i} outside [0, {obs.dim})")
     v = obs.eigenbasis[..., :, i]
@@ -344,9 +332,10 @@ def _gaussian(seed: Seed, shape: tuple) -> np.ndarray:
 
 def _stack_shape(count, *shape: int) -> tuple:
     if count is not None:
+        count = _integer("count", count)
         if count < 1:
             raise ValidationError("count must be at least 1")
-        shape = (int(count), *shape)
+        shape = (count, *shape)
     return linalg.array_shape(*shape)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .config import TOL, clamp
-from .errors import DomainError
+from .errors import DimensionMismatch, DomainError
 from .metrics import MetricKind, f_of
 from .states import DensityMatrix, ProjectiveObservable, _check_dims
 
@@ -119,9 +119,12 @@ def report_from_probabilities(kind: MetricKind, p_max_a, p_max_b, c) -> URReport
     give a report whose fields are arrays of the common shape, element i
     equal to the report of the floats at i.
     """
-    p_a, p_b, c = np.broadcast_arrays(
-        *(np.asarray(v, dtype=np.float64) for v in (p_max_a, p_max_b, c))
-    )
+    arrays = [np.asarray(v, dtype=np.float64) for v in (p_max_a, p_max_b, c)]
+    try:
+        p_a, p_b, c = np.broadcast_arrays(*arrays)
+    except ValueError:
+        shapes = ", ".join(str(a.shape) for a in arrays)
+        raise DimensionMismatch(f"shapes {shapes} do not broadcast") from None
     u_a, u_b, bound = f_of(kind, np.stack((p_a, p_b, c * c)))
     fields = (p_a, p_b, u_a, u_b, c, bound, u_a + u_b - bound)
     if c.ndim == 0:

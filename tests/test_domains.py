@@ -193,6 +193,8 @@ class TestInDomain:
     def test_box_violations_are_false_not_errors(self):
         assert not in_domain(MetricKind.ANGLE, 0.6, 4, 0.1, 0.5)
         assert not in_domain(MetricKind.ANGLE, 0.6, 4, 0.5, 1.2)
+        for dim in (-1, 0, 1):  # no D_c below dimension 2
+            assert not in_domain(MetricKind.ANGLE, 0.6, dim, 0.5, 0.5)
 
     def test_measured_pairs_land_inside(self):
         for dim in (2, 3, 4):

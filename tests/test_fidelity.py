@@ -4,7 +4,6 @@ from functools import partial
 import numpy as np
 import pytest
 
-from fidur import states
 from fidur.errors import DimensionMismatch, DomainError
 from fidur.fidelity import (
     _fidelity,
@@ -104,15 +103,15 @@ class TestFidelityCaching:
         first = fidelity(rho, sigma)
         assert fidelity(rho, sigma) is first
 
-    def test_cache_hit_skips_the_equality_test(self, monkeypatch):
+    def test_cache_hit_skips_the_kernel(self, monkeypatch):
         rho = sample_mixed(4, 4, seed=1)
         sigma = sample_mixed(4, 4, seed=2)
         first = fidelity(rho, sigma)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("matrices compared on a cache hit")
+            raise AssertionError("kernel run on a cache hit")
 
-        monkeypatch.setattr(importlib.import_module("fidur.fidelity"), "_same_matrix", refuse)
+        monkeypatch.setattr(importlib.import_module("fidur.fidelity"), "_fidelity_kernel", refuse)
         assert fidelity(rho, sigma) is first
 
     def test_identical_inputs_give_exactly_one_on_every_call(self):
@@ -140,14 +139,6 @@ class TestFidelityCaching:
             sigma = sample_mixed(3, 3, seed=derived_seed(4, t))
             assert fidelity(rho, sigma) == pytest.approx(fidelity_oracle(rho, sigma), abs=1e-9)
 
-    def test_oracle_ignores_the_cached_root(self, monkeypatch):
-        rho = sample_mixed(4, 4, seed=1)
-        sigma = sample_mixed(4, 4, seed=2)
-        expected = fidelity_oracle(rho, sigma)
-        monkeypatch.setattr(states, "_root", lambda state: np.zeros((4, 4), dtype=complex))
-        assert fidelity(rho, sample_mixed(4, 4, seed=3)) == 0.0  # fidelity does read it
-        assert fidelity_oracle(rho, sigma) == expected
-
     @pytest.mark.parametrize("stacked", ["sigma", "rho", "both", "same"])
     @pytest.mark.parametrize("kind", [None, *MetricKind], ids=lambda k: getattr(k, "value", "F"))
     def test_broadcasts_over_stacked_states(self, stacked, kind):
@@ -159,9 +150,9 @@ class TestFidelityCaching:
             "same": (stack, stack),
         }[stacked]
         f = fidelity if kind is None else partial(metric_distance, kind)
-        caches = _fidelity.cache_info(), states._root.cache_info()
+        cache = _fidelity.cache_info()
         values = f(rho, sigma)
-        assert (_fidelity.cache_info(), states._root.cache_info()) == caches
+        assert _fidelity.cache_info() == cache
         lead = np.broadcast_shapes(rho.matrix.shape[:-2], sigma.matrix.shape[:-2])
         assert values.shape == lead == {"both": (2, 3)}.get(stacked, (3,))
 

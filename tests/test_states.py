@@ -11,7 +11,6 @@ from fidur.fidelity import fidelity_pure_mixed
 from fidur.linalg import psd_sqrt
 from fidur.metrics import MetricKind, metric_distance
 from fidur.states import (
-    _root,
     DensityMatrix,
     ProjectiveObservable,
     PureState,
@@ -108,33 +107,14 @@ class TestDensityMatrixStorage:
         assert fidelity_pure_mixed(uniform, rho) == pytest.approx(1 / n, abs=1e-15)
         assert outcome_probabilities(fourier_observable(n), rho) == pytest.approx(1 / n, abs=1e-15)
 
-    def test_sqrt_is_cached_psd_sqrt(self):
-        for dim in range(2, 11):
-            rho = sample_mixed(dim, dim, seed=dim)
-            root = rho.sqrt
-            assert root.tobytes() == psd_sqrt(rho.matrix).tobytes()
-            assert rho.sqrt is root
-            with pytest.raises(ValueError):
-                root[0, 0] = 0.0
-
-    def test_only_recent_states_keep_their_root(self):
-        assert _root.cache_info().maxsize == 64
-        rhos = [sample_mixed(2, 2, seed=t) for t in range(65)]
-        roots = [rho.sqrt for rho in rhos]
-        assert _root.cache_info().currsize == 64
-        assert all(rho.sqrt is root for rho, root in zip(rhos[1:], roots[1:]))
-        recomputed = rhos[0].sqrt  # least recently used, so it was evicted
-        assert recomputed is not roots[0] and recomputed.tobytes() == roots[0].tobytes()
-        assert rhos[1].sqrt is not roots[1]  # evicted by the recomputation
-        assert rhos[1].sqrt.tobytes() == roots[1].tobytes()
-
-    def test_stack_has_no_root_and_caches_nothing(self):
-        rho = DensityMatrix(_good_stack())
-        _root.cache_clear()
-        for _ in range(2):
-            with pytest.raises(DimensionMismatch):
-                rho.sqrt
-        assert _root.cache_info().currsize == 0
+    @pytest.mark.parametrize("dim", range(2, 11))
+    def test_sqrt_is_psd_sqrt_for_a_state_and_each_member(self, dim):
+        stack = sample_mixed(dim, dim, seed=dim, count=4)
+        roots = stack.sqrt
+        assert roots.shape == (4, dim, dim)
+        for m, root in zip(stack.matrix, roots):
+            assert root.tobytes() == psd_sqrt(m).tobytes()
+            assert DensityMatrix(m).sqrt.tobytes() == root.tobytes()
 
     def test_pickle_round_trip_is_read_only(self):
         rho = sample_mixed(3, 3, seed=1)
@@ -187,12 +167,12 @@ class TestSolverCalls:
         assert h.hexdigest() == TRIANGLE_DIGEST
 
     @pytest.mark.parametrize("dim", range(2, 11))
-    def test_a_fresh_triple_makes_two_eigh_and_six_eigvalsh(self, monkeypatch, dim):
+    def test_a_fresh_triple_makes_three_eigh_and_six_eigvalsh(self, monkeypatch, dim):
         counts = _count_solver_calls(monkeypatch)
         triple = _triple(dim, 0)
         assert counts == {"eigvalsh": 3}  # one validation per state
         first = _triangle_distances(triple)
-        assert counts == {"eigh": 2, "eigvalsh": 6}  # roots of sigma and tau, one M per pair
+        assert counts == {"eigh": 3, "eigvalsh": 6}  # one root and one M per pair
         counts.clear()
         assert _triangle_distances(triple) == first
         assert counts == {}
@@ -203,14 +183,6 @@ class TestSolverCalls:
         counts = _count_solver_calls(monkeypatch)
         DensityMatrix(m if stacked else m[0])
         assert counts == {"eigvalsh": 1}
-
-    def test_evicted_state_recomputes_the_same_root(self):
-        rho = sample_mixed(4, 4, seed=9)
-        first = rho.sqrt
-        for t in range(64):
-            sample_mixed(3, 3, seed=t).sqrt
-        assert rho.sqrt is not first
-        assert rho.sqrt.tobytes() == first.tobytes() == psd_sqrt(rho.matrix).tobytes()
 
 
 class TestStackedDensityMatrix:
@@ -305,6 +277,11 @@ class TestProjector:
             projector(a, 2)
         with pytest.raises(IndexOutOfRange):
             projector(a, -1)
+
+    @pytest.mark.parametrize("index", [True, 1.0, np.float64(0.0), "0"])
+    def test_index_must_be_an_integer(self, index):
+        with pytest.raises(ValidationError, match="index must be an integer"):
+            projector(computational_observable(2), index)
 
     def test_hadamard_plus_projector(self):
         h = ProjectiveObservable(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
@@ -430,6 +407,11 @@ class TestSamplers:
     def test_rejects_zero_count(self):
         with pytest.raises(ValidationError):
             sample_pure(3, seed=1, count=0)
+
+    @pytest.mark.parametrize("count", [1.5, 2.0, True])
+    def test_rejects_a_count_that_is_not_an_integer(self, count):
+        with pytest.raises(ValidationError, match="count must be an integer"):
+            sample_pure(2, seed=1, count=count)
 
     @pytest.mark.parametrize("count", [None, 3], ids=["single", "count"])
     @pytest.mark.parametrize(

@@ -298,6 +298,10 @@ class TestStackedKernels:
         with pytest.raises(DomainError):
             report_from_probabilities(MetricKind.BURES, np.array([0.5, 1.1, 0.7]), 0.5, 0.8)
 
+    def test_shapes_that_do_not_broadcast_are_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match=r"shapes \(2,\), \(3,\), \(\) do not broadcast"):
+            report_from_probabilities(MetricKind.ANGLE, np.full(2, 0.5), np.full(3, 0.5), 0.8)
+
     @pytest.mark.parametrize(
         "call",
         [
