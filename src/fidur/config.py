@@ -25,7 +25,6 @@ class Tolerances:
     fidelity_guard: float = 1e-9      # admissible excursion of F outside [0, 1]
     probability_imag: float = 1e-10   # |Im <a|rho|a>|
     probability_clamp: float = 1e-9   # admissible excursion of p_i outside [0, 1]
-    probability_sum: float = 1e-9     # |sum p_i - 1|
     overlap_guard: float = 1e-9       # admissible excursion of c outside [1/sqrt(N), 1]
     metric_domain_guard: float = 1e-9 # admissible excursion of f's argument outside [0, 1]
     ur_slack: float = 1e-9            # default violation tolerance for UR checks

@@ -80,13 +80,13 @@ def check_psd(w: np.ndarray) -> np.ndarray:
 
 
 def eigensolve(solver, h: np.ndarray):
-    """``solver(h)`` for a numpy Hermitian eigensolver (``np.linalg.eigh``
-    or ``np.linalg.eigvalsh``), with a LAPACK failure raised as
-    NoConvergence."""
+    """``solver(h)`` for a numpy LAPACK solver (``np.linalg.eigh``,
+    ``np.linalg.eigvalsh`` or ``np.linalg.svd``), with a LAPACK failure
+    raised as NoConvergence."""
     try:
         return solver(h)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigendecomposition failed: {exc}") from exc
+        raise NoConvergence(f"LAPACK solver failed: {exc}") from exc
 
 
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:

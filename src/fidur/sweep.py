@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import itertools
 import json
 import numbers
 import os
@@ -68,15 +69,14 @@ class SweepConfig:
 
     def __post_init__(self):
         try:
-            dims = tuple(self.dims)
+            dims, kinds = tuple(self.dims), tuple(self.kinds)
         except TypeError:
-            raise ValidationError("dims must be a list of integers") from None
+            raise ValidationError("dims and kinds must be lists") from None
         dims = tuple(_integer("dims entry", d) for d in dims)
         if not dims or any(d < 2 for d in dims):
             raise ValidationError("dims must be a nonempty list of integers >= 2")
-        kinds = tuple(self.kinds)
-        if not kinds:
-            raise ValidationError("at least one metric kind is required")
+        if not kinds or not all(isinstance(k, MetricKind) for k in kinds):
+            raise ValidationError("kinds must be a nonempty list of MetricKind members")
         if _integer("trials_per_dim", self.trials_per_dim) < 1:
             raise ValidationError("trials_per_dim must be at least 1")
         if _integer("seed", self.seed) < 0:
@@ -190,16 +190,12 @@ def _run_chunk(config: SweepConfig, dim: int, block: int):
     return slack.size, int(np.count_nonzero(slack < -config.tolerance)), best
 
 
-def _chunk_worker(args):
-    return _run_chunk(*args)
-
-
 def _in_order(pool, plan, workers: int):
-    """``_chunk_worker`` over ``plan`` through ``pool``, in plan order, with at most
+    """``_run_chunk`` over ``plan`` through ``pool``, in plan order, with at most
     eight chunks per worker submitted and not yet yielded: a huge plan is never submitted."""
     pending = collections.deque()
     for args in plan:
-        pending.append(pool.submit(_chunk_worker, args))
+        pending.append(pool.submit(_run_chunk, *args))
         if len(pending) == 8 * workers:
             yield pending.popleft().result()
     yield from (future.result() for future in pending)
@@ -250,7 +246,7 @@ def run_sweep(
     best = None
     pool = _pool(workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
-        results = _in_order(pool, plan, workers) if pool else map(_chunk_worker, plan)
+        results = _in_order(pool, plan, workers) if pool else itertools.starmap(_run_chunk, plan)
         for done, (count, bad, cand) in enumerate(results, start=1):
             total += count
             violations += bad

@@ -69,6 +69,8 @@ def outcome_probabilities(obs: ProjectiveObservable, rho: DensityMatrix) -> np.n
 
     Stacked observables and/or states broadcast over their leading axes;
     the result has shape (..., N) and every member passes the same guards.
+    The sum is not checked: the constructors' trace and orthonormality
+    tolerances fix it, to about 1e-10 + N * 1e-10 of 1.
     """
     _check_dims(obs, rho)
     e = obs.eigenbasis
@@ -76,12 +78,7 @@ def outcome_probabilities(obs: ProjectiveObservable, rho: DensityMatrix) -> np.n
     imag = float(np.abs(p.imag).max())
     if imag > TOL.probability_imag:
         raise DomainError(f"outcome probability has imaginary part {imag:.3e}")
-    p = p.real
-    total = p.sum(axis=-1)
-    off = np.abs(total - 1.0) > TOL.probability_sum
-    if off.any():
-        raise DomainError(f"probabilities sum to {float(total[off].flat[0])!r}, not 1")
-    return clamp(p, "probability_clamp")
+    return clamp(p.real, "probability_clamp")
 
 
 def max_probability(obs: ProjectiveObservable, rho: DensityMatrix):

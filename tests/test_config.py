@@ -18,7 +18,8 @@ from fidur.states import (
     derived_seed,
     sample_haar_unitary,
 )
-from fidur.uncertainty import outcome_probabilities, overlap
+from fidur.metrics import MetricKind
+from fidur.uncertainty import check_ur, outcome_probabilities, overlap
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fidur"
 GUARDS = ("fidelity_guard", "probability_clamp", "overlap_guard", "metric_domain_guard",
@@ -123,3 +124,21 @@ def test_edge_states_and_observables_pass_every_guard(dim):
                           fidelity(rho, other), fidelity_oracle(other, rho),
                           fidelity_oracle(rho, other)):
                     assert lo <= f <= hi
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 11, 16])
+def test_probabilities_of_an_edge_basis_may_sum_past_one(dim):
+    """E = U (I + a J), J all ones, has a Gram matrix off by ~2a per entry,
+    and rho = U|u><u|U^dag for uniform u gives sum p_i = (1 + a N)^2. With
+    2a just inside ``TOL.orthonormal`` the sum exceeds 1 + 1e-9 from N = 11,
+    yet every p_i stays in [0, 1] and the relation is still evaluated."""
+    a = 0.49 * TOL.orthonormal
+    u = sample_haar_unitary(dim, derived_seed(809, dim))
+    obs = ProjectiveObservable(u @ (np.eye(dim) + a))
+    rho = PureState(u @ np.full(dim, dim ** -0.5)).density()
+    p = outcome_probabilities(obs, rho)
+    assert p.sum() == pytest.approx((1.0 + a * dim) ** 2, abs=1e-14)
+    assert ((0.0 <= p) & (p <= 1.0)).all()
+    fourier = ProjectiveObservable(np.fft.fft(np.eye(dim)) / math.sqrt(dim))
+    for kind in MetricKind:
+        assert check_ur(kind, obs, fourier, rho).slack >= -TOL.ur_slack

@@ -1,4 +1,5 @@
 import importlib
+import math
 from functools import partial
 
 import numpy as np
@@ -20,6 +21,7 @@ from fidur.states import (
     PureState,
     derived_seed,
     purify,
+    sample_haar_unitary,
     sample_mixed,
     sample_pure,
 )
@@ -261,6 +263,47 @@ class TestFidelityOracle:
             rho = sample_pure(4, seed=derived_seed(64, t, 0)).density()
             sigma = sample_mixed(4, 2, seed=derived_seed(64, t, 1))
             assert fidelity_oracle(rho, sigma) == pytest.approx(fidelity(rho, sigma), abs=1e-9)
+
+
+def _commuting_pairs():
+    """(rho, sigma, F) for p = (1 - (N-1)e, e, ...) and q = (1 - 2(N-1)e, 2e, ...),
+    in the computational basis and Haar-rotated; F = (sum sqrt(p_i q_i))^2."""
+    for dim in (2, 3, 5, 8, 10):
+        for k in range(3, 14):
+            e = 10.0 ** -k
+            p = np.full(dim, e)
+            p[0] = 1.0 - (dim - 1) * e
+            q = np.full(dim, 2 * e)
+            q[0] = 1.0 - 2 * (dim - 1) * e
+            exact = math.fsum(np.sqrt(p * q)) ** 2
+            u = sample_haar_unitary(dim, derived_seed(66, dim, k))
+            yield dim, DensityMatrix(np.diag(p)), DensityMatrix(np.diag(q)), exact
+            rotated = (DensityMatrix((u * x) @ u.conj().T) for x in (p, q))
+            yield dim, *rotated, exact
+
+
+def _pure_pairs():
+    """(rho, sigma, F) for pure pairs |psi>, |psi + d chi> (normalized), down to
+    nearly identical ones; F = |<psi|phi>|^2."""
+    for dim in (2, 3, 5, 8, 10):
+        for t in range(5):
+            psi = sample_pure(dim, seed=derived_seed(67, dim, t, 0)).amplitudes
+            chi = sample_pure(dim, seed=derived_seed(67, dim, t, 1)).amplitudes
+            for d in (1.0, 1e-2, 1e-4, 1e-6, 1e-8):
+                phi = psi + d * chi
+                phi = PureState(phi / np.linalg.norm(phi))
+                exact = abs(np.vdot(psi, phi.amplitudes)) ** 2
+                yield dim, PureState(psi).density(), phi.density(), exact
+
+
+@pytest.mark.parametrize("family", [_commuting_pairs, _pure_pairs], ids=["commuting", "pure"])
+def test_oracle_is_accurate_near_one(family):
+    """The oracle is within 16 N eps of closed-form F, down to 1 - F ~ 1e-16
+    (the kernel's eigenvalue floor is not held to this yet)."""
+    eps = np.finfo(np.float64).eps
+    worst = max(abs(fidelity_oracle(rho, sigma) - exact) / (dim * eps)
+                for dim, rho, sigma, exact in family())
+    assert worst <= 16
 
 
 class TestPurificationOverlapSearch:

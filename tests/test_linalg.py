@@ -177,7 +177,7 @@ class TestOneCheck:
             ("eigh", lambda: hermitian_eig(GOOD)),
             ("eigh", lambda: psd_sqrt(GOOD)),
             ("eigvalsh", lambda: DensityMatrix(np.stack([GOOD, GOOD]))),
-            ("eigvalsh", lambda: fidelity_oracle(*PAIR)),
+            ("svd", lambda: fidelity_oracle(*PAIR)),
             ("eigvalsh", lambda: fidelity(*PAIR)),
         ],
     )

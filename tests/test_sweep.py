@@ -67,9 +67,11 @@ class TestSweepConfig:
             ("seed", 1.5),
             ("tolerance", math.inf),
             ("dims", 5),
+            ("kinds", ("angle",)),
+            ("kinds", 5),
         ],
         ids=["fractional-trials", "boolean-trials", "fractional-seed",
-             "infinite-tolerance", "scalar-dims"],
+             "infinite-tolerance", "scalar-dims", "string-kind", "scalar-kinds"],
     )
     def test_rejects_malformed_field(self, field, value):
         with pytest.raises(ValidationError):
