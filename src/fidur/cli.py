@@ -25,9 +25,7 @@ from .errors import FidurError, ValidationError
 from .fidelity import fidelity
 from .metrics import MetricKind, f_of, metric_kind
 from .states import (
-    DensityMatrix,
     ProjectiveObservable,
-    observable_from_payload,
     sample_mixed,
     sample_observable,
     sample_pure,
@@ -67,18 +65,10 @@ def _load_payload(path: str) -> dict:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_state(path: str) -> DensityMatrix:
-    return state_from_payload(_load_payload(path))
-
-
-def _load_observable(path: str) -> ProjectiveObservable:
-    return observable_from_payload(_load_payload(path))
-
-
 def cmd_fidelity(file_rho: str, file_sigma: str) -> int:
     """Print F and the three metric distances for two state fixtures."""
-    rho = _load_state(file_rho)
-    sigma = _load_state(file_sigma)
+    rho = state_from_payload(_load_payload(file_rho))
+    sigma = state_from_payload(_load_payload(file_sigma))
     f = fidelity(rho, sigma)
     print(f"F = {_fmt(f)}")
     for kind in MetricKind:
@@ -96,9 +86,9 @@ def cmd_check_ur(
     """Print one URReport as JSON; exit 3 when the slack is a violation."""
     if math.isnan(tolerance):
         raise ValidationError("tolerance must not be nan")
-    rho = _load_state(file_rho)
-    a = _load_observable(file_a)
-    b = _load_observable(file_b)
+    rho = state_from_payload(_load_payload(file_rho))
+    a = ProjectiveObservable.from_payload(_load_payload(file_a))
+    b = ProjectiveObservable.from_payload(_load_payload(file_b))
     report = check_ur(kind, a, b, rho)
     print(report.to_json())
     return 3 if report.slack < -tolerance else 0

@@ -69,16 +69,17 @@ class DomainSpec:
 
     def __post_init__(self):
         _check_kind(self.kind)
-        if self.dim < 2:
+        dim = linalg._integer("dim", self.dim)
+        if dim < 2:
             raise ValidationError("dimension must be at least 2")
         c = float(self.overlap_c)
         try:
-            lo = 1.0 / math.sqrt(self.dim) - TOL.overlap_guard
+            lo = 1.0 / math.sqrt(dim) - TOL.overlap_guard
         except OverflowError:
             raise ValidationError("dimension is too large") from None
         if not lo <= c <= 1.0 + TOL.overlap_guard:
             raise ValidationError(
-                f"overlap {c!r} outside [1/sqrt({self.dim}), 1]"
+                f"overlap {c!r} outside [1/sqrt({dim}), 1]"
             )
         object.__setattr__(self, "overlap_c", c)
 
@@ -153,7 +154,7 @@ def g_boundary(kind: MetricKind, c: float, p, dim: int):
     """
     _check_kind(kind)
     c = _check_c(c)
-    if dim < 2:
+    if linalg._integer("dim", dim) < 2:
         raise DomainError("dimension must be at least 2")
     p = clamp(p, "domain_guard", 1.0 / dim)
     g = np.where(p <= c * c, 1.0, _h(kind, c, p))
@@ -162,7 +163,7 @@ def g_boundary(kind: MetricKind, c: float, p, dim: int):
 
 def in_domain(kind: MetricKind, c: float, dim: int, p_a: float, p_b: float) -> bool:
     """Whether (p_a, p_b) lies in D_{kind,c} up to the membership guard."""
-    if dim < 2:
+    if linalg._integer("dim", dim) < 2:
         return False
     lo = 1.0 / dim - TOL.domain_guard
     hi = 1.0 + TOL.domain_guard
@@ -221,10 +222,10 @@ def boundary_from_quadratic(kind: MetricKind, c: float, p_a: float) -> float:
 
 def region_samples(spec: DomainSpec, n_points: int) -> np.ndarray:
     """(p, g(p)) pairs on a uniform p-grid over [1/N, 1], as an (n, 2) array."""
+    (n_points,) = linalg.array_shape(n_points)
     if n_points < 2:
         raise DomainError("n_points must be at least 2")
-    linalg.array_shape(n_points)
-    p = np.linspace(1.0 / spec.dim, 1.0, int(n_points))
+    p = np.linspace(1.0 / spec.dim, 1.0, n_points)
     return np.column_stack([p, g_boundary(spec.kind, spec.overlap_c, p, spec.dim)])
 
 

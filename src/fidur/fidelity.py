@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .config import TOL, clamp
 from .errors import DomainError
-from .linalg import _EPS
+from .linalg import _EPS, _integer
 from .states import DensityMatrix, PureState, purify, sample_haar_unitary, derived_seed
 from .states import _check_dims, _single
 
@@ -116,7 +116,7 @@ def purification_overlap_search(
     so the returned maximum converges to F from below as trials grow.
     """
     _single(rho, sigma)
-    if trials < 1:
+    if _integer("trials", trials) < 1:
         raise DomainError("trials must be at least 1")
     n = rho.dim
     psi = purify(rho)

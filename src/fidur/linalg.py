@@ -11,12 +11,13 @@ symmetrizes, ``check_psd`` tests ascending eigenvalues (of a state once,
 when it is built) and ``eigensolve`` maps a solver failure to
 NoConvergence. Their tolerances are those of ``fidur.config.TOL``.
 ``array_shape`` is the one size check for the arrays the samplers and
-the region grid build.
+the region grid build, and ``_integer`` the one integer check.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -28,10 +29,21 @@ _EPS = float(np.finfo(np.float64).eps)
 __all__ = ["as_complex_stack", "hermitian_eig", "psd_sqrt"]
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; booleans and non-integral numbers are rejected."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def array_shape(*shape: int) -> tuple:
-    """``shape``, or ValidationError when a complex128 array of that shape
-    would hold more bytes than numpy can index."""
-    if math.prod(map(int, shape)) * 16 > np.iinfo(np.intp).max:
+    """``shape`` as ints, or ValidationError when an entry is not an integer or
+    a complex128 array of that shape would hold more bytes than numpy can index."""
+    shape = tuple(_integer("array size", n) for n in shape)
+    if math.prod(shape) * 16 > np.iinfo(np.intp).max:
         raise ValidationError("requested size is too large for one array")
     return shape
 

@@ -13,13 +13,14 @@ Conventions fixed here and relied on everywhere else:
   indices feed one SeedSequence as its entropy tuple and are collapsed
   to a 128-bit integer. Two distinct index tuples give independent
   streams, so parallel and sequential sweeps see identical samples.
+  The seed and every stream index must be integers.
 
-JSON payloads encode complex entries as [re, im] pairs, row-major.
+JSON payloads encode complex entries as [re, im] pairs, row-major; one
+codec, ``_Fixture``, reads and writes all three containers.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ import numpy as np
 from . import linalg
 from .config import TOL
 from .errors import DimensionMismatch, IndexOutOfRange, ValidationError
+from .linalg import _integer
 
 __all__ = [
     "DensityMatrix",
@@ -42,10 +44,7 @@ __all__ = [
     "sample_observable",
     "computational_observable",
     "fourier_observable",
-    "matrix_to_pairs",
-    "pairs_to_matrix",
     "state_from_payload",
-    "observable_from_payload",
 ]
 
 
@@ -58,8 +57,61 @@ def _norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt((a.real**2 + a.imag**2).sum(axis=-1))
 
 
+def _complex(data, rank: int):
+    """Nested lists of ``complex(re, im)`` from ``rank``-deep nested lists of
+    [re, im] pairs. ``complex`` rejects strings, which a float array would parse."""
+    if rank == 0:
+        re, im = data
+        return complex(re, im)
+    return [_complex(x, rank - 1) for x in data]
+
+
+class _Fixture:
+    """The dimension and the JSON fixture codec of the three containers, keyed
+    by their class constants: the type tag ``TYPE``, the data field ``FIELD``
+    and the rank ``RANK`` of a single member's array. A payload is
+    ``{"type": TYPE, "dim": N, FIELD: entries}``, with every complex entry an
+    [re, im] pair; ``dim`` is optional on input. A stack is not a fixture."""
+
+    @property
+    def dim(self) -> int:
+        return getattr(self, self.FIELD).shape[-1]
+
+    def to_payload(self) -> dict:
+        _single(self)
+        a = getattr(self, self.FIELD)
+        return {
+            "type": self.TYPE,
+            "dim": self.dim,
+            self.FIELD: np.stack((a.real, a.imag), axis=-1).tolist(),
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict):
+        if not isinstance(payload, dict):
+            raise ValidationError("payload must be a JSON object")
+        if payload.get("type") != cls.TYPE:
+            raise ValidationError(
+                f"expected payload type {cls.TYPE!r}, got {payload.get('type')!r}"
+            )
+        if cls.FIELD not in payload:
+            raise ValidationError(f"{cls.TYPE} payload is missing {cls.FIELD!r}")
+        try:
+            a = np.array(_complex(payload[cls.FIELD], cls.RANK), dtype=np.complex128)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"malformed {cls.FIELD} payload: {exc}") from exc
+        if a.ndim != cls.RANK or len(set(a.shape)) > 1:
+            raise ValidationError(
+                f"{cls.FIELD} payload must have {cls.RANK} equal axes, got shape {a.shape}"
+            )
+        dim = payload.get("dim")
+        if dim is not None and _integer("dim", dim) != a.shape[0]:
+            raise ValidationError(f"declared dim does not match the {cls.FIELD} size")
+        return cls(a)
+
+
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Fixture):
     """Hermitian, positive semidefinite, unit-trace matrix.
 
     ``matrix`` may also be a stack ``(..., N, N)``; every member is checked
@@ -75,6 +127,7 @@ class DensityMatrix:
     """
 
     matrix: np.ndarray
+    TYPE, FIELD, RANK = "density-matrix", "matrix", 2
 
     def __post_init__(self):
         m = linalg.as_complex_stack(self.matrix)
@@ -92,33 +145,15 @@ class DensityMatrix:
         return (type(self), (self.matrix,))
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[-1]
-
-    @property
     def sqrt(self) -> np.ndarray:
         """The principal square root (the stack of roots for a stack),
         computed on each access with the bits of ``linalg.psd_sqrt(matrix)``."""
         return linalg._psd_root(*_eigenpairs(self))
 
-    def to_payload(self) -> dict:
-        return {
-            "type": "density-matrix",
-            "dim": self.dim,
-            "matrix": matrix_to_pairs(self.matrix),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "DensityMatrix":
-        _expect_type(payload, "density-matrix")
-        return cls(pairs_to_matrix(_field(payload, "matrix"), payload.get("dim")))
-
 
 def _stack_axes(x) -> tuple:
     """The leading axes of a state or observable: () for a single one."""
-    if isinstance(x, PureState):
-        return x.amplitudes.shape[:-1]
-    return (x.matrix if isinstance(x, DensityMatrix) else x.eigenbasis).shape[:-2]
+    return getattr(x, x.FIELD).shape[: -x.RANK]
 
 
 def _check_dims(a, b):
@@ -147,10 +182,11 @@ def _eigenpairs(state: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(_Fixture):
     """Unit-norm complex amplitude vector, or a stack ``(..., N)`` of them."""
 
     amplitudes: np.ndarray
+    TYPE, FIELD, RANK = "pure-state", "amplitudes", 1
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -162,38 +198,14 @@ class PureState:
             raise ValidationError("pure state must have unit norm")
         object.__setattr__(self, "amplitudes", a)
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[-1]
-
     def density(self) -> DensityMatrix:
         """The rank-one density matrix |psi><psi| (a stack for a stack)."""
         a = self.amplitudes
         return DensityMatrix(a[..., :, None] * a.conj()[..., None, :])
 
-    def to_payload(self) -> dict:
-        return {
-            "type": "pure-state",
-            "dim": self.dim,
-            "amplitudes": [[float(z.real), float(z.imag)] for z in self.amplitudes],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "PureState":
-        _expect_type(payload, "pure-state")
-        amps = _field(payload, "amplitudes")
-        try:
-            a = np.array([complex(re, im) for re, im in amps], dtype=np.complex128)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"malformed amplitude list: {exc}") from exc
-        dim = payload.get("dim")
-        if dim is not None and _integer("dim", dim) != a.size:
-            raise ValidationError("declared dim does not match amplitude count")
-        return cls(a)
-
 
 @dataclass(frozen=True, eq=False)
-class ProjectiveObservable:
+class ProjectiveObservable(_Fixture):
     """Non-degenerate observable, stored as its orthonormal eigenbasis.
 
     The columns of ``eigenbasis`` are the eigenvectors |a_1>..|a_N>.
@@ -202,6 +214,7 @@ class ProjectiveObservable:
     """
 
     eigenbasis: np.ndarray
+    TYPE, FIELD, RANK = "observable", "eigenbasis", 2
 
     def __post_init__(self):
         e = linalg.as_complex_stack(self.eigenbasis)
@@ -209,22 +222,6 @@ class ProjectiveObservable:
         if float(np.abs(gram - np.eye(e.shape[-1])).max()) > TOL.orthonormal:
             raise ValidationError("observable eigenbasis columns must be orthonormal")
         object.__setattr__(self, "eigenbasis", e)
-
-    @property
-    def dim(self) -> int:
-        return self.eigenbasis.shape[-1]
-
-    def to_payload(self) -> dict:
-        return {
-            "type": "observable",
-            "dim": self.dim,
-            "eigenbasis": matrix_to_pairs(self.eigenbasis),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ProjectiveObservable":
-        _expect_type(payload, "observable")
-        return cls(pairs_to_matrix(_field(payload, "eigenbasis"), payload.get("dim")))
 
 
 def projector(obs: ProjectiveObservable, i: int) -> DensityMatrix:
@@ -273,6 +270,7 @@ def partial_trace_aux(psi: PureState, sys_dim: int, aux_dim: int) -> DensityMatr
     convention n*aux_dim + k; the result is rho_{mn} = sum_k Psi_{mk} Psi*_{nk}.
     A stack of states gives the stack of reduced states.
     """
+    sys_dim, aux_dim = _integer("sys_dim", sys_dim), _integer("aux_dim", aux_dim)
     if sys_dim < 1 or aux_dim < 1:
         raise DimensionMismatch("dimensions must be positive")
     if psi.dim != sys_dim * aux_dim:
@@ -302,18 +300,21 @@ def derived_seed(seed: int, *stream: int) -> int:
     first 128 bits of output become the derived seed. Distinct tuples give
     statistically independent streams, and the rule is pure arithmetic,
     so any partitioning of trials across workers reproduces the
-    sequential samples exactly.
+    sequential samples exactly. The seed and the indices must be integers:
+    a float or bool would alias an integer's stream.
     """
-    if seed < 0 or any(s < 0 for s in stream):
+    entropy = [_integer("seed or stream index", s) for s in (seed, *stream)]
+    if min(entropy) < 0:
         raise ValidationError("seeds and stream indices must be non-negative")
-    words = np.random.SeedSequence((int(seed), *map(int, stream))).generate_state(4)
+    words = np.random.SeedSequence(entropy).generate_state(4)
     return int.from_bytes(words.tobytes(), "little")
 
 
 def _generator(seed: int) -> np.random.Generator:
+    seed = _integer("seed", seed)
     if seed < 0:
         raise ValidationError("seed must be non-negative")
-    return np.random.default_rng(int(seed))
+    return np.random.default_rng(seed)
 
 
 def _gaussian(seed: Seed, shape: tuple) -> np.ndarray:
@@ -346,7 +347,7 @@ def sample_haar_unitary(dim: int, seed: Seed, count: int | None = None) -> np.nd
     diagonal real positive, which is what makes the distribution Haar
     rather than merely unitary (Mezzadri, Notices AMS 54, 2007).
     """
-    if dim < 1:
+    if _integer("dim", dim) < 1:
         raise DimensionMismatch("dimension must be at least 1")
     q, r = np.linalg.qr(_gaussian(seed, _stack_shape(count, dim, dim)))
     d = np.diagonal(r, axis1=-2, axis2=-1)
@@ -362,7 +363,7 @@ def sample_pure(dim: int, seed: Seed, count: int | None = None) -> PureState:
     The Gaussian measure is unitarily invariant, so its direction is
     uniform on the unit sphere, which is the Haar measure on pure states.
     """
-    if dim < 1:
+    if _integer("dim", dim) < 1:
         raise DimensionMismatch("dimension must be at least 1")
     z = _gaussian(seed, _stack_shape(count, dim))
     return PureState(z / _norm(z)[..., None])
@@ -402,50 +403,7 @@ def fourier_observable(dim: int) -> ProjectiveObservable:
 
 
 # ---------------------------------------------------------------------------
-# JSON payload helpers
-
-
-def matrix_to_pairs(m: np.ndarray) -> list:
-    """Row-major nested lists with complex entries as [re, im] pairs."""
-    return [
-        [[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)
-    ]
-
-
-def pairs_to_matrix(rows, dim=None) -> np.ndarray:
-    try:
-        m = np.array(
-            [[complex(re, im) for re, im in row] for row in rows],
-            dtype=np.complex128,
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed matrix payload: {exc}") from exc
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"matrix payload must be square, got shape {m.shape}")
-    if dim is not None and _integer("dim", dim) != m.shape[0]:
-        raise ValidationError("declared dim does not match matrix size")
-    return m
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; booleans and non-integral numbers are rejected."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _field(payload: dict, key: str):
-    if key not in payload:
-        raise ValidationError(f"{payload['type']} payload is missing {key!r}")
-    return payload[key]
-
-
-def _expect_type(payload, expected: str):
-    if not isinstance(payload, dict):
-        raise ValidationError("payload must be a JSON object")
-    got = payload.get("type")
-    if got != expected:
-        raise ValidationError(f"expected payload type {expected!r}, got {got!r}")
+# JSON payloads
 
 
 def state_from_payload(payload: dict) -> DensityMatrix:
@@ -458,7 +416,3 @@ def state_from_payload(payload: dict) -> DensityMatrix:
     if kind == "pure-state":
         return PureState.from_payload(payload).density()
     raise ValidationError(f"cannot read a state from payload type {kind!r}")
-
-
-def observable_from_payload(payload: dict) -> ProjectiveObservable:
-    return ProjectiveObservable.from_payload(payload)

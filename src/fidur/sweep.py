@@ -32,11 +32,11 @@ import numpy as np
 
 from .config import TOL
 from .errors import ValidationError
+from .linalg import _integer
 from .metrics import MetricKind, metric_kind
 from .states import (
     DensityMatrix,
     ProjectiveObservable,
-    _integer,
     derived_seed,
     sample_mixed,
     sample_observable,
@@ -234,7 +234,7 @@ def run_sweep(
     one, the chunks run in this process. The chunk plan is generated as
     the run goes, so memory does not grow with the trial count.
     """
-    if workers < 1:
+    if _integer("workers", workers) < 1:
         raise ValidationError("workers must be at least 1")
     blocks = -(-config.trials_per_dim // BLOCK)
     n_chunks = len(config.dims) * blocks

@@ -16,8 +16,6 @@ from fidur.states import (
     ProjectiveObservable,
     PureState,
     fourier_observable,
-    matrix_to_pairs,
-    observable_from_payload,
     state_from_payload,
 )
 from fidur.sweep import SweepConfig
@@ -26,6 +24,11 @@ from fidur.sweep import SweepConfig
 def write_json(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+def pairs(m):
+    """Fixture entries of any complex array, valid state or not: [re, im] pairs."""
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 @pytest.fixture
@@ -165,6 +168,19 @@ def _payload_cases():
         yield pytest.param(missing, id=f"{payload['type']}-missing-{key}")
         yield pytest.param({**payload, "dim": "x"}, id=f"{payload['type']}-dim-x")
         yield pytest.param({**payload, "dim": 2.5}, id=f"{payload['type']}-dim-fractional")
+        data = np.array(payload[key])  # the [re, im] pairs as a float array
+        huge = data.tolist()
+        (huge if data.ndim == 2 else huge[0])[0] = [10**400, 0.0]
+        bad_data = {
+            "string-entries": data.astype(str).tolist(),
+            "three-element-pair": np.concatenate((data, data[..., :1]), axis=-1).tolist(),
+            "rank-too-high": [data.tolist()] * 2,
+            "huge-entry": huge,
+        }
+        if data.ndim == 3:
+            bad_data["ragged-rows"] = [data[0].tolist(), data[1, :1].tolist()]
+        for name, value in bad_data.items():
+            yield pytest.param({**payload, key: value}, id=f"{payload['type']}-{name}")
 
 
 class TestPayloadContract:
@@ -213,7 +229,7 @@ def state_payloads(draw, n=None, mutations=MUTATIONS):
     if mutation == "pure-state":
         amps = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
         return {"type": "pure-state", "dim": n, "amplitudes": [[a, 0.0] for a in amps]}
-    rows = matrix_to_pairs(m)
+    rows = pairs(m)
     if mutation == "empty":
         rows = draw(st.sampled_from([[], [[]], [[] for _ in range(n)]]))
     elif mutation == "ragged":
@@ -269,7 +285,7 @@ def observable_payloads(draw, n, mutations=OBSERVABLE_MUTATIONS):
         e[i, j] += draw(st.floats(0.01, 2.0))
     elif mutation == "non-finite":
         e[i, j] = draw(st.sampled_from([complex(math.nan, 0), complex(0, -math.inf)]))
-    rows = matrix_to_pairs(e)
+    rows = pairs(e)
     if mutation == "empty":
         rows = draw(st.sampled_from([[], [[]]]))
     elif mutation == "ragged":
@@ -357,7 +373,7 @@ class TestSampleFuzz:
         if rc == 2:
             assert err.startswith("error:") and out == ""
         elif what == "observable":
-            assert observable_from_payload(json.loads(out)).dim == options["--dim"]
+            assert ProjectiveObservable.from_payload(json.loads(out)).dim == options["--dim"]
         else:
             assert state_from_payload(json.loads(out)).dim == options["--dim"]
 
@@ -636,10 +652,8 @@ class TestSampleCommand:
         capsys.readouterr()
 
     def test_observable_fixture_round_trips(self, capsys):
-        from fidur.states import observable_from_payload
-
         assert main(["sample", "observable", "--dim", "4", "--seed", "11"]) == 0
-        obs = observable_from_payload(json.loads(capsys.readouterr().out))
+        obs = ProjectiveObservable.from_payload(json.loads(capsys.readouterr().out))
         assert obs.eigenbasis.shape == (4, 4)
 
     def test_out_file(self, capsys, tmp_path):

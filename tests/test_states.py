@@ -6,8 +6,9 @@ import pickle
 import numpy as np
 import pytest
 
+from fidur.domains import DomainSpec, g_boundary, in_domain, region_samples
 from fidur.errors import DimensionMismatch, IndexOutOfRange, ValidationError
-from fidur.fidelity import fidelity_pure_mixed
+from fidur.fidelity import fidelity_pure_mixed, purification_overlap_search
 from fidur.linalg import psd_sqrt
 from fidur.metrics import MetricKind, metric_distance
 from fidur.states import (
@@ -17,9 +18,6 @@ from fidur.states import (
     computational_observable,
     derived_seed,
     fourier_observable,
-    matrix_to_pairs,
-    observable_from_payload,
-    pairs_to_matrix,
     partial_trace_aux,
     projector,
     purify,
@@ -29,6 +27,7 @@ from fidur.states import (
     sample_pure,
     state_from_payload,
 )
+from fidur.sweep import SweepConfig, run_sweep
 from fidur.uncertainty import outcome_probabilities
 
 BELL = PureState(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0))
@@ -358,6 +357,31 @@ class TestDerivedSeed:
         with pytest.raises(ValidationError):
             derived_seed(-1)
 
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda: derived_seed(1.5, 2),
+            lambda: derived_seed(1, 2.9),
+            lambda: derived_seed(True, 1),
+            lambda: derived_seed(1, 2, False),
+            lambda: sample_pure(3, 1.5),
+            lambda: sample_pure(3, (1, 1.9)),
+            lambda: sample_mixed(2, 2, 2.0),
+            lambda: sample_observable(2, True),
+        ],
+        ids=["float-seed", "float-index", "bool-seed", "bool-index", "sampler-float",
+             "tuple-member-float", "mixed-float", "observable-bool"],
+    )
+    def test_rejects_a_seed_or_index_that_is_not_an_integer(self, draw):
+        # A float or bool would otherwise draw an integer seed's stream.
+        with pytest.raises(ValidationError, match="must be an integer"):
+            draw()
+
+    def test_numpy_integers_keep_their_streams(self):
+        assert derived_seed(np.int64(42), np.uint8(3), 1) == derived_seed(42, 3, 1)
+        a = sample_pure(3, np.int64(1)).amplitudes
+        assert np.array_equal(a, sample_pure(3, 1).amplitudes)
+
 
 class TestSamplers:
     def test_unitary_is_unitary(self):
@@ -407,6 +431,33 @@ class TestSamplers:
     def test_rejects_zero_count(self):
         with pytest.raises(ValidationError):
             sample_pure(3, seed=1, count=0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sample_pure(2.0, 1),
+            lambda: sample_pure("2", 1),
+            lambda: sample_haar_unitary(2.0, 1),
+            lambda: sample_mixed(2, 1.5, 1),
+            lambda: partial_trace_aux(BELL, 2, 2.0),
+            lambda: purification_overlap_search(
+                sample_mixed(2, 2, 1), sample_mixed(2, 2, 2), trials=2.5, seed=1
+            ),
+            lambda: DomainSpec(MetricKind.ANGLE, 0.8, 2.5),
+            lambda: g_boundary(MetricKind.ANGLE, 0.8, 0.5, dim=2.5),
+            lambda: in_domain(MetricKind.ANGLE, 0.8, 2.5, 0.5, 0.5),
+            lambda: region_samples(DomainSpec(MetricKind.ANGLE, 0.8, 2), 2.5),
+            lambda: run_sweep(
+                SweepConfig((2,), 1, 1, (MetricKind.ANGLE,), "pure"), workers=1.5
+            ),
+        ],
+        ids=["pure-dim", "pure-str-dim", "unitary-dim", "mixed-aux-dim", "partial-trace-aux-dim",
+             "overlap-search-trials", "domain-dim", "g-boundary-dim", "in-domain-dim",
+             "region-points", "sweep-workers"],
+    )
+    def test_rejects_a_size_that_is_not_an_integer(self, call):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            call()
 
     @pytest.mark.parametrize("count", [1.5, 2.0, True])
     def test_rejects_a_count_that_is_not_an_integer(self, count):
@@ -463,12 +514,49 @@ class TestNamedBases:
             assert np.abs(np.abs(f) - 1.0 / np.sqrt(dim)).max() < 1e-12
 
 
+# sha256 over json.dumps(x.to_payload(), sort_keys=True) of sampled pure
+# states, their projectors, mixed states of full and of low rank, observables
+# and the Fourier basis for N = 1..10, taken before the containers shared one
+# codec: the fixture bytes must not move.
+FIXTURE_DIGEST = "caa40f90a993e3cd77e5afed3e84e4cd528e186bcab3199bd6f9fece793608f0"
+
+
 class TestPayloadHelpers:
+    def test_fixture_bytes_are_pinned(self):
+        h = hashlib.sha256()
+        for dim in range(1, 11):
+            for t in range(3):
+                psi = sample_pure(dim, derived_seed(606, dim, t, 0))
+                fixtures = (
+                    psi,
+                    psi.density(),
+                    sample_mixed(dim, dim, derived_seed(606, dim, t, 1)),
+                    sample_mixed(dim, 2, derived_seed(606, dim, t, 2)),
+                    sample_observable(dim, derived_seed(606, dim, t, 3)),
+                )
+                for x in fixtures:
+                    h.update(json.dumps(x.to_payload(), sort_keys=True).encode("utf-8"))
+            h.update(json.dumps(fourier_observable(dim).to_payload(), sort_keys=True).encode("utf-8"))
+        assert h.hexdigest() == FIXTURE_DIGEST
+
+    @pytest.mark.parametrize(
+        "stack",
+        [
+            lambda: sample_mixed(2, 2, 1, count=3),
+            lambda: sample_pure(2, 1, count=3),
+            lambda: sample_observable(2, 1, count=3),
+        ],
+        ids=["mixed", "pure", "observable"],
+    )
+    def test_a_stack_is_not_a_fixture(self, stack):
+        with pytest.raises(DimensionMismatch, match="single state"):
+            stack().to_payload()
+
     def test_matrix_pairs_round_trip(self):
-        m = np.array([[1.0 + 2.0j, 0.0], [-1.5j, 0.25]])
-        pairs = matrix_to_pairs(m)
-        assert pairs[0][0] == [1.0, 2.0]
-        assert np.array_equal(pairs_to_matrix(pairs), m)
+        rho = DensityMatrix(np.array([[0.75, 0.25 - 0.125j], [0.25 + 0.125j, 0.25]]))
+        pairs = rho.to_payload()["matrix"]
+        assert pairs[0] == [[0.75, 0.0], [0.25, -0.125]]
+        assert np.array_equal(DensityMatrix.from_payload(rho.to_payload()).matrix, rho.matrix)
 
     def test_state_from_payload_accepts_density(self):
         rho = DensityMatrix(np.diag([0.5, 0.5]))
@@ -487,4 +575,4 @@ class TestPayloadHelpers:
     def test_observable_from_payload_rejects_state(self):
         rho = DensityMatrix(np.diag([0.5, 0.5]))
         with pytest.raises(ValidationError):
-            observable_from_payload(rho.to_payload())
+            ProjectiveObservable.from_payload(rho.to_payload())

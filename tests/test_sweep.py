@@ -11,7 +11,7 @@ import pytest
 import fidur.sweep
 from fidur.errors import ValidationError
 from fidur.metrics import MetricKind, metric_kind
-from fidur.states import observable_from_payload, state_from_payload
+from fidur.states import ProjectiveObservable, state_from_payload
 from fidur.sweep import BLOCK, SweepConfig, SweepResult, run_sweep
 from fidur.uncertainty import URReport, check_ur
 
@@ -144,8 +144,8 @@ class TestRunSweep:
         witness = result.min_slack_witness
         report = check_ur(
             metric_kind(witness["kind"]),
-            observable_from_payload(witness["a"]),
-            observable_from_payload(witness["b"]),
+            ProjectiveObservable.from_payload(witness["a"]),
+            ProjectiveObservable.from_payload(witness["b"]),
             state_from_payload(witness["rho"]),
         )
         assert report.slack == result.min_slack
@@ -285,8 +285,8 @@ class TestBlockedSweep:
         assert result.total_trials == 9 * (BLOCK + 3) * len(config.variants) * 3
         report = check_ur(
             metric_kind(witness["kind"]),
-            observable_from_payload(witness["a"]),
-            observable_from_payload(witness["b"]),
+            ProjectiveObservable.from_payload(witness["a"]),
+            ProjectiveObservable.from_payload(witness["b"]),
             state_from_payload(witness["rho"]),
         )
         assert report.slack == result.min_slack
