@@ -30,6 +30,7 @@ are exposed and cross-asserted.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,18 @@ def _check_kind(kind) -> MetricKind:
     return kind
 
 
+def _real(c) -> float:
+    """The overlap ``c`` as a float; ValidationError unless it is a real number
+    (a str, None or bool is not). An int beyond the float range reads as
+    +-inf, which every range check rejects."""
+    if isinstance(c, bool) or not isinstance(c, numbers.Real):
+        raise ValidationError(f"overlap must be a real number, got {c!r}")
+    try:
+        return float(c)
+    except OverflowError:
+        return math.inf if c > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """One feasibility domain: metric kind, overlap, and dimension."""
@@ -72,7 +85,7 @@ class DomainSpec:
         dim = linalg._integer("dim", self.dim)
         if dim < 2:
             raise ValidationError("dimension must be at least 2")
-        c = float(self.overlap_c)
+        c = _real(self.overlap_c)
         try:
             lo = 1.0 / math.sqrt(dim) - TOL.overlap_guard
         except OverflowError:
@@ -113,7 +126,7 @@ class QuadraticForm:
 
 
 def _check_c(c: float) -> float:
-    c = float(c)
+    c = _real(c)
     if not 0.0 < c <= 1.0 + TOL.overlap_guard:
         raise DomainError(f"overlap {c!r} outside (0, 1]")
     return min(c, 1.0)

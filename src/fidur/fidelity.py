@@ -4,7 +4,7 @@
 from the root of rho and the eigenvalues of the inner product;
 ``fidelity_oracle`` evaluates the equivalent squared nuclear norm of
 sqrt(rho) sqrt(sigma) from its singular values. The two share only the
-root kernel and ``linalg.eigensolve``, and serve as mutual oracles.
+root kernel and ``linalg``'s solvers, and serve as mutual oracles.
 ``purification_overlap_search`` exhibits the third characterization: the
 supremum of |<psi|phi>|^2 over purifications, approached stochastically
 from below.
@@ -59,7 +59,7 @@ def _fidelity_kernel(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
     _check_dims(rho, sigma)
     s = rho.sqrt
     m = s @ sigma.matrix @ s
-    w = linalg.eigensolve(np.linalg.eigvalsh, (m + linalg.adjoint(m)) / 2)
+    w = linalg.eigensolve((m + linalg.adjoint(m)) / 2)
     # The states were judged PSD when built; the floor zeroes M's negative round-off.
     w = np.where(w < 4 * w.shape[-1] * _EPS, 0.0, w)
     # An array's ** 2 is x * x, 1 last bit off a float's libm pow(x, 2) ~1 time
@@ -98,8 +98,7 @@ def fidelity_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     _single(rho, sigma)
     if (rho.matrix == sigma.matrix).all():
         return 1.0
-    svd = functools.partial(np.linalg.svd, compute_uv=False)
-    s = linalg.eigensolve(svd, rho.sqrt @ sigma.sqrt)
+    s = linalg.singular_values(rho.sqrt @ sigma.sqrt)
     return float(clamp(s.sum() ** 2, "fidelity_guard"))
 
 

@@ -2,16 +2,25 @@
 decides what a valid Hermitian positive semidefinite matrix is.
 
 All higher-level quantities reduce to two operations on small dense
-complex128 arrays: the LAPACK-backed Hermitian eigendecomposition
-(numpy.linalg.eigh, deterministic for a fixed input; of a matrix or a
-stack ``(..., N, N)``), and the principal PSD square root of one matrix.
+complex128 arrays: the LAPACK-backed Hermitian eigendecomposition (of a
+matrix or a stack ``(..., N, N)``, deterministic for a fixed input), and
+the principal PSD square root of one matrix.
 States and raw matrices share one set of internal checks:
 ``as_complex_stack`` coerces, ``hermitian_part`` tests Hermiticity and
 symmetrizes, ``check_psd`` tests ascending eigenvalues (of a state once,
-when it is built) and ``eigensolve`` maps a solver failure to
-NoConvergence. Their tolerances are those of ``fidur.config.TOL``.
+when it is built). Their tolerances are those of ``fidur.config.TOL``.
 ``array_shape`` is the one size check for the arrays the samplers and
 the region grid build, and ``_integer`` the one integer check.
+
+Every LAPACK call of the package goes through this module, and a solver
+failure is NoConvergence everywhere. ``eigensolve`` and ``qr_unitary``
+call numpy's LAPACK gufuncs (``numpy.linalg._umath_linalg``: ``eigh_lo``,
+``eigvalsh_lo``, ``qr_r_raw``, ``qr_reduced``) directly, under the
+floating-point error state ``numpy.linalg`` itself uses, so they give the
+bits of ``np.linalg.eigh``, ``eigvalsh`` and ``qr`` without their
+per-call wrapper; no other module imports ``_umath_linalg``.
+``singular_values`` stays on ``np.linalg.svd``, whose gufunc name
+differs between numpy versions.
 """
 
 from __future__ import annotations
@@ -20,11 +29,13 @@ import math
 import operator
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .config import TOL
 from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD, ValidationError
 
 _EPS = float(np.finfo(np.float64).eps)
+_INTP_MAX = int(np.iinfo(np.intp).max)
 
 __all__ = ["as_complex_stack", "hermitian_eig", "psd_sqrt"]
 
@@ -43,7 +54,7 @@ def array_shape(*shape: int) -> tuple:
     """``shape`` as ints, or ValidationError when an entry is not an integer or
     a complex128 array of that shape would hold more bytes than numpy can index."""
     shape = tuple(_integer("array size", n) for n in shape)
-    if math.prod(shape) * 16 > np.iinfo(np.intp).max:
+    if math.prod(shape) * 16 > _INTP_MAX:
         raise ValidationError("requested size is too large for one array")
     return shape
 
@@ -91,12 +102,48 @@ def check_psd(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def eigensolve(solver, h: np.ndarray):
-    """``solver(h)`` for a numpy LAPACK solver (``np.linalg.eigh``,
-    ``np.linalg.eigvalsh`` or ``np.linalg.svd``), with a LAPACK failure
-    raised as NoConvergence."""
+def _no_convergence(err, flag):
+    raise NoConvergence("LAPACK solver did not converge")
+
+
+# numpy.linalg's error state for its gufuncs: a failed LAPACK call fills its
+# output with NaN and raises the invalid flag, which calls _no_convergence.
+_LAPACK_ERRSTATE = dict(
+    call=_no_convergence, invalid="call", over="ignore", divide="ignore", under="ignore"
+)
+
+
+def eigensolve(h: np.ndarray, vectors: bool = False):
+    """Ascending eigenvalues ``w`` of every matrix in the complex128 stack
+    ``h`` (its lower triangle is read), or ``(w, v)`` with the eigenvector
+    columns when ``vectors``: the bits of ``np.linalg.eigvalsh(h)`` and
+    ``np.linalg.eigh(h)``. A LAPACK failure (a NaN result with the invalid
+    flag raised) is NoConvergence. Like ``np.linalg``, a NaN input that
+    LAPACK passes through without failing gives NaN eigenvalues; every
+    caller hands in finite matrices only."""
+    with np.errstate(**_LAPACK_ERRSTATE):
+        if vectors:
+            return _umath_linalg.eigh_lo(h, signature="D->dD")
+        return _umath_linalg.eigvalsh_lo(h, signature="D->d")
+
+
+def qr_unitary(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(q, d)``: the Q factor of every square matrix in the complex128 stack
+    ``a`` and the diagonal of its R, the bits of ``np.linalg.qr(a)``. ``a``
+    itself is factored in place (it ends holding R on and above its
+    diagonal), so it must be the caller's own scratch array. A LAPACK
+    failure raises NoConvergence."""
+    with np.errstate(**_LAPACK_ERRSTATE):
+        tau = _umath_linalg.qr_r_raw(a, signature="D->D")
+        q = _umath_linalg.qr_reduced(a, tau, signature="DD->D")
+    return q, np.diagonal(a, axis1=-2, axis2=-1)
+
+
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.svd(a, compute_uv=False)``, with a LAPACK failure raised
+    as NoConvergence."""
     try:
-        return solver(h)
+        return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK solver failed: {exc}") from exc
 
@@ -107,7 +154,7 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     Eigenvalues come back ascending, eigenvector columns in lockstep; the
     input is checked and symmetrized by ``hermitian_part`` first.
     """
-    return eigensolve(np.linalg.eigh, hermitian_part(as_complex_stack(h)))
+    return eigensolve(hermitian_part(as_complex_stack(h)), vectors=True)
 
 
 def psd_sqrt(m) -> np.ndarray:
@@ -122,7 +169,7 @@ def psd_sqrt(m) -> np.ndarray:
     a = as_complex_stack(m)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a single matrix, got shape {a.shape}")
-    w, v = eigensolve(np.linalg.eigh, hermitian_part(a))
+    w, v = eigensolve(hermitian_part(a), vectors=True)
     return _psd_root(check_psd(w), v)
 
 

@@ -50,18 +50,21 @@ def f_of(kind: MetricKind, x):
     with plain comparisons and clamped to an ``np.float64``, which then
     takes the same kernel as an array.
     """
-    x = clamp(x, "metric_domain_guard")
+    y = _f(kind, clamp(x, "metric_domain_guard"))
+    return float(y) if y.ndim == 0 else y
+
+
+def _f(kind: MetricKind, x):
+    """``f_of`` on an ``x`` already clamped to [0, 1], without the guard."""
     # x is clamped to [0, 1] and IEEE sqrt is monotone with sqrt(1) = 1, so
     # sqrt(x) <= 1 and both differences are >= 0: no further guard is needed.
     if kind is MetricKind.ANGLE:
-        y = np.arccos(np.sqrt(x))
-    elif kind is MetricKind.BURES:
-        y = np.sqrt(2.0 - 2.0 * np.sqrt(x))
-    elif kind is MetricKind.ROOT_INFIDELITY:
-        y = np.sqrt(1.0 - x)
-    else:
-        raise ValidationError(f"not a metric kind: {kind!r}")
-    return float(y) if y.ndim == 0 else y
+        return np.arccos(np.sqrt(x))
+    if kind is MetricKind.BURES:
+        return np.sqrt(2.0 - 2.0 * np.sqrt(x))
+    if kind is MetricKind.ROOT_INFIDELITY:
+        return np.sqrt(1.0 - x)
+    raise ValidationError(f"not a metric kind: {kind!r}")
 
 
 def metric_distance(kind: MetricKind, rho: DensityMatrix, sigma: DensityMatrix):

@@ -132,7 +132,7 @@ class DensityMatrix(_Fixture):
     def __post_init__(self):
         m = linalg.as_complex_stack(self.matrix)
         h = linalg.hermitian_part(m)  # a new array, so never the caller's own
-        linalg.check_psd(linalg.eigensolve(np.linalg.eigvalsh, h))
+        linalg.check_psd(linalg.eigensolve(h))
         tr = m.trace(axis1=-2, axis2=-1) - 1.0
         if float(np.abs([tr.real, tr.imag]).max()) > TOL.trace_one:
             raise ValidationError("density matrix must have unit trace")
@@ -178,7 +178,7 @@ def _single(*states) -> None:
 def _eigenpairs(state: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenpairs of a state or stack, with the bits of ``psd_sqrt``'s
     ``eigh``: the stored matrix is the Hermitian part that was judged."""
-    return linalg.eigensolve(np.linalg.eigh, state.matrix)
+    return linalg.eigensolve(state.matrix, vectors=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,15 +306,23 @@ def derived_seed(seed: int, *stream: int) -> int:
     entropy = [_integer("seed or stream index", s) for s in (seed, *stream)]
     if min(entropy) < 0:
         raise ValidationError("seeds and stream indices must be non-negative")
+    if max(entropy) < 2**32:
+        # One uint32 word per entry, which is how SeedSequence reads such a
+        # list, without its per-entry conversion.
+        entropy = np.array(entropy, dtype=np.uint32)
     words = np.random.SeedSequence(entropy).generate_state(4)
     return int.from_bytes(words.tobytes(), "little")
 
 
 def _generator(seed: int) -> np.random.Generator:
+    """``np.random.default_rng(seed)``: PCG64 seeded by a SeedSequence of the
+    seed's little-endian uint32 words, high zero words dropped (one word for 0)."""
     seed = _integer("seed", seed)
     if seed < 0:
         raise ValidationError("seed must be non-negative")
-    return np.random.default_rng(seed)
+    words = -(-seed.bit_length() // 32) or 1
+    entropy = np.frombuffer(seed.to_bytes(4 * words, "little"), dtype="<u4")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def _gaussian(seed: Seed, shape: tuple) -> np.ndarray:
@@ -349,8 +357,7 @@ def sample_haar_unitary(dim: int, seed: Seed, count: int | None = None) -> np.nd
     """
     if _integer("dim", dim) < 1:
         raise DimensionMismatch("dimension must be at least 1")
-    q, r = np.linalg.qr(_gaussian(seed, _stack_shape(count, dim, dim)))
-    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q, d = linalg.qr_unitary(_gaussian(seed, _stack_shape(count, dim, dim)))
     ph = np.where(np.abs(d) > 0, d, 1.0)
     ph = ph / np.abs(ph)
     q *= ph[..., None, :]  # in place: the stack is the sampler's peak memory

@@ -2,8 +2,10 @@
 
 One trial of dimension d draws two Haar observables and, depending on
 ``mixedness``, a Haar pure state and/or a generic full-rank mixed state
-(auxiliary dimension = d), then evaluates one URReport per requested
-metric kind and state variant.
+(auxiliary dimension = d), then evaluates the slack of the relation
+U(A;rho) + U(B;rho) >= f(c^2) per requested metric kind and state variant:
+a chunk takes the outcome probabilities of every variant in one pass and
+the slacks of every kind from one (P_A, P_B, c^2) stack.
 
 Trials run in blocks of ``BLOCK``: block j of dimension d holds trials
 [j*BLOCK, (j+1)*BLOCK), and each of its random objects is drawn as one
@@ -42,7 +44,7 @@ from .states import (
     sample_observable,
     sample_pure,
 )
-from .uncertainty import _overlap, max_probability, report_from_probabilities
+from .uncertainty import _overlap, _probabilities, _slacks
 
 __all__ = ["BLOCK", "SweepConfig", "SweepResult", "run_sweep"]
 
@@ -134,7 +136,7 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """total_trials counts URReport evaluations (dims x trials x variants x kinds)."""
+    """total_trials counts relation evaluations (dims x trials x variants x kinds)."""
 
     total_trials: int
     violations: int
@@ -171,22 +173,21 @@ def _run_chunk(config: SweepConfig, dim: int, block: int):
     ab = sample_observable(dim, (seed(_ROLE_A), seed(_ROLE_B)), n)
     c = _overlap(*ab.eigenbasis)
     states = []
-    p = []  # per variant, the (2, n) maxima for A and B
     for variant in config.variants:
         if variant == "pure":
-            rho = sample_pure(dim, seed(_ROLE_PURE), n).density()
+            states.append(sample_pure(dim, seed(_ROLE_PURE), n).density().matrix)
         else:
-            rho = sample_mixed(dim, dim, seed(_ROLE_MIXED), n)
-        states.append(rho.matrix)
-        p.append(max_probability(ab, rho)[0])
-    p_a, p_b = np.stack(p, axis=1)
-    reports = [report_from_probabilities(kind, p_a, p_b, c) for kind in config.kinds]
+            states.append(sample_mixed(dim, dim, seed(_ROLE_MIXED), n).matrix)
+    rho = np.stack(states, axis=1)  # (trial, variant, N, N)
+    # Both variants against A and B in one pass: p[0] and p[1] are the
+    # (trial, variant) maxima for A and B.
+    p = _probabilities(ab.eigenbasis[:, :, None], rho).max(axis=-1)
     # slack[trial, variant, kind]: the first minimum in C order is the
     # smallest (trial, variant, kind), the witness key's tie-break.
-    slack = np.stack([np.broadcast_to(r.slack, p_a.shape).T for r in reports], axis=-1)
+    slack = _slacks(config.kinds, p[0], p[1], c[:, None])
     t, v, k = map(int, np.unravel_index(np.argmin(slack), slack.shape))
     key = (float(slack[t, v, k]), dim, t0 + t, v, k)
-    best = (key, states[v][t], ab.eigenbasis[0, t], ab.eigenbasis[1, t])
+    best = (key, rho[t, v], ab.eigenbasis[0, t], ab.eigenbasis[1, t])
     return slack.size, int(np.count_nonzero(slack < -config.tolerance)), best
 
 

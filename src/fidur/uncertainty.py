@@ -27,7 +27,7 @@ import numpy as np
 from . import linalg
 from .config import TOL, clamp
 from .errors import DimensionMismatch, DomainError
-from .metrics import MetricKind, f_of
+from .metrics import MetricKind, _f, f_of
 from .states import DensityMatrix, ProjectiveObservable, _check_dims
 
 __all__ = [
@@ -73,8 +73,13 @@ def outcome_probabilities(obs: ProjectiveObservable, rho: DensityMatrix) -> np.n
     tolerances fix it, to about 1e-10 + N * 1e-10 of 1.
     """
     _check_dims(obs, rho)
-    e = obs.eigenbasis
-    p = (e.conj() * (rho.matrix @ e)).sum(axis=-2)
+    return _probabilities(obs.eigenbasis, rho.matrix)
+
+
+def _probabilities(e: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``outcome_probabilities`` of validated eigenbases ``e`` and state
+    matrices ``rho`` of one dimension whose leading axes broadcast."""
+    p = (e.conj() * (rho @ e)).sum(axis=-2)
     imag = float(np.abs(p.imag).max())
     if imag > TOL.probability_imag:
         raise DomainError(f"outcome probability has imaginary part {imag:.3e}")
@@ -127,6 +132,21 @@ def report_from_probabilities(kind: MetricKind, p_max_a, p_max_b, c) -> URReport
     if c.ndim == 0:
         return URReport(*map(float, fields))
     return URReport(*fields)
+
+
+def _slacks(kinds, p_a: np.ndarray, p_b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The slack of ``report_from_probabilities(kind, p_a, p_b, c)`` for each
+    kind of ``kinds``, on a new last axis: every f is evaluated on one
+    (p_a, p_b, c^2) stack, clamped once. The float64 arrays must broadcast."""
+    shape = np.broadcast_shapes(p_a.shape, p_b.shape, c.shape)
+    x = np.empty((3, *shape))
+    x[0], x[1], x[2] = p_a, p_b, c * c
+    x = clamp(x, "metric_domain_guard")
+    slack = np.empty((*shape, len(kinds)))
+    for k, kind in enumerate(kinds):
+        u_a, u_b, bound = _f(kind, x)
+        slack[..., k] = u_a + u_b - bound
+    return slack
 
 
 def check_ur(

@@ -320,6 +320,44 @@ class TestDomainSpec:
             DomainSpec("angle", 0.9, 4)
 
 
+OVERLAP_CALLS = {
+    "DomainSpec": lambda kind, c: DomainSpec(kind, c, 2),
+    "g_boundary": lambda kind, c: g_boundary(kind, c, 0.5, 2),
+    "h_boundary": lambda kind, c: h_boundary(kind, c, 1.0),
+    "in_domain": lambda kind, c: in_domain(kind, c, 2, 0.6, 0.6),
+    "quadratic_form": lambda kind, c: quadratic_form(kind, c, 0.5, 0.5),
+    "boundary_from_quadratic": lambda kind, c: boundary_from_quadratic(kind, c, 1.0),
+}
+
+
+class TestOverlapType:
+    """The overlap is a real number everywhere: a str, None or bool is a
+    ValidationError, never numpy's or float's own error nor a silent 1.0."""
+
+    @pytest.mark.parametrize("c", ["x", "0.8", None, True, False, [0.8], 0.8j],
+                             ids=repr)
+    @pytest.mark.parametrize("call", sorted(OVERLAP_CALLS))
+    def test_non_real_overlap_is_a_validation_error(self, call, c):
+        for kind in ALL_KINDS:
+            with pytest.raises(ValidationError):
+                OVERLAP_CALLS[call](kind, c)
+
+    @pytest.mark.parametrize("call", sorted(OVERLAP_CALLS))
+    def test_real_overlap_types_agree(self, call):
+        for kind in ALL_KINDS:
+            ref = OVERLAP_CALLS[call](kind, 0.75)
+            assert OVERLAP_CALLS[call](kind, np.float64(0.75)) == ref
+            assert OVERLAP_CALLS[call](kind, 1) == OVERLAP_CALLS[call](kind, 1.0)
+
+    @pytest.mark.parametrize("c", [10**400, -(10**400)], ids=["huge", "huge-negative"])
+    def test_an_int_beyond_float_range_is_out_of_range(self, c):
+        with pytest.raises(ValidationError):
+            DomainSpec(MetricKind.ANGLE, c, 2)
+        with pytest.raises(DomainError):
+            g_boundary(MetricKind.ANGLE, c, 0.5, 2)
+        assert not in_domain(MetricKind.ANGLE, c, 2, 0.6, 0.6)
+
+
 class TestRegionSampling:
     def test_grid_endpoints_and_shape(self):
         spec = DomainSpec(MetricKind.ANGLE, INV_SQRT2, 2)

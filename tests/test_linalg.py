@@ -1,6 +1,13 @@
+import ast
+import pathlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import fidur
+import fidur.linalg
+import fidur.states
 from fidur.errors import (
     DimensionMismatch,
     NoConvergence,
@@ -10,7 +17,7 @@ from fidur.errors import (
 )
 from fidur.fidelity import fidelity, fidelity_oracle
 from fidur.linalg import hermitian_eig, psd_sqrt
-from fidur.states import DensityMatrix
+from fidur.states import DensityMatrix, sample_haar_unitary
 
 
 def random_hermitian(dim, rng):
@@ -182,9 +189,77 @@ class TestOneCheck:
         ],
     )
     def test_solver_failure_is_no_convergence_everywhere(self, monkeypatch, solver, call):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("forced")
+        if solver == "svd":  # the one solver still called through np.linalg
+            def fail(*args, **kwargs):
+                raise np.linalg.LinAlgError("forced")
 
-        monkeypatch.setattr(np.linalg, solver, fail)
+            monkeypatch.setattr(np.linalg, "svd", fail)
+        else:
+            real = fidur.linalg._umath_linalg
+            gufuncs = SimpleNamespace(eigh_lo=real.eigh_lo, eigvalsh_lo=real.eigvalsh_lo)
+            gufunc = getattr(real, f"{solver}_lo")
+
+            def fail(h, signature):
+                # LAPACK does not converge on this matrix: a real failure, not a fake one.
+                return gufunc(np.full((3, 3), np.nan, dtype=complex), signature=signature)
+
+            setattr(gufuncs, f"{solver}_lo", fail)
+            monkeypatch.setattr(fidur.linalg, "_umath_linalg", gufuncs)
         with pytest.raises(NoConvergence):
             call()
+
+
+def _hermitian_stack(rng, shape, dim):
+    z = rng.standard_normal((*shape, dim, dim)) + 1j * rng.standard_normal((*shape, dim, dim))
+    return (z + fidur.linalg.adjoint(z)) / 2
+
+
+class TestSolverSeam:
+    """``eigensolve`` and ``qr_unitary`` call numpy's LAPACK gufuncs without
+    ``np.linalg``'s wrapper; they must keep its bits and its failure mapping."""
+
+    @pytest.mark.parametrize("shape", [(), (1,), (5,), (2, 3)], ids=str)
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_eigensolve_is_bitwise_np_linalg(self, dim, shape):
+        h = _hermitian_stack(np.random.default_rng(dim), shape, dim)
+        w, v = fidur.linalg.eigensolve(h, vectors=True)
+        w_ref, v_ref = np.linalg.eigh(h)
+        assert w.tobytes() == w_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+        assert fidur.linalg.eigensolve(h).tobytes() == np.linalg.eigvalsh(h).tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (1,), (5,), (2, 3)], ids=str)
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_qr_is_bitwise_np_linalg(self, dim, shape):
+        rng = np.random.default_rng(100 + dim)
+        a = rng.standard_normal((*shape, dim, dim)) + 1j * rng.standard_normal((*shape, dim, dim))
+        q_ref, r_ref = np.linalg.qr(a)
+        q, d = fidur.linalg.qr_unitary(a.copy())
+        assert q.tobytes() == q_ref.tobytes()
+        assert d.tobytes() == np.diagonal(r_ref, axis1=-2, axis2=-1).tobytes()
+
+    @pytest.mark.parametrize("count", [None, 4])
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_haar_sampler_is_bitwise_the_np_linalg_route(self, dim, count):
+        shape = (dim, dim) if count is None else (count, dim, dim)
+        q, r = np.linalg.qr(fidur.states._gaussian(dim, shape))
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        ph = np.where(np.abs(d) > 0, d, 1.0)
+        expected = q * (ph / np.abs(ph))[..., None, :]
+        assert sample_haar_unitary(dim, dim, count).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    @pytest.mark.parametrize("dim", range(3, 11))
+    def test_a_nan_matrix_is_no_convergence_not_a_warning(self, dim, vectors):
+        # pytest turns a RuntimeWarning into an error, which is not NoConvergence.
+        with pytest.raises(NoConvergence):
+            fidur.linalg.eigensolve(np.full((2, dim, dim), np.nan, dtype=complex), vectors)
+
+    def test_only_linalg_imports_the_lapack_gufuncs(self):
+        importers = []
+        for path in sorted(pathlib.Path(fidur.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                    if any("_umath_linalg" in n for n in names):
+                        importers.append(path.name)
+        assert importers == ["linalg.py"]

@@ -5,7 +5,9 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fidur.linalg
 from fidur.domains import DomainSpec, g_boundary, in_domain, region_samples
 from fidur.errors import DimensionMismatch, IndexOutOfRange, ValidationError
 from fidur.fidelity import fidelity_pure_mixed, purification_overlap_search
@@ -15,6 +17,7 @@ from fidur.states import (
     DensityMatrix,
     ProjectiveObservable,
     PureState,
+    _generator,
     computational_observable,
     derived_seed,
     fourier_observable,
@@ -142,13 +145,16 @@ def _triangle_distances(triple):
 
 
 def _count_solver_calls(monkeypatch) -> collections.Counter:
+    """Count the calls of the one LAPACK seam, as "eigh" (with eigenvectors)
+    and "eigvalsh" (eigenvalues only)."""
     counts = collections.Counter()
-    for name in ("eigh", "eigvalsh"):
-        def counted(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _solve(*args, **kwargs)
+    solve = fidur.linalg.eigensolve
 
-        monkeypatch.setattr(np.linalg, name, counted)
+    def counted(h, vectors=False):
+        counts["eigh" if vectors else "eigvalsh"] += 1
+        return solve(h, vectors)
+
+    monkeypatch.setattr(fidur.linalg, "eigensolve", counted)
     return counts
 
 
@@ -381,6 +387,42 @@ class TestDerivedSeed:
         assert derived_seed(np.int64(42), np.uint8(3), 1) == derived_seed(42, 3, 1)
         a = sample_pure(3, np.int64(1)).amplitudes
         assert np.array_equal(a, sample_pure(3, 1).amplitudes)
+
+
+# Where numpy's int-to-word conversion changes: word counts, and high words of zero.
+EDGE_INTEGERS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 - 1, 2**96, 10**40,
+                 2**128 - 1, 2**128]
+integers = st.one_of(
+    st.sampled_from(EDGE_INTEGERS),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**140),
+)
+# Derived seeds are 128-bit; keep 1 to 4 of their words, so the top ones are 0.
+seeds = st.one_of(
+    integers,
+    st.builds(
+        lambda entropy, words: derived_seed(*entropy) % 2 ** (32 * words),
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        st.integers(1, 4),
+    ),
+)
+
+
+class TestSeedingGate:
+    """The seeding shortcuts are bitwise numpy's own routes, so a numpy that
+    hashes or seeds differently fails here instead of silently changing streams."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(entropy=st.lists(integers, min_size=1, max_size=5))
+    def test_derived_seed_is_seed_sequence_of_the_list(self, entropy):
+        words = np.random.SeedSequence(entropy).generate_state(4)
+        assert derived_seed(*entropy) == int.from_bytes(words.tobytes(), "little")
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(seed=seeds)
+    def test_generator_is_default_rng(self, seed):
+        ours = _generator(seed).standard_normal(16)
+        assert ours.tobytes() == np.random.default_rng(seed).standard_normal(16).tobytes()
 
 
 class TestSamplers:

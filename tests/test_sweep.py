@@ -13,7 +13,7 @@ from fidur.errors import ValidationError
 from fidur.metrics import MetricKind, metric_kind
 from fidur.states import ProjectiveObservable, state_from_payload
 from fidur.sweep import BLOCK, SweepConfig, SweepResult, run_sweep
-from fidur.uncertainty import URReport, check_ur
+from fidur.uncertainty import check_ur
 
 ALL_KINDS = (MetricKind.ANGLE, MetricKind.BURES, MetricKind.ROOT_INFIDELITY)
 
@@ -309,10 +309,10 @@ class TestBlockedSweep:
             assert np.array_equal(x, y)
 
     def test_counts_a_scalar_violating_report_once_per_trial(self, monkeypatch):
-        def scalar_report(kind, p_a, p_b, c):
-            return URReport(0.5, 0.5, 0.0, 0.0, 0.5, 1.0, -1.0)
+        def violating_slacks(kinds, p_a, p_b, c):
+            return np.full((*np.broadcast_shapes(p_a.shape, c.shape), len(kinds)), -1.0)
 
-        monkeypatch.setattr(fidur.sweep, "report_from_probabilities", scalar_report)
+        monkeypatch.setattr(fidur.sweep, "_slacks", violating_slacks)
         result = run_sweep(small_config())
         assert result.violations == result.total_trials
         assert result.min_slack == -1.0
@@ -322,15 +322,13 @@ class TestBlockedSweep:
         beats trial 5 although its kind comes later."""
         config = small_config()
 
-        def tied_report(kind, p_a, p_b, c):
-            slack = np.zeros(np.shape(p_a))
-            if kind is config.kinds[0]:
-                slack[..., 5] = -1.0
-            if kind is config.kinds[2]:
-                slack[..., 3] = -1.0
-            return URReport(p_a, p_b, slack, slack, c, slack, slack)
+        def tied_slacks(kinds, p_a, p_b, c):
+            slack = np.zeros((*np.broadcast_shapes(p_a.shape, c.shape), len(kinds)))
+            slack[5, :, 0] = -1.0
+            slack[3, :, 2] = -1.0
+            return slack
 
-        monkeypatch.setattr(fidur.sweep, "report_from_probabilities", tied_report)
+        monkeypatch.setattr(fidur.sweep, "_slacks", tied_slacks)
         witness = run_sweep(config).min_slack_witness
         assert (witness["dim"], witness["trial"], witness["mixedness"], witness["kind"]) == (
             2, 3, "pure", config.kinds[2].value)

@@ -20,6 +20,8 @@ from fidur.states import (
 )
 from fidur.uncertainty import (
     URReport,
+    _probabilities,
+    _slacks,
     check_ur,
     max_probability,
     outcome_probabilities,
@@ -289,6 +291,36 @@ class TestStackedKernels:
                 assert (p_a[t], i_a[t]) == max_probability(a_t, rho_t)
                 single = check_ur(kind, a_t, b_t, rho_t)
                 assert URReport(*(float(getattr(stacked, f)[t]) for f in FIELDS)) == single
+
+    @pytest.mark.parametrize("dim", [2, 3, 7, 10])
+    def test_sweep_chunk_kernels_equal_the_library_calls_bitwise(self, dim):
+        """One probability pass over both variants, and the slacks of every
+        kind from one stack, are the per-variant and per-kind library calls."""
+        n = 9
+        ab = sample_observable(dim, (derived_seed(91, dim, 0), derived_seed(91, dim, 1)), n)
+        pure = sample_pure(dim, seed=derived_seed(91, dim, 2), count=n).density()
+        mixed = sample_mixed(dim, dim, seed=derived_seed(91, dim, 3), count=n)
+        rho = np.stack([pure.matrix, mixed.matrix], axis=1)
+        p = _probabilities(ab.eigenbasis[:, :, None], rho)
+        c = overlap(ProjectiveObservable(ab.eigenbasis[0]), ProjectiveObservable(ab.eigenbasis[1]))
+        p_max = p.max(axis=-1)
+        slack = _slacks(ALL_KINDS, p_max[0], p_max[1], c[:, None])
+        assert slack.shape == (n, 2, len(ALL_KINDS))
+        for v, state in enumerate((pure, mixed)):
+            assert np.array_equal(p[:, :, v], outcome_probabilities(ab, state))
+            p_a, p_b = max_probability(ab, state)[0]
+            for k, kind in enumerate(ALL_KINDS):
+                report = report_from_probabilities(kind, p_a, p_b, c)
+                assert slack[:, v, k].tobytes() == report.slack.tobytes()
+
+    def test_the_probability_pass_keeps_its_guards(self):
+        e = np.eye(2, dtype=complex)[None]
+        with pytest.raises(DomainError, match="imaginary part"):
+            _probabilities(e, np.diag([0.5 + 1e-6j, 0.5])[None])
+        with pytest.raises(DomainError, match="probability_clamp"):
+            _probabilities(e, np.diag([1.5, -0.5]).astype(complex)[None])
+        assert _probabilities(e, np.diag([1.0 + 1e-12, -1e-12]).astype(complex)).tolist() == [
+            [1.0, 0.0]]
 
     def test_scalar_calls_return_floats(self):
         rep = report_from_probabilities(MetricKind.ANGLE, 0.75, 0.5, 0.8)
