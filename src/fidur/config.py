@@ -5,13 +5,17 @@ every value that round-off may push slightly outside its interval (F,
 p_i, c, a metric argument, a boundary point) goes through ``clamp`` under
 the name of its ``TOL`` field, so the guard bands stay consistent and
 auditable. All values are absolute unless the field comment says otherwise.
+
+Error budget, what an input band allows at an output: a trace 1 + d within
+``trace_one`` moves P = max_i p_i by <= |d| (clamped to 1) and no longer moves
+U = f(P) or the slack, whose 1 - P is that of the state normalized by its trace.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -36,15 +40,18 @@ TOL = Tolerances()
 
 def clamp(x, guard: str, lo: float = 0.0, hi: float = 1.0):
     """``x`` clamped to [lo, hi]; DomainError when any element lies more
-    than ``TOL.<guard>`` outside it (nan and +-inf included). A float or a
-    0-d input gives an ``np.float64``, anything else a float64 array."""
+    than ``TOL.<guard>`` outside it (nan and +-inf included), ValidationError
+    unless it is real (a str, None or bool is not). A float or a 0-d input
+    gives an ``np.float64``, anything else a float64 array."""
     band = getattr(TOL, guard)
     # Both comparisons are false for nan, so nan and +-inf fail here too.
     if isinstance(x, float):
         if not lo - band <= x <= hi + band:
             raise DomainError(f"{x!r} outside [{lo!r}, {hi!r}] beyond {guard}")
         return np.float64(min(max(x, lo), hi))
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    if x.dtype.kind not in "iuf":
+        raise ValidationError(f"{guard} takes real numbers, got an array of {x.dtype}")
     ok = (x >= lo - band) & (x <= hi + band)
     if not ok.all():
         raise DomainError(f"{float(x[~ok].flat[0])!r} outside [{lo!r}, {hi!r}] beyond {guard}")

@@ -30,7 +30,6 @@ are exposed and cross-asserted.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,18 +59,6 @@ def _check_kind(kind) -> MetricKind:
     return kind
 
 
-def _real(c) -> float:
-    """The overlap ``c`` as a float; ValidationError unless it is a real number
-    (a str, None or bool is not). An int beyond the float range reads as
-    +-inf, which every range check rejects."""
-    if isinstance(c, bool) or not isinstance(c, numbers.Real):
-        raise ValidationError(f"overlap must be a real number, got {c!r}")
-    try:
-        return float(c)
-    except OverflowError:
-        return math.inf if c > 0 else -math.inf
-
-
 @dataclass(frozen=True)
 class DomainSpec:
     """One feasibility domain: metric kind, overlap, and dimension."""
@@ -85,7 +72,7 @@ class DomainSpec:
         dim = linalg._integer("dim", self.dim)
         if dim < 2:
             raise ValidationError("dimension must be at least 2")
-        c = _real(self.overlap_c)
+        c = linalg._real("overlap", self.overlap_c)
         try:
             lo = 1.0 / math.sqrt(dim) - TOL.overlap_guard
         except OverflowError:
@@ -126,7 +113,7 @@ class QuadraticForm:
 
 
 def _check_c(c: float) -> float:
-    c = _real(c)
+    c = linalg._real("overlap", c)
     if not 0.0 < c <= 1.0 + TOL.overlap_guard:
         raise DomainError(f"overlap {c!r} outside (0, 1]")
     return min(c, 1.0)
@@ -176,6 +163,7 @@ def g_boundary(kind: MetricKind, c: float, p, dim: int):
 
 def in_domain(kind: MetricKind, c: float, dim: int, p_a: float, p_b: float) -> bool:
     """Whether (p_a, p_b) lies in D_{kind,c} up to the membership guard."""
+    p_a, p_b = linalg._real("p_a", p_a), linalg._real("p_b", p_b)
     if linalg._integer("dim", dim) < 2:
         return False
     lo = 1.0 / dim - TOL.domain_guard
@@ -193,8 +181,8 @@ def quadratic_form(kind: MetricKind, c: float, p_a: float, p_b: float) -> Quadra
     """Coefficients and substitution value of the boundary quadratic."""
     _check_kind(kind)
     c = _check_c(c)
-    p_a = float(clamp(p_a, "domain_guard"))
-    p_b = float(clamp(p_b, "domain_guard"))
+    p_a = float(clamp(linalg._real("p_a", p_a), "domain_guard"))
+    p_b = float(clamp(linalg._real("p_b", p_b), "domain_guard"))
     if kind is MetricKind.ANGLE:
         return QuadraticForm(
             a1=2.0 * c * math.sqrt(1.0 - p_a),
@@ -223,7 +211,7 @@ def boundary_from_quadratic(kind: MetricKind, c: float, p_a: float) -> float:
     """
     _check_kind(kind)
     c = _check_c(c)
-    q = quadratic_form(kind, c, clamp(p_a, "domain_guard", c * c), 1.0)
+    q = quadratic_form(kind, c, clamp(linalg._real("p_a", p_a), "domain_guard", c * c), 1.0)
     _, xi_plus = q.roots()
     xi_plus = max(xi_plus, 0.0)
     if kind is MetricKind.BURES:

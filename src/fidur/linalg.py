@@ -10,7 +10,7 @@ States and raw matrices share one set of internal checks:
 symmetrizes, ``check_psd`` tests ascending eigenvalues (of a state once,
 when it is built). Their tolerances are those of ``fidur.config.TOL``.
 ``array_shape`` is the one size check for the arrays the samplers and
-the region grid build, and ``_integer`` the one integer check.
+the region grid build, ``_integer`` and ``_real`` the one integer and real checks.
 
 Every LAPACK call of the package goes through this module, and a solver
 failure is NoConvergence everywhere. ``eigensolve`` and ``qr_unitary``
@@ -26,6 +26,7 @@ differs between numpy versions.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -48,6 +49,17 @@ def _integer(name: str, value) -> int:
         except TypeError:
             pass
     raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float, booleans and non-reals rejected; an int beyond
+    the float range reads as +-inf, which every range check rejects."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def array_shape(*shape: int) -> tuple:

@@ -1,11 +1,11 @@
 """Fidelity-based metrics d(rho, sigma) = f(F(rho, sigma)).
 
 Any decreasing f: [0,1] -> [0, inf) with f(1) = 0 generates a distance of
-this family. Three are built in:
+this family. Three are built in, each evaluated in y = 1 - x:
 
-    angle            f(x) = arccos(sqrt(x))
-    bures            f(x) = sqrt(2 - 2 sqrt(x))
-    root-infidelity  f(x) = sqrt(1 - x)
+    angle            f(x) = arccos(sqrt(x))      = arcsin(sqrt(y))
+    bures            f(x) = sqrt(2 - 2 sqrt(x))  = sqrt(2y / (1 + sqrt(1 - y)))
+    root-infidelity  f(x) = sqrt(1 - x)          = sqrt(y)
 """
 
 from __future__ import annotations
@@ -48,22 +48,21 @@ def f_of(kind: MetricKind, x):
     ``x`` may be a float, giving a float, or an array, giving the array of
     values; the domain guard applies to every element. A float is checked
     with plain comparisons and clamped to an ``np.float64``, which then
-    takes the same kernel as an array.
+    takes the same kernel as an array: f of the complement 1 - x.
     """
-    y = _f(kind, clamp(x, "metric_domain_guard"))
+    y = _f(kind, 1.0 - clamp(x, "metric_domain_guard"))
     return float(y) if y.ndim == 0 else y
 
 
-def _f(kind: MetricKind, x):
-    """``f_of`` on an ``x`` already clamped to [0, 1], without the guard."""
-    # x is clamped to [0, 1] and IEEE sqrt is monotone with sqrt(1) = 1, so
-    # sqrt(x) <= 1 and both differences are >= 0: no further guard is needed.
+def _f(kind: MetricKind, y):
+    """f of ``kind`` at x = 1 - y for y in [0, 1], keeping the relative
+    accuracy of a small y that forming x would round away."""
     if kind is MetricKind.ANGLE:
-        return np.arccos(np.sqrt(x))
+        return np.arcsin(np.sqrt(y))
     if kind is MetricKind.BURES:
-        return np.sqrt(2.0 - 2.0 * np.sqrt(x))
+        return np.sqrt(2.0 * y / (1.0 + np.sqrt(1.0 - y)))
     if kind is MetricKind.ROOT_INFIDELITY:
-        return np.sqrt(1.0 - x)
+        return np.sqrt(y)
     raise ValidationError(f"not a metric kind: {kind!r}")
 
 

@@ -3,9 +3,11 @@
 One trial of dimension d draws two Haar observables and, depending on
 ``mixedness``, a Haar pure state and/or a generic full-rank mixed state
 (auxiliary dimension = d), then evaluates the slack of the relation
-U(A;rho) + U(B;rho) >= f(c^2) per requested metric kind and state variant:
-a chunk takes the outcome probabilities of every variant in one pass and
-the slacks of every kind from one (P_A, P_B, c^2) stack.
+U(A;rho) + U(B;rho) >= f(c^2) per requested metric kind and state variant,
+on the complements 1 - P_A, 1 - P_B, 1 - c^2 (see ``fidur.uncertainty``)
+of the factors its samplers drew: a pure state's amplitudes psi
+(rho = psi psi^dag) and a mixed state's purification amplitudes as an
+N x N matrix M (rho = M M^dag).
 
 Trials run in blocks of ``BLOCK``: block j of dimension d holds trials
 [j*BLOCK, (j+1)*BLOCK), and each of its random objects is drawn as one
@@ -24,27 +26,27 @@ import collections
 import contextlib
 import itertools
 import json
-import numbers
+import math
 import os
-import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .config import TOL
 from .errors import ValidationError
-from .linalg import _integer
+from .linalg import _integer, _real
 from .metrics import MetricKind, metric_kind
 from .states import (
     DensityMatrix,
     ProjectiveObservable,
+    PureState,
     derived_seed,
-    sample_mixed,
+    partial_trace_aux,
     sample_observable,
     sample_pure,
 )
-from .uncertainty import _overlap, _probabilities, _slacks
+from .uncertainty import _maxima, _overlap, _slacks
 
 __all__ = ["BLOCK", "SweepConfig", "SweepResult", "run_sweep"]
 
@@ -85,11 +87,7 @@ class SweepConfig:
             raise ValidationError("seed must be non-negative")
         if self.mixedness not in _MIXEDNESS:
             raise ValidationError(f"mixedness must be one of {_MIXEDNESS}")
-        if (
-            isinstance(self.tolerance, bool)
-            or not isinstance(self.tolerance, numbers.Real)
-            or not 0 < self.tolerance <= sys.float_info.max
-        ):
+        if not 0 < _real("tolerance", self.tolerance) < math.inf:
             raise ValidationError("tolerance must be a positive finite number")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "kinds", kinds)
@@ -102,14 +100,7 @@ class SweepConfig:
         return ("pure", "mixed") if self.mixedness == "both" else (self.mixedness,)
 
     def to_payload(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "trials_per_dim": self.trials_per_dim,
-            "seed": self.seed,
-            "kinds": [k.value for k in self.kinds],
-            "mixedness": self.mixedness,
-            "tolerance": self.tolerance,
-        }
+        return {**asdict(self), "dims": list(self.dims), "kinds": [k.value for k in self.kinds]}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SweepConfig":
@@ -124,14 +115,7 @@ class SweepConfig:
             raise ValidationError(f"sweep config has unknown keys: {sorted(unknown)}")
         if not isinstance(payload["kinds"], list):
             raise ValidationError("kinds must be a list of metric names")
-        return cls(
-            dims=payload["dims"],
-            trials_per_dim=payload["trials_per_dim"],
-            seed=payload["seed"],
-            kinds=tuple(metric_kind(k) for k in payload["kinds"]),
-            mixedness=payload["mixedness"],
-            tolerance=payload.get("tolerance", TOL.ur_slack),
-        )
+        return cls(**{**payload, "kinds": tuple(metric_kind(k) for k in payload["kinds"])})
 
 
 @dataclass(frozen=True)
@@ -144,12 +128,7 @@ class SweepResult:
     min_slack_witness: dict
 
     def to_payload(self) -> dict:
-        return {
-            "total_trials": self.total_trials,
-            "violations": self.violations,
-            "min_slack": self.min_slack,
-            "min_slack_witness": self.min_slack_witness,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_payload(), sort_keys=True)
@@ -160,8 +139,8 @@ def _run_chunk(config: SweepConfig, dim: int, block: int):
 
     Returns (count, violations, best) with best = (sort_key, rho, a, b):
     the key orders first by slack, then by trial coordinates, so the
-    merged minimum is unique and order-free, and the matrices are the
-    witness's state and observable bases.
+    merged minimum is unique and order-free, and the arrays are the
+    witness's state (its amplitudes, if pure) and observable bases.
     """
     t0 = block * BLOCK
     n = min(BLOCK, config.trials_per_dim - t0)
@@ -171,23 +150,27 @@ def _run_chunk(config: SweepConfig, dim: int, block: int):
 
     # A and B as one (2, n) stack; each member is what its own seed draws.
     ab = sample_observable(dim, (seed(_ROLE_A), seed(_ROLE_B)), n)
-    c = _overlap(*ab.eigenbasis)
-    states = []
-    for variant in config.variants:
+    # y[:, trial, variant] = (1 - P_A, 1 - P_B, 1 - c^2)
+    y = np.empty((3, n, len(config.variants)))
+    y[2] = _overlap(*ab.eigenbasis)[1][:, None]
+    states = []  # per variant, the pure amplitudes or the mixed matrices
+    for v, variant in enumerate(config.variants):
         if variant == "pure":
-            states.append(sample_pure(dim, seed(_ROLE_PURE), n).density().matrix)
+            psi = sample_pure(dim, seed(_ROLE_PURE), n).amplitudes
+            states.append(psi)
+            g = psi[..., None]
         else:
-            states.append(sample_mixed(dim, dim, seed(_ROLE_MIXED), n).matrix)
-    rho = np.stack(states, axis=1)  # (trial, variant, N, N)
-    # Both variants against A and B in one pass: p[0] and p[1] are the
-    # (trial, variant) maxima for A and B.
-    p = _probabilities(ab.eigenbasis[:, :, None], rho).max(axis=-1)
+            # sample_mixed's states, kept with the purification that factors them
+            psi = sample_pure(dim * dim, seed(_ROLE_MIXED), n)
+            states.append(partial_trace_aux(psi, dim, dim).matrix)
+            g = psi.amplitudes.reshape(n, dim, dim)
+        y[:2, :, v] = _maxima(ab.eigenbasis, g)[1]
     # slack[trial, variant, kind]: the first minimum in C order is the
     # smallest (trial, variant, kind), the witness key's tie-break.
-    slack = _slacks(config.kinds, p[0], p[1], c[:, None])
+    slack = _slacks(config.kinds, y)[-1]
     t, v, k = map(int, np.unravel_index(np.argmin(slack), slack.shape))
     key = (float(slack[t, v, k]), dim, t0 + t, v, k)
-    best = (key, rho[t, v], ab.eigenbasis[0, t], ab.eigenbasis[1, t])
+    best = (key, states[v][t], ab.eigenbasis[0, t], ab.eigenbasis[1, t])
     return slack.size, int(np.count_nonzero(slack < -config.tolerance)), best
 
 
@@ -217,7 +200,7 @@ def _witness(config: SweepConfig, best) -> dict:
         "mixedness": config.variants[v_idx],
         "kind": config.kinds[k_idx].value,
         "slack": slack,
-        "rho": DensityMatrix(rho).to_payload(),
+        "rho": (PureState(rho).density() if rho.ndim == 1 else DensityMatrix(rho)).to_payload(),
         "a": ProjectiveObservable(a).to_payload(),
         "b": ProjectiveObservable(b).to_payload(),
         "seed": config.seed,

@@ -4,17 +4,19 @@ they satisfy.
 For an observable A with eigenbasis {|a_i>} and a state rho, the outcome
 probabilities are p_i = <a_i|rho|a_i> and P = max_i p_i in [1/N, 1]. The
 uncertainty measure is U(A; rho) = f(P) for a decreasing f with f(1) = 0,
-and for any two observables with eigenbasis overlap
-c = max_ij |<a_i|b_j>| the relation
+and for any two observables with eigenbasis overlap c = max_ij |<a_i|b_j>|
+the relation U(A; rho) + U(B; rho) >= f(c^2) holds for every state (with
+the angle kind, the Landau-Pollak inequality extended to mixed states).
 
-    U(A; rho) + U(B; rho) >= f(c^2)
-
-holds for every state. With the angle kind this is the Landau-Pollak
-inequality extended to mixed states: arccos sqrt(P_A) + arccos sqrt(P_B)
->= arccos c. ``check_ur`` evaluates one instance and reports the slack;
-a negative slack beyond tolerance is a finding to surface, never an
-exception, since for valid inputs it can only mean a numerical or
-implementation bug.
+It is tight on a set of states and every f has infinite slope at 1, so it
+is evaluated on complements, never on P or c^2: p_i = ||G^dag a_i||^2, a
+sum of squares, for a factor G of the state (rho = G G^dag); 1 - P is the
+sum of all p_i but the largest over the sum of all, which divides out the
+trace; 1 - c^2 is the smallest such complement over the columns of
+|A^dag B|^2. ``check_ur`` factors rho by its root and the sweep by its
+sampled amplitudes; both, and ``report_from_probabilities``, take the
+slack from ``_slacks``. A negative slack beyond tolerance is a finding,
+never an exception: for valid inputs it means a bug.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import linalg
-from .config import TOL, clamp
-from .errors import DimensionMismatch, DomainError
-from .metrics import MetricKind, _f, f_of
+from .config import clamp
+from .errors import DimensionMismatch
+from .metrics import MetricKind, _f
 from .states import DensityMatrix, ProjectiveObservable, _check_dims
 
 __all__ = [
@@ -65,25 +67,33 @@ class URReport:
 
 
 def outcome_probabilities(obs: ProjectiveObservable, rho: DensityMatrix) -> np.ndarray:
-    """p_i = <a_i|rho|a_i> for every outcome, clamped to [0, 1].
+    """p_i = <a_i|rho|a_i> = ||sqrt(rho) a_i||^2 for every outcome, clamped to [0, 1].
 
     Stacked observables and/or states broadcast over their leading axes;
-    the result has shape (..., N) and every member passes the same guards.
+    the result has shape (..., N) and every member passes the same guard.
     The sum is not checked: the constructors' trace and orthonormality
     tolerances fix it, to about 1e-10 + N * 1e-10 of 1.
     """
     _check_dims(obs, rho)
-    return _probabilities(obs.eigenbasis, rho.matrix)
+    return clamp(_probabilities(obs.eigenbasis, rho.sqrt), "probability_clamp")
 
 
-def _probabilities(e: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """``outcome_probabilities`` of validated eigenbases ``e`` and state
-    matrices ``rho`` of one dimension whose leading axes broadcast."""
-    p = (e.conj() * (rho @ e)).sum(axis=-2)
-    imag = float(np.abs(p.imag).max())
-    if imag > TOL.probability_imag:
-        raise DomainError(f"outcome probability has imaginary part {imag:.3e}")
-    return clamp(p.real, "probability_clamp")
+def _probabilities(e: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """p_i = ||G^dag e_i||^2 for eigenbases ``e`` and state factors ``g``
+    (N x K, rho = G G^dag) whose leading axes broadcast."""
+    w = linalg.adjoint(e) @ g
+    return (w.real * w.real + w.imag * w.imag).sum(axis=-1)
+
+
+def _complement(p: np.ndarray) -> np.ndarray:
+    """1 - max p / sum p along the last axis, as (sum of p but its largest) / sum p."""
+    return np.sort(p)[..., :-1].sum(axis=-1) / p.sum(axis=-1)
+
+
+def _maxima(e: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P, 1 - P) of ``_probabilities(e, g)``, P under ``probability_clamp``."""
+    p = _probabilities(e, g)
+    return clamp(p.max(axis=-1), "probability_clamp"), _complement(p)
 
 
 def max_probability(obs: ProjectiveObservable, rho: DensityMatrix):
@@ -103,15 +113,18 @@ def max_probability(obs: ProjectiveObservable, rho: DensityMatrix):
 def overlap(a: ProjectiveObservable, b: ProjectiveObservable):
     """c = max_ij |<a_i|b_j>|, in [1/sqrt(N), 1]; an array for stacks."""
     _check_dims(a, b)
-    c = _overlap(a.eigenbasis, b.eigenbasis)
+    c, _ = _overlap(a.eigenbasis, b.eigenbasis)
     return float(c) if c.ndim == 0 else c
 
 
-def _overlap(ea: np.ndarray, eb: np.ndarray) -> np.ndarray:
-    """``overlap`` of two validated eigenbases (or stacks) of one dimension."""
-    c = np.abs(linalg.adjoint(ea) @ eb).max(axis=(-2, -1))
+def _overlap(ea: np.ndarray, eb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, 1 - c^2) of two validated eigenbases (or stacks) of one dimension."""
+    x = linalg.adjoint(ea) @ eb
     # Valid bases keep c far above 1/sqrt(N), so only the upper guard is reachable.
-    return clamp(c, "overlap_guard")
+    c = clamp(np.abs(x).max(axis=(-2, -1)), "overlap_guard")
+    # Column j of |x|^2 is the outcome distribution of |b_j> under A.
+    y = _complement((x.real * x.real + x.imag * x.imag).swapaxes(-1, -2)).min(axis=-1)
+    return c, y
 
 
 def report_from_probabilities(kind: MetricKind, p_max_a, p_max_b, c) -> URReport:
@@ -119,34 +132,30 @@ def report_from_probabilities(kind: MetricKind, p_max_a, p_max_b, c) -> URReport
 
     Floats give a report of floats. Arrays broadcast against each other and
     give a report whose fields are arrays of the common shape, element i
-    equal to the report of the floats at i.
+    equal to the report of the floats at i; u_a is ``f_of(kind, p_max_a)``.
     """
-    arrays = [np.asarray(v, dtype=np.float64) for v in (p_max_a, p_max_b, c)]
+    y = [1.0 - clamp(x, "metric_domain_guard") for x in (p_max_a, p_max_b, np.square(c))]
+    return _report(kind, p_max_a, p_max_b, c, *y)
+
+
+def _report(kind: MetricKind, *values) -> URReport:
+    """The URReport of (P_A, P_B, c, 1 - P_A, 1 - P_B, 1 - c^2), broadcast together."""
+    arrays = [np.asarray(v, dtype=np.float64) for v in values]
     try:
-        p_a, p_b, c = np.broadcast_arrays(*arrays)
+        p_a, p_b, c, *y = np.broadcast_arrays(*arrays)
     except ValueError:
-        shapes = ", ".join(str(a.shape) for a in arrays)
+        shapes = ", ".join(str(a.shape) for a in arrays[:3])
         raise DimensionMismatch(f"shapes {shapes} do not broadcast") from None
-    u_a, u_b, bound = f_of(kind, np.stack((p_a, p_b, c * c)))
-    fields = (p_a, p_b, u_a, u_b, c, bound, u_a + u_b - bound)
-    if c.ndim == 0:
-        return URReport(*map(float, fields))
-    return URReport(*fields)
+    u_a, u_b, bound, slack = (t[..., 0] for t in _slacks((kind,), np.stack(y)))
+    fields = (p_a, p_b, u_a, u_b, c, bound, slack)
+    return URReport(*map(float, fields)) if c.ndim == 0 else URReport(*fields)
 
 
-def _slacks(kinds, p_a: np.ndarray, p_b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The slack of ``report_from_probabilities(kind, p_a, p_b, c)`` for each
-    kind of ``kinds``, on a new last axis: every f is evaluated on one
-    (p_a, p_b, c^2) stack, clamped once. The float64 arrays must broadcast."""
-    shape = np.broadcast_shapes(p_a.shape, p_b.shape, c.shape)
-    x = np.empty((3, *shape))
-    x[0], x[1], x[2] = p_a, p_b, c * c
-    x = clamp(x, "metric_domain_guard")
-    slack = np.empty((*shape, len(kinds)))
-    for k, kind in enumerate(kinds):
-        u_a, u_b, bound = _f(kind, x)
-        slack[..., k] = u_a + u_b - bound
-    return slack
+def _slacks(kinds, y: np.ndarray) -> tuple:
+    """(u_a, u_b, bound, slack) for each kind of ``kinds`` on a new last axis,
+    from the complements ``y`` = (1 - P_A, 1 - P_B, 1 - c^2) on a first axis."""
+    u = np.stack([_f(kind, y) for kind in kinds], axis=-1)
+    return u[0], u[1], u[2], u[0] + u[1] - u[2]
 
 
 def check_ur(
@@ -155,9 +164,11 @@ def check_ur(
     b: ProjectiveObservable,
     rho: DensityMatrix,
 ) -> URReport:
-    """Evaluate U(A;rho) + U(B;rho) >= f(c^2) for one (kind, A, B, rho)."""
-    _check_dims(a, b)
-    p_a, _ = max_probability(a, rho)
-    p_b, _ = max_probability(b, rho)
-    c = overlap(a, b)
-    return report_from_probabilities(kind, p_a, p_b, c)
+    """Evaluate U(A;rho) + U(B;rho) >= f(c^2) for one (kind, A, B, rho), with
+    the probabilities of the factor sqrt(rho)."""
+    for x, z in ((a, b), (a, rho), (b, rho)):
+        _check_dims(x, z)
+    g = rho.sqrt
+    (p_a, y_a), (p_b, y_b) = (_maxima(e, g) for e in (a.eigenbasis, b.eigenbasis))
+    c, y_c = _overlap(a.eigenbasis, b.eigenbasis)
+    return _report(kind, p_a, p_b, c, y_a, y_b, y_c)

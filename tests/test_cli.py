@@ -142,6 +142,26 @@ class TestCheckURCommand:
         assert main(["check-ur", zero_state, zero_state, hadamard_obs, "--metric", "angle"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("theta, scale", [(7e-9, 1.0), (1e-5, 1.0 + 9e-11)])
+    def test_the_equality_set_is_no_violation(self, capsys, tmp_path, theta, scale):
+        """A computational, B rotated by 0.7 and psi = (cos theta, sin theta):
+        the angle relation holds with equality, and a trace within tolerance
+        is divided out, so no kind exits 3 at the default tolerance."""
+        alpha = 0.7
+        rotation = np.array([[math.cos(alpha), -math.sin(alpha)],
+                             [math.sin(alpha), math.cos(alpha)]])
+        psi = np.array([math.cos(theta), math.sin(theta)])
+        rho = DensityMatrix(scale * np.outer(psi, psi))
+        files = [
+            write_json(tmp_path / "rho.json", rho.to_payload()),
+            write_json(tmp_path / "a.json", ProjectiveObservable(np.eye(2)).to_payload()),
+            write_json(tmp_path / "b.json", ProjectiveObservable(rotation).to_payload()),
+        ]
+        for name in ("angle", "bures", "root-infidelity"):
+            assert main(["check-ur", *files, "--metric", name]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["slack"] >= -1e-15
+
     def test_readme_example_verbatim(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         for argv in (
@@ -153,9 +173,9 @@ class TestCheckURCommand:
         capsys.readouterr()
         assert main("check-ur rho.json a.json b.json --metric angle".split()) == 0
         assert capsys.readouterr().out == (
-            '{"bound": 0.7178137637432006, "overlap_c": 0.7532455019940689, '
-            '"p_max_a": 0.3615371197327872, "p_max_b": 0.6268030615488046, '
-            '"slack": 0.8650759735135506, "u_a": 0.92569479594047, "u_b": 0.6571949413162812}\n'
+            '{"bound": 0.7178137637432005, "overlap_c": 0.7532455019940689, '
+            '"p_max_a": 0.3615371197327872, "p_max_b": 0.626803061548805, '
+            '"slack": 0.8650759735135507, "u_a": 0.92569479594047, "u_b": 0.6571949413162812}\n'
         )
 
 

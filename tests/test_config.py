@@ -46,6 +46,13 @@ class TestClamp:
             assert clamp(x, guard, lo, hi) == edge
             assert np.array_equal(clamp(np.array([x, 0.5]), guard, lo, hi), [edge, 0.5])
 
+    @pytest.mark.parametrize("x", ["0.5", None, True, [0.5, "0.5"], np.array([True]), 0.5j],
+                             ids=repr)
+    def test_non_real_input_is_a_validation_error(self, x):
+        """numpy would parse "0.5" and read None as nan and True as 1.0."""
+        with pytest.raises(ValidationError):
+            clamp(x, "domain_guard")
+
     @pytest.mark.parametrize("guard", GUARDS)
     def test_outside_the_band_raises(self, guard):
         band = getattr(TOL, guard)

@@ -358,6 +358,48 @@ class TestOverlapType:
         assert not in_domain(MetricKind.ANGLE, c, 2, 0.6, 0.6)
 
 
+PROBABILITY_CALLS = {
+    "g_boundary": lambda kind, p: g_boundary(kind, 0.6, p, 2),
+    "h_boundary": lambda kind, p: h_boundary(kind, 0.6, p),
+    "in_domain-p_a": lambda kind, p: in_domain(kind, 0.6, 2, p, 0.6),
+    "in_domain-p_b": lambda kind, p: in_domain(kind, 0.6, 2, 0.6, p),
+    "quadratic_form-p_a": lambda kind, p: quadratic_form(kind, 0.8, p, 0.5),
+    "quadratic_form-p_b": lambda kind, p: quadratic_form(kind, 0.8, 0.5, p),
+    "boundary_from_quadratic": lambda kind, p: boundary_from_quadratic(kind, 0.8, p),
+}
+
+
+class TestProbabilityType:
+    """A probability argument is a real number, or for g and h an array of
+    them: "0.9" used to read as 0.9, None as nan (DomainError) and "x" as a
+    bare TypeError."""
+
+    @pytest.mark.parametrize("p", ["0.9", None, "x", True, 0.9j], ids=repr)
+    @pytest.mark.parametrize("call", sorted(PROBABILITY_CALLS))
+    def test_non_real_probability_is_a_validation_error(self, call, p):
+        for kind in ALL_KINDS:
+            with pytest.raises(ValidationError):
+                PROBABILITY_CALLS[call](kind, p)
+
+    @pytest.mark.parametrize(
+        "p", [np.array(["0.9"]), np.array([True, False]), [0.5, None], np.array([0.9j])],
+        ids=["str-array", "bool-array", "none-in-list", "complex-array"])
+    @pytest.mark.parametrize("boundary", [g_boundary, h_boundary], ids=["g", "h"])
+    def test_non_real_array_is_a_validation_error(self, boundary, p):
+        args = (0.6, p, 2) if boundary is g_boundary else (0.6, p)
+        with pytest.raises(ValidationError):
+            boundary(MetricKind.ANGLE, *args)
+
+    @pytest.mark.parametrize("call", sorted(PROBABILITY_CALLS))
+    def test_real_probability_types_agree(self, call):
+        for kind in ALL_KINDS:
+            ref = PROBABILITY_CALLS[call](kind, 0.75)
+            assert PROBABILITY_CALLS[call](kind, np.float64(0.75)) == ref
+            assert PROBABILITY_CALLS[call](kind, 1) == PROBABILITY_CALLS[call](kind, 1.0)
+        assert g_boundary(MetricKind.ANGLE, 0.6, [0.5, 1], 2).tolist() == [
+            g_boundary(MetricKind.ANGLE, 0.6, 0.5, 2), g_boundary(MetricKind.ANGLE, 0.6, 1.0, 2)]
+
+
 class TestRegionSampling:
     def test_grid_endpoints_and_shape(self):
         spec = DomainSpec(MetricKind.ANGLE, INV_SQRT2, 2)

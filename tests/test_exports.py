@@ -31,3 +31,21 @@ def test_the_package_imports_only_exported_names():
         exported = getattr(module, "__all__", [n for n in dir(module) if not n.startswith("_")])
         unexported = [a.name for a in node.names if a.name not in exported]
         assert not unexported, node.module
+
+
+def _tracer_constant(name: str):
+    """The literal assigned to ``name`` in perfbench/tracing.py, read with ast
+    so that the benchmark harness is neither imported nor run."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if isinstance(node, ast.Assign) and targets == [name]:
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} is not assigned in {path}")
+
+
+@pytest.mark.parametrize("module, attr", _tracer_constant("TRACED"))
+def test_every_traced_function_still_exists(module, attr):
+    """``perfbench/run.py --trace 1`` wraps each of these by name, so
+    removing or renaming one breaks the traced benchmark run."""
+    assert callable(getattr(importlib.import_module(module), attr))

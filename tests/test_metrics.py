@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +72,29 @@ class TestFOf:
             f_of(kind, 0.25)
         with pytest.raises(ValidationError):
             f_of(kind, np.array([0.25, 1.0]))
+
+    @pytest.mark.parametrize("kind", [MetricKind.ANGLE, MetricKind.BURES])
+    def test_one_ulp_below_one_keeps_relative_accuracy(self, kind):
+        """At x = 1 - 2^-53 both kinds are ~1.0537e-8. Their x forms round
+        sqrt(x) to 1 - 2^-53 and read 2^-26 ~ 1.49e-8."""
+        x = 1.0 - 2.0**-53
+        with mpmath.workdps(50):
+            s = mpmath.sqrt(mpmath.mpf(x))
+            exact = float(mpmath.acos(s) if kind is MetricKind.ANGLE else mpmath.sqrt(2 - 2 * s))
+        assert exact == 1.0536712127723509e-08
+        assert abs(f_of(kind, x) - exact) <= 4 * math.ulp(exact)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_complement_form_moves_only_last_bits_away_from_one(self, kind):
+        """Written in y = 1 - x, each f agrees with its x form to 1e-13
+        relative wherever that form does not cancel (x <= 1 - 1e-3)."""
+        x = np.linspace(0.0, 1.0 - 1e-3, 2001)
+        x_form = {
+            MetricKind.ANGLE: np.arccos(np.sqrt(x)),
+            MetricKind.BURES: np.sqrt(2.0 - 2.0 * np.sqrt(x)),
+            MetricKind.ROOT_INFIDELITY: np.sqrt(1.0 - x),
+        }[kind]
+        np.testing.assert_allclose(f_of(kind, x), x_form, rtol=1e-13, atol=0.0)
 
     @settings(max_examples=80, derandomize=True, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))

@@ -1,9 +1,12 @@
 import json
 import math
+from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 
+import fidur.sweep
 from fidur.errors import DimensionMismatch, DomainError
 from fidur.metrics import MetricKind, f_of
 from fidur.states import (
@@ -14,14 +17,15 @@ from fidur.states import (
     derived_seed,
     fourier_observable,
     projector,
+    sample_haar_unitary,
     sample_mixed,
     sample_observable,
     sample_pure,
 )
+from fidur.sweep import SweepConfig, _run_chunk
 from fidur.uncertainty import (
     URReport,
-    _probabilities,
-    _slacks,
+    _maxima,
     check_ur,
     max_probability,
     outcome_probabilities,
@@ -30,6 +34,7 @@ from fidur.uncertainty import (
 )
 
 ALL_KINDS = (MetricKind.ANGLE, MetricKind.BURES, MetricKind.ROOT_INFIDELITY)
+EPS = float(np.finfo(np.float64).eps)
 HADAMARD = ProjectiveObservable(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
 
 
@@ -224,6 +229,71 @@ class TestCheckUR:
         assert report.slack == pytest.approx(expected, abs=1e-12)
 
 
+class TestAccuracyNearCertainty:
+    """The relation is evaluated on complements, so an eigenstate reads
+    certain to round-off, not to sqrt(eps) ~ 1.5e-8."""
+
+    @pytest.mark.parametrize("dim", range(2, 11))
+    def test_an_eigenprojector_is_certain_to_round_off(self, dim):
+        a = sample_observable(dim, seed=derived_seed(84, dim, 0))
+        b = sample_observable(dim, seed=derived_seed(84, dim, 1))
+        for i in range(dim):
+            for kind in ALL_KINDS:
+                report = check_ur(kind, a, b, projector(a, i))
+                assert 0.0 <= report.u_a <= 16 * dim * EPS
+
+
+@lru_cache(maxsize=None)
+def _exact_slack(kind, theta, alpha):
+    """The slack of the equality family below, in 50-digit arithmetic:
+    1 - P_A = sin^2(theta), 1 - P_B = sin^2(alpha - theta), 1 - c^2 = sin^2(alpha)."""
+    with mpmath.workdps(50):
+        theta, alpha = mpmath.mpf(theta), mpmath.mpf(alpha)
+
+        def f(y):
+            if kind is MetricKind.ANGLE:
+                return mpmath.asin(mpmath.sqrt(y))
+            if kind is MetricKind.BURES:
+                return mpmath.sqrt(2 - 2 * mpmath.sqrt(1 - y))
+            return mpmath.sqrt(y)
+
+        return float(f(mpmath.sin(theta) ** 2) + f(mpmath.sin(alpha - theta) ** 2)
+                     - f(mpmath.sin(alpha) ** 2))
+
+
+class TestEqualityFamily:
+    """A = U, B = U R with R a block rotation by alpha, and rho = s psi psi^dag
+    for psi = U (cos theta, sin theta, 0, ...), 0 <= theta <= alpha: the angle
+    relation holds with equality, theta + (alpha - theta) = alpha, and the
+    other kinds hold strictly. Near theta = 0 (P_A -> 1), theta = alpha
+    (P_B -> 1) and alpha -> 0 (c -> 1) a rounding of P or c^2 moved U by
+    up to sqrt(eps), and a trace s within tolerance by up to sqrt(s - 1)."""
+
+    @pytest.mark.parametrize("haar", [False, True], ids=["plain", "haar"])
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8, 10])
+    def test_slacks_are_exact_to_round_off(self, dim, haar):
+        u = sample_haar_unitary(dim, derived_seed(85, dim)) if haar else np.eye(dim)
+        for alpha in (0.7, 0.3, 1e-3, 1e-6):
+            r = np.zeros((dim, dim))
+            for j in range(0, dim, 2):
+                r[j:j + 2, j:j + 2] = [[math.cos(alpha), -math.sin(alpha)],
+                                       [math.sin(alpha), math.cos(alpha)]]
+            a, b = ProjectiveObservable(u), ProjectiveObservable(u @ r)
+            for theta in (0.0, 1e-8 * alpha, 1e-4 * alpha, 0.5 * alpha, alpha):
+                psi = np.zeros(dim)
+                psi[:2] = math.cos(theta), math.sin(theta)
+                psi = u @ psi
+                for scale in (1.0, 1.0 + 9e-11, 1.0 - 9e-11):
+                    rho = DensityMatrix(scale * np.outer(psi, psi.conj()))
+                    for kind in ALL_KINDS:
+                        slack = check_ur(kind, a, b, rho).slack
+                        if kind is MetricKind.ANGLE:
+                            assert slack >= -16 * EPS, (alpha, theta, scale)
+                        else:
+                            exact = _exact_slack(kind, theta, alpha)
+                            assert abs(slack - exact) <= 16 * EPS, (kind, alpha, theta, scale)
+
+
 class TestComplementaryObservables:
     def test_certainty_in_one_forces_uniformity_in_other(self):
         for dim in (2, 3, 4, 5):
@@ -282,7 +352,8 @@ class TestStackedKernels:
         p_b, _ = max_probability(b, rho)
         c = overlap(a, b)
         for kind in ALL_KINDS:
-            stacked = report_from_probabilities(kind, p_a, p_b, c)
+            stacked = check_ur(kind, a, b, rho)
+            from_p = report_from_probabilities(kind, p_a, p_b, c)
             for t in range(n):
                 a_t = ProjectiveObservable(a.eigenbasis[t])
                 b_t = ProjectiveObservable(b.eigenbasis[t])
@@ -291,36 +362,48 @@ class TestStackedKernels:
                 assert (p_a[t], i_a[t]) == max_probability(a_t, rho_t)
                 single = check_ur(kind, a_t, b_t, rho_t)
                 assert URReport(*(float(getattr(stacked, f)[t]) for f in FIELDS)) == single
+                assert (single.p_max_a, single.p_max_b, single.overlap_c) == (p_a[t], p_b[t], c[t])
+                floats = report_from_probabilities(kind, float(p_a[t]), float(p_b[t]), float(c[t]))
+                assert URReport(*(float(getattr(from_p, f)[t]) for f in FIELDS)) == floats
 
     @pytest.mark.parametrize("dim", [2, 3, 7, 10])
-    def test_sweep_chunk_kernels_equal_the_library_calls_bitwise(self, dim):
-        """One probability pass over both variants, and the slacks of every
-        kind from one stack, are the per-variant and per-kind library calls."""
-        n = 9
-        ab = sample_observable(dim, (derived_seed(91, dim, 0), derived_seed(91, dim, 1)), n)
-        pure = sample_pure(dim, seed=derived_seed(91, dim, 2), count=n).density()
-        mixed = sample_mixed(dim, dim, seed=derived_seed(91, dim, 3), count=n)
-        rho = np.stack([pure.matrix, mixed.matrix], axis=1)
-        p = _probabilities(ab.eigenbasis[:, :, None], rho)
-        c = overlap(ProjectiveObservable(ab.eigenbasis[0]), ProjectiveObservable(ab.eigenbasis[1]))
-        p_max = p.max(axis=-1)
-        slack = _slacks(ALL_KINDS, p_max[0], p_max[1], c[:, None])
-        assert slack.shape == (n, 2, len(ALL_KINDS))
-        for v, state in enumerate((pure, mixed)):
-            assert np.array_equal(p[:, :, v], outcome_probabilities(ab, state))
-            p_a, p_b = max_probability(ab, state)[0]
-            for k, kind in enumerate(ALL_KINDS):
-                report = report_from_probabilities(kind, p_a, p_b, c)
-                assert slack[:, v, k].tobytes() == report.slack.tobytes()
+    def test_sweep_chunk_slacks_are_check_ur_of_each_trial(self, dim, monkeypatch):
+        """The chunk factors its states by the sampled amplitudes, check_ur by
+        sqrt(rho): the two routes agree to round-off on every slack."""
+        config = SweepConfig(dims=(dim,), trials_per_dim=9, seed=91, kinds=ALL_KINDS,
+                             mixedness="both")
+        seen = []
+        slacks = fidur.sweep._slacks
 
-    def test_the_probability_pass_keeps_its_guards(self):
+        def recording(kinds, y):
+            seen.append(slacks(kinds, y))
+            return seen[-1]
+
+        monkeypatch.setattr(fidur.sweep, "_slacks", recording)
+        _run_chunk(config, dim, 0)
+        slack = seen[0][-1]
+        assert slack.shape == (9, 2, len(ALL_KINDS))
+
+        def seed(role):
+            return derived_seed(config.seed, dim, 0, role)
+
+        ab = sample_observable(dim, (seed(fidur.sweep._ROLE_A), seed(fidur.sweep._ROLE_B)), 9)
+        a, b = (ProjectiveObservable(e) for e in ab.eigenbasis)
+        states = (sample_pure(dim, seed(fidur.sweep._ROLE_PURE), 9).density(),
+                  sample_mixed(dim, dim, seed(fidur.sweep._ROLE_MIXED), 9))
+        for v, rho in enumerate(states):
+            for k, kind in enumerate(ALL_KINDS):
+                gap = np.abs(check_ur(kind, a, b, rho).slack - slack[:, v, k])
+                assert gap.max() <= 16 * dim * EPS
+
+    def test_the_probability_kernel_keeps_its_clamp_and_divides_out_the_trace(self):
         e = np.eye(2, dtype=complex)[None]
-        with pytest.raises(DomainError, match="imaginary part"):
-            _probabilities(e, np.diag([0.5 + 1e-6j, 0.5])[None])
         with pytest.raises(DomainError, match="probability_clamp"):
-            _probabilities(e, np.diag([1.5, -0.5]).astype(complex)[None])
-        assert _probabilities(e, np.diag([1.0 + 1e-12, -1e-12]).astype(complex)).tolist() == [
-            [1.0, 0.0]]
+            _maxima(e, np.diag([1.5 ** 0.5, 0.0]).astype(complex)[None])
+        # P = 1 + 2e-11 is clamped to 1; its complement is that of the normalized state.
+        p, y = _maxima(e, np.diag([1.0 + 1e-11, 1e-9]).astype(complex))
+        assert p == 1.0
+        assert y == pytest.approx(1e-18 / (1.0 + 2e-11), rel=1e-15)
 
     def test_scalar_calls_return_floats(self):
         rep = report_from_probabilities(MetricKind.ANGLE, 0.75, 0.5, 0.8)
