@@ -270,8 +270,8 @@ def main(argv=None) -> int:
         if args.command == "sample":
             return cmd_sample(args.what, args.dim, args.aux_dim, args.seed, args.out)
         parser.error(f"unknown command {args.command!r}")
-    except FidurError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FidurError, MemoryError) as exc:  # MemoryError: a size the machine cannot hold
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     return 0
 

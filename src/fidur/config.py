@@ -41,15 +41,18 @@ TOL = Tolerances()
 def clamp(x, guard: str, lo: float = 0.0, hi: float = 1.0):
     """``x`` clamped to [lo, hi]; DomainError when any element lies more
     than ``TOL.<guard>`` outside it (nan and +-inf included), ValidationError
-    unless it is real (a str, None or bool is not). A float or a 0-d input
-    gives an ``np.float64``, anything else a float64 array."""
+    unless it is real (a str, None, bool or ragged list is not). A float or
+    a 0-d input gives an ``np.float64``, anything else a float64 array."""
     band = getattr(TOL, guard)
     # Both comparisons are false for nan, so nan and +-inf fail here too.
     if isinstance(x, float):
         if not lo - band <= x <= hi + band:
             raise DomainError(f"{x!r} outside [{lo!r}, {hi!r}] beyond {guard}")
         return np.float64(min(max(x, lo), hi))
-    x = np.asarray(x)
+    try:
+        x = np.asarray(x)
+    except ValueError:  # a ragged nesting of lists
+        raise ValidationError(f"{guard} takes a real number or array") from None
     if x.dtype.kind not in "iuf":
         raise ValidationError(f"{guard} takes real numbers, got an array of {x.dtype}")
     ok = (x >= lo - band) & (x <= hi + band)

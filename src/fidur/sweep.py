@@ -5,9 +5,9 @@ One trial of dimension d draws two Haar observables and, depending on
 (auxiliary dimension = d), then evaluates the slack of the relation
 U(A;rho) + U(B;rho) >= f(c^2) per requested metric kind and state variant,
 on the complements 1 - P_A, 1 - P_B, 1 - c^2 (see ``fidur.uncertainty``)
-of the factors its samplers drew: a pure state's amplitudes psi
-(rho = psi psi^dag) and a mixed state's purification amplitudes as an
-N x N matrix M (rho = M M^dag).
+of the drawn amplitudes alone: each variant draws a Haar pure state of
+dimension N*K, read as an N x K matrix M (rho = M M^dag), K = 1 if pure
+and K = N if mixed. Only the minimum-slack witness becomes a state.
 
 Trials run in blocks of ``BLOCK``: block j of dimension d holds trials
 [j*BLOCK, (j+1)*BLOCK), and each of its random objects is drawn as one
@@ -38,7 +38,6 @@ from .errors import ValidationError
 from .linalg import _integer, _real
 from .metrics import MetricKind, metric_kind
 from .states import (
-    DensityMatrix,
     ProjectiveObservable,
     PureState,
     derived_seed,
@@ -137,10 +136,10 @@ class SweepResult:
 def _run_chunk(config: SweepConfig, dim: int, block: int):
     """Evaluate the trials of one block of one dimension.
 
-    Returns (count, violations, best) with best = (sort_key, rho, a, b):
+    Returns (count, violations, best) with best = (sort_key, psi, a, b):
     the key orders first by slack, then by trial coordinates, so the
     merged minimum is unique and order-free, and the arrays are the
-    witness's state (its amplitudes, if pure) and observable bases.
+    witness's drawn amplitudes and observable bases.
     """
     t0 = block * BLOCK
     n = min(BLOCK, config.trials_per_dim - t0)
@@ -153,24 +152,19 @@ def _run_chunk(config: SweepConfig, dim: int, block: int):
     # y[:, trial, variant] = (1 - P_A, 1 - P_B, 1 - c^2)
     y = np.empty((3, n, len(config.variants)))
     y[2] = _overlap(*ab.eigenbasis)[1][:, None]
-    states = []  # per variant, the pure amplitudes or the mixed matrices
+    draws = {"pure": (_ROLE_PURE, 1), "mixed": (_ROLE_MIXED, dim)}  # (role, aux dim)
+    amplitudes = []
     for v, variant in enumerate(config.variants):
-        if variant == "pure":
-            psi = sample_pure(dim, seed(_ROLE_PURE), n).amplitudes
-            states.append(psi)
-            g = psi[..., None]
-        else:
-            # sample_mixed's states, kept with the purification that factors them
-            psi = sample_pure(dim * dim, seed(_ROLE_MIXED), n)
-            states.append(partial_trace_aux(psi, dim, dim).matrix)
-            g = psi.amplitudes.reshape(n, dim, dim)
-        y[:2, :, v] = _maxima(ab.eigenbasis, g)[1]
+        role, aux = draws[variant]
+        psi = sample_pure(dim * aux, seed(role), n).amplitudes
+        amplitudes.append(psi)
+        y[:2, :, v] = _maxima(ab.eigenbasis, psi.reshape(n, dim, aux))[1]
     # slack[trial, variant, kind]: the first minimum in C order is the
     # smallest (trial, variant, kind), the witness key's tie-break.
     slack = _slacks(config.kinds, y)[-1]
     t, v, k = map(int, np.unravel_index(np.argmin(slack), slack.shape))
     key = (float(slack[t, v, k]), dim, t0 + t, v, k)
-    best = (key, states[v][t], ab.eigenbasis[0, t], ab.eigenbasis[1, t])
+    best = (key, amplitudes[v][t], ab.eigenbasis[0, t], ab.eigenbasis[1, t])
     return slack.size, int(np.count_nonzero(slack < -config.tolerance)), best
 
 
@@ -193,14 +187,16 @@ def _pool(workers: int):
 
 
 def _witness(config: SweepConfig, best) -> dict:
-    (slack, dim, trial, v_idx, k_idx), rho, a, b = best
+    (slack, dim, trial, v_idx, k_idx), psi, a, b = best
+    psi = PureState(psi)  # rho has the bits of sample_pure(...).density() or sample_mixed's
+    rho = psi.density() if psi.dim == dim else partial_trace_aux(psi, dim, dim)
     return {
         "dim": dim,
         "trial": trial,
         "mixedness": config.variants[v_idx],
         "kind": config.kinds[k_idx].value,
         "slack": slack,
-        "rho": (PureState(rho).density() if rho.ndim == 1 else DensityMatrix(rho)).to_payload(),
+        "rho": rho.to_payload(),
         "a": ProjectiveObservable(a).to_payload(),
         "b": ProjectiveObservable(b).to_payload(),
         "seed": config.seed,

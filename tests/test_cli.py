@@ -416,6 +416,29 @@ def test_oversized_size_exits_2(argv):
     assert _run_main(argv) == (2, "", "error: requested size is too large for one array\n")
 
 
+_NUMPY_OOM = "Unable to allocate 74.5 GiB for an array with shape (10000000000,)"
+
+
+@pytest.mark.parametrize(
+    "callee, argv, message, stderr",
+    [
+        ("region_samples", ["region", "--metric", "angle", "--overlap", "0.8", "--dim", "2",
+                            "--points", "10000000000"], _NUMPY_OOM, f"error: {_NUMPY_OOM}\n"),
+        ("sample_pure", ["sample", "pure", "--dim", "10000000000", "--seed", "1"], "",
+         "error: out of memory\n"),
+    ],
+    ids=["region-points", "sample-pure-dim"],
+)
+def test_unallocatable_size_exits_2(monkeypatch, callee, argv, message, stderr):
+    """A size numpy can index but the machine cannot hold ends in one error line."""
+
+    def out_of_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(f"fidur.cli.{callee}", out_of_memory)
+    assert _run_main(argv) == (2, "", stderr)
+
+
 SWEEP_FLAGS = [
     "sweep",
     "--dim",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fidur.config import TOL, Tolerances, clamp
+from fidur.domains import g_boundary, h_boundary
 from fidur.errors import DomainError, ValidationError
 from fidur.fidelity import fidelity, fidelity_oracle, fidelity_pure_mixed
 from fidur.states import (
@@ -18,8 +19,8 @@ from fidur.states import (
     derived_seed,
     sample_haar_unitary,
 )
-from fidur.metrics import MetricKind
-from fidur.uncertainty import check_ur, outcome_probabilities, overlap
+from fidur.metrics import MetricKind, f_of
+from fidur.uncertainty import check_ur, outcome_probabilities, overlap, report_from_probabilities
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fidur"
 GUARDS = ("fidelity_guard", "probability_clamp", "overlap_guard", "metric_domain_guard",
@@ -52,6 +53,19 @@ class TestClamp:
         """numpy would parse "0.5" and read None as nan and True as 1.0."""
         with pytest.raises(ValidationError):
             clamp(x, "domain_guard")
+
+    def test_ragged_input_is_a_validation_error(self):
+        """numpy's asarray raises a bare ValueError for it; every caller sees ValidationError."""
+        ragged = [[0.5], [0.5, 0.6]]
+        kind = MetricKind.ANGLE
+        for call in (
+            lambda: f_of(kind, ragged),
+            lambda: report_from_probabilities(kind, ragged, 0.5, 0.8),
+            lambda: g_boundary(kind, 0.6, ragged, 2),
+            lambda: h_boundary(kind, 0.6, ragged),
+        ):
+            with pytest.raises(ValidationError):
+                call()
 
     @pytest.mark.parametrize("guard", GUARDS)
     def test_outside_the_band_raises(self, guard):

@@ -1,4 +1,3 @@
-import collections
 import hashlib
 import json
 import pickle
@@ -7,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import fidur.linalg
 from fidur.domains import DomainSpec, g_boundary, in_domain, region_samples
 from fidur.errors import DimensionMismatch, IndexOutOfRange, ValidationError
 from fidur.fidelity import fidelity_pure_mixed, purification_overlap_search
@@ -145,20 +143,6 @@ def _triangle_distances(triple):
     ]
 
 
-def _count_solver_calls(monkeypatch) -> collections.Counter:
-    """Count the calls of the one LAPACK seam, as "eigh" (with eigenvectors)
-    and "eigvalsh" (eigenvalues only)."""
-    counts = collections.Counter()
-    solve = fidur.linalg.eigensolve
-
-    def counted(h, vectors=False):
-        counts["eigh" if vectors else "eigvalsh"] += 1
-        return solve(h, vectors)
-
-    monkeypatch.setattr(fidur.linalg, "eigensolve", counted)
-    return counts
-
-
 class TestSolverCalls:
     def test_triangle_values_are_pinned(self):
         h = hashlib.sha256()
@@ -173,22 +157,21 @@ class TestSolverCalls:
         assert h.hexdigest() == TRIANGLE_DIGEST
 
     @pytest.mark.parametrize("dim", range(2, 11))
-    def test_a_fresh_triple_makes_three_eigh_and_six_eigvalsh(self, monkeypatch, dim):
-        counts = _count_solver_calls(monkeypatch)
+    def test_a_fresh_triple_makes_three_eigh_and_six_eigvalsh(self, solver_calls, dim):
         triple = _triple(dim, 0)
-        assert counts == {"eigvalsh": 3}  # one validation per state
+        assert solver_calls == {"eigvalsh": 3}  # one validation per state
         first = _triangle_distances(triple)
-        assert counts == {"eigh": 3, "eigvalsh": 6}  # one root and one M per pair
-        counts.clear()
+        assert solver_calls == {"eigh": 3, "eigvalsh": 6}  # one root and one M per pair
+        solver_calls.clear()
         assert _triangle_distances(triple) == first
-        assert counts == {}
+        assert solver_calls == {}
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
-    def test_validation_makes_one_solver_call(self, monkeypatch, stacked):
+    def test_validation_makes_one_solver_call(self, solver_calls, stacked):
         m = sample_mixed(3, 3, seed=2, count=4).matrix
-        counts = _count_solver_calls(monkeypatch)
+        solver_calls.clear()
         DensityMatrix(m if stacked else m[0])
-        assert counts == {"eigvalsh": 1}
+        assert solver_calls == {"eigvalsh": 1}
 
 
 class TestStackedDensityMatrix:

@@ -11,7 +11,13 @@ import pytest
 import fidur.sweep
 from fidur.errors import ValidationError
 from fidur.metrics import MetricKind, metric_kind
-from fidur.states import ProjectiveObservable, state_from_payload
+from fidur.states import (
+    ProjectiveObservable,
+    derived_seed,
+    sample_mixed,
+    sample_pure,
+    state_from_payload,
+)
 from fidur.sweep import BLOCK, SweepConfig, SweepResult, run_sweep
 from fidur.uncertainty import check_ur
 
@@ -244,16 +250,25 @@ class TestHugeTrialCount:
 
 
 def test_importing_fidur_loads_no_process_pool():
-    """The pool is imported only by a run that starts one."""
+    """The pool is imported only by a run that starts one. Beyond numpy's own
+    modules, importing fidur loads only the standard library and fidur: no
+    scipy, mpmath or hypothesis, which would slow every fresh process."""
     src = str(pathlib.Path(fidur.__file__).resolve().parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import fidur; "
-        "print(sorted(m for m in sys.modules "
-        "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+
+    def loaded(imports: str) -> set:
+        code = f"import sys; sys.path.insert(0, {src!r}); {imports}; print(*sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    with_fidur = loaded("import numpy, fidur")
+    added = with_fidur - loaded("import numpy")
+    assert sorted(m for m in with_fidur
+                  if m.startswith(("multiprocessing", "concurrent.futures.process"))) == []
+    assert "fidur.sweep" in added
+    allowed = {*sys.stdlib_module_names, "fidur"}
+    assert sorted(m for m in added if m.partition(".")[0] not in allowed) == []
 
 
 class TestWorkerClamp:
@@ -293,6 +308,38 @@ class TestBlockedSweep:
             state_from_payload(witness["rho"]),
         )
         assert abs(report.slack - result.min_slack) <= 16 * witness["dim"] * EPS
+
+    def test_only_the_witness_becomes_a_state(self, monkeypatch, solver_calls):
+        """The chunks read drawn amplitudes: of a mixed sweep's states only the
+        witness is traced out and validated (one eigvalsh, one partial trace)."""
+        traced = []
+        original = fidur.sweep.partial_trace_aux
+
+        def recording(psi, sys_dim, aux_dim):
+            traced.append(psi.amplitudes.shape)
+            return original(psi, sys_dim, aux_dim)
+
+        monkeypatch.setattr(fidur.sweep, "partial_trace_aux", recording)
+        config = small_config(dims=tuple(range(2, 11)), mixedness="mixed")
+        dim = run_sweep(config, workers=1).min_slack_witness["dim"]
+        assert solver_calls == {"eigvalsh": 1}
+        assert traced == [(dim * dim,)]
+
+    @pytest.mark.parametrize("mixedness", ["pure", "mixed"])
+    def test_witness_state_is_the_samplers(self, mixedness):
+        """The witness's rho carries the bits of the state its sampler draws."""
+        config = small_config(
+            dims=tuple(range(2, 11)), trials_per_dim=BLOCK + 3, mixedness=mixedness
+        )
+        witness = run_sweep(config).min_slack_witness
+        dim, (block, t) = witness["dim"], divmod(witness["trial"], BLOCK)
+        n = min(BLOCK, config.trials_per_dim - block * BLOCK)
+        if mixedness == "pure":
+            rho = sample_pure(dim, derived_seed(config.seed, dim, block, 2), n).density()
+        else:
+            rho = sample_mixed(dim, dim, derived_seed(config.seed, dim, block, 3), n)
+        got = state_from_payload(witness["rho"]).matrix
+        assert got.tobytes() == rho.matrix[t].tobytes()
 
     def test_pure_states_do_not_depend_on_mixedness(self, monkeypatch):
         drawn = {}
