@@ -49,13 +49,22 @@ def clamp(x, guard: str, lo: float = 0.0, hi: float = 1.0):
         if not lo - band <= x <= hi + band:
             raise DomainError(f"{x!r} outside [{lo!r}, {hi!r}] beyond {guard}")
         return np.float64(min(max(x, lo), hi))
-    try:
-        x = np.asarray(x)
-    except ValueError:  # a ragged nesting of lists
-        raise ValidationError(f"{guard} takes a real number or array") from None
-    if x.dtype.kind not in "iuf":
-        raise ValidationError(f"{guard} takes real numbers, got an array of {x.dtype}")
+    x = _numbers(x, guard)
     ok = (x >= lo - band) & (x <= hi + band)
     if not ok.all():
         raise DomainError(f"{float(x[~ok].flat[0])!r} outside [{lo!r}, {hi!r}] beyond {guard}")
     return np.minimum(np.maximum(x, lo), hi)
+
+
+def _numbers(x, name: str, kinds: str = "iuf") -> np.ndarray:
+    """``np.asarray(x)``, or ValidationError unless its dtype kind is one of
+    ``kinds`` (real numbers by default): a str, None, dict, bool or object
+    array, or a ragged nesting of lists, holds no numbers."""
+    try:
+        x = np.asarray(x)
+    except ValueError:  # a ragged nesting of lists
+        raise ValidationError(f"{name} takes numbers, got a ragged nesting") from None
+    if x.dtype.kind not in kinds:
+        real = "" if "c" in kinds else "real "
+        raise ValidationError(f"{name} takes {real}numbers, got an array of {x.dtype}")
+    return x

@@ -21,7 +21,7 @@ from .config import TOL, clamp
 from .errors import DomainError
 from .linalg import _EPS, _integer
 from .states import DensityMatrix, PureState, purify, sample_haar_unitary, derived_seed
-from .states import _check_dims, _single
+from .states import _check_dims, _expect, _single
 
 __all__ = [
     "fidelity",
@@ -45,6 +45,8 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix):
     cached for the 64 ordered pairs asked most recently (keyed by, and
     holding, the states); a stack reads no cache.
     """
+    for x in (rho, sigma):
+        _expect(x, DensityMatrix)
     if rho.matrix.ndim == sigma.matrix.ndim == 2:
         return _fidelity(rho, sigma)
     return _fidelity_kernel(rho, sigma)

@@ -5,8 +5,8 @@ All higher-level quantities reduce to two operations on small dense
 complex128 arrays: the LAPACK-backed Hermitian eigendecomposition (of a
 matrix or a stack ``(..., N, N)``, deterministic for a fixed input), and
 the principal PSD square root of one matrix.
-States and raw matrices share one set of internal checks:
-``as_complex_stack`` coerces, ``hermitian_part`` tests Hermiticity and
+States, observables and raw matrices share one set of internal checks:
+``as_complex_stack`` copies, ``hermitian_part`` tests Hermiticity and
 symmetrizes, ``check_psd`` tests ascending eigenvalues (of a state once,
 when it is built). Their tolerances are those of ``fidur.config.TOL``.
 ``array_shape`` is the one size check for the arrays the samplers and
@@ -32,7 +32,7 @@ import operator
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .config import TOL
+from .config import TOL, _numbers
 from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD, ValidationError
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -71,18 +71,16 @@ def array_shape(*shape: int) -> tuple:
     return shape
 
 
-def as_complex_stack(m) -> np.ndarray:
-    """Coerce ``m`` to a nonempty complex128 stack ``(..., N, N)`` of square
-    matrices with finite entries; a single matrix is the stack with no
-    leading axes."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatch(f"expected square matrices, got shape {a.shape}")
-    if a.size == 0:
-        raise ValidationError(f"expected nonempty matrices, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValidationError("matrix entries must be finite")
-    return a
+def as_complex_stack(x, rank: int = 2) -> np.ndarray:
+    """A new complex128 array of ``x``, numbers only: a nonempty stack ``(..., N)``
+    of vectors (``rank`` 1) or ``(..., N, N)`` of square matrices (``rank`` 2)
+    with finite entries, a single member being the stack with no leading axes."""
+    a = _numbers(x, "state, observable and matrix input", "iufc")
+    if a.ndim < rank or a.shape[-1] != a.shape[-rank]:
+        raise DimensionMismatch(f"expected rank-{rank} members of equal axes, got shape {a.shape}")
+    if a.size == 0 or not np.isfinite(a).all():
+        raise ValidationError(f"expected a nonempty array of finite entries, got shape {a.shape}")
+    return a.astype(np.complex128)
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:

@@ -15,8 +15,10 @@ Conventions fixed here and relied on everywhere else:
   streams, so parallel and sequential sweeps see identical samples.
   The seed and every stream index must be integers.
 
-JSON payloads encode complex entries as [re, im] pairs, row-major; one
-codec, ``_Fixture``, reads and writes all three containers.
+The three containers are built one way, in their base ``_Fixture``: the
+input is copied by ``linalg.as_complex_stack``, judged, stored read-only (so
+mutating the caller's array cannot break a container) and unpickled through
+the constructor. ``_Fixture`` also codes JSON payloads: [re, im], row-major.
 """
 
 from __future__ import annotations
@@ -67,11 +69,20 @@ def _complex(data, rank: int):
 
 
 class _Fixture:
-    """The dimension and the JSON fixture codec of the three containers, keyed
-    by their class constants: the type tag ``TYPE``, the data field ``FIELD``
-    and the rank ``RANK`` of a single member's array. A payload is
+    """The storage, dimension and JSON fixture codec of the three containers,
+    keyed by their class constants: the type tag ``TYPE``, the data field
+    ``FIELD`` and the rank ``RANK`` of a single member's array. A payload is
     ``{"type": TYPE, "dim": N, FIELD: entries}``, with every complex entry an
     [re, im] pair; ``dim`` is optional on input. A stack is not a fixture."""
+
+    def _keep(self, a: np.ndarray) -> None:
+        """Store the judged array ``a``, the container's own, read-only."""
+        a.flags.writeable = False
+        object.__setattr__(self, self.FIELD, a)
+
+    def __reduce__(self):
+        """Unpickle through the constructor, validated and read-only like any other."""
+        return (type(self), (getattr(self, self.FIELD),))
 
     @property
     def dim(self) -> int:
@@ -97,7 +108,7 @@ class _Fixture:
         if cls.FIELD not in payload:
             raise ValidationError(f"{cls.TYPE} payload is missing {cls.FIELD!r}")
         try:
-            a = np.array(_complex(payload[cls.FIELD], cls.RANK), dtype=np.complex128)
+            a = np.array(_complex(payload[cls.FIELD], cls.RANK))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed {cls.FIELD} payload: {exc}") from exc
         if a.ndim != cls.RANK or len(set(a.shape)) > 1:
@@ -118,31 +129,24 @@ class DensityMatrix(_Fixture):
     and one bad member rejects the whole stack. A single matrix and a stack
     are validated alike, with one ``eigvalsh`` call, and this is the only
     judge of a state. The stored ``matrix`` is the Hermitian part
-    (A + A^dag) / 2 that was judged, read-only and never the caller's own
-    array, so a cached fidelity always belongs to it. The
-    Hermitian and PSD checks are ``linalg``'s, so a bad matrix raises the
-    same ``NotHermitian`` or ``NotPSD`` (both ``ValidationError``) here as
-    from ``linalg.psd_sqrt``. States compare and hash by identity, which
-    is how the fidelity cache keys them.
+    (A + A^dag) / 2 that was judged. The Hermitian and PSD checks are
+    ``linalg``'s, so a bad matrix raises the same ``NotHermitian`` or
+    ``NotPSD`` (both ``ValidationError``) here as from ``linalg.psd_sqrt``.
+    States compare and hash by identity, which is how the fidelity cache
+    keys them: a matrix never changes after it is judged.
     """
 
     matrix: np.ndarray
     TYPE, FIELD, RANK = "density-matrix", "matrix", 2
 
     def __post_init__(self):
-        m = linalg.as_complex_stack(self.matrix)
-        h = linalg.hermitian_part(m)  # a new array, so never the caller's own
+        m = linalg.as_complex_stack(self.matrix, self.RANK)
+        h = linalg.hermitian_part(m)
         linalg.check_psd(linalg.eigensolve(h))
         tr = m.trace(axis1=-2, axis2=-1) - 1.0
         if float(np.abs([tr.real, tr.imag]).max()) > TOL.trace_one:
             raise ValidationError("density matrix must have unit trace")
-        h.flags.writeable = False
-        object.__setattr__(self, "matrix", h)
-
-    def __reduce__(self):
-        # Rebuild through the constructor, so that an unpickled state is
-        # validated and its matrix read-only like any other.
-        return (type(self), (self.matrix,))
+        self._keep(h)
 
     @property
     def sqrt(self) -> np.ndarray:
@@ -151,16 +155,24 @@ class DensityMatrix(_Fixture):
         return linalg._psd_root(*_eigenpairs(self))
 
 
+def _expect(x, *classes) -> None:
+    """ValidationError unless ``x`` is an instance of one of ``classes``."""
+    if not isinstance(x, classes):
+        names = " or ".join(c.__name__ for c in classes)
+        raise ValidationError(f"expected a {names}, got {type(x).__name__}")
+
+
 def _stack_axes(x) -> tuple:
     """The leading axes of a state or observable: () for a single one."""
+    _expect(x, DensityMatrix, PureState, ProjectiveObservable)
     return getattr(x, x.FIELD).shape[: -x.RANK]
 
 
 def _check_dims(a, b):
     """DimensionMismatch unless ``a`` and ``b`` share N and broadcastable stack axes."""
+    lead_a, lead_b = _stack_axes(a), _stack_axes(b)
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
-    lead_a, lead_b = _stack_axes(a), _stack_axes(b)
     # numpy's rule: aligned from the right, each pair of axes is equal or has a 1.
     if any(m != n and 1 not in (m, n) for m, n in zip(lead_a[::-1], lead_b[::-1])):
         raise DimensionMismatch(f"stack axes {lead_a} and {lead_b} do not broadcast")
@@ -189,14 +201,10 @@ class PureState(_Fixture):
     TYPE, FIELD, RANK = "pure-state", "amplitudes", 1
 
     def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=np.complex128)
-        if a.ndim == 0 or a.size == 0:
-            raise ValidationError("pure state must be a nonempty vector")
-        if not np.isfinite(a).all():
-            raise ValidationError("pure-state amplitudes must be finite")
+        a = linalg.as_complex_stack(self.amplitudes, self.RANK)
         if float(np.abs(_norm(a) - 1.0).max()) > TOL.unit_norm:
             raise ValidationError("pure state must have unit norm")
-        object.__setattr__(self, "amplitudes", a)
+        self._keep(a)
 
     def density(self) -> DensityMatrix:
         """The rank-one density matrix |psi><psi| (a stack for a stack)."""
@@ -217,15 +225,16 @@ class ProjectiveObservable(_Fixture):
     TYPE, FIELD, RANK = "observable", "eigenbasis", 2
 
     def __post_init__(self):
-        e = linalg.as_complex_stack(self.eigenbasis)
+        e = linalg.as_complex_stack(self.eigenbasis, self.RANK)
         gram = linalg.adjoint(e) @ e
         if float(np.abs(gram - np.eye(e.shape[-1])).max()) > TOL.orthonormal:
             raise ValidationError("observable eigenbasis columns must be orthonormal")
-        object.__setattr__(self, "eigenbasis", e)
+        self._keep(e)
 
 
 def projector(obs: ProjectiveObservable, i: int) -> DensityMatrix:
     """Rank-one projector |a_i><a_i| onto the i-th outcome of ``obs``."""
+    _expect(obs, ProjectiveObservable)
     i = _integer("index", i)
     if not 0 <= i < obs.dim:
         raise IndexOutOfRange(f"index {i} outside [0, {obs.dim})")
@@ -270,6 +279,7 @@ def partial_trace_aux(psi: PureState, sys_dim: int, aux_dim: int) -> DensityMatr
     convention n*aux_dim + k; the result is rho_{mn} = sum_k Psi_{mk} Psi*_{nk}.
     A stack of states gives the stack of reduced states.
     """
+    _expect(psi, PureState)
     sys_dim, aux_dim = _integer("sys_dim", sys_dim), _integer("aux_dim", aux_dim)
     if sys_dim < 1 or aux_dim < 1:
         raise DimensionMismatch("dimensions must be positive")
@@ -373,7 +383,8 @@ def sample_pure(dim: int, seed: Seed, count: int | None = None) -> PureState:
     if _integer("dim", dim) < 1:
         raise DimensionMismatch("dimension must be at least 1")
     z = _gaussian(seed, _stack_shape(count, dim))
-    return PureState(z / _norm(z)[..., None])
+    z /= _norm(z)[..., None]
+    return PureState(z)
 
 
 def sample_mixed(

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import linalg
-from .config import clamp
+from .config import _numbers, clamp
 from .errors import DimensionMismatch
 from .metrics import MetricKind, _f
 from .states import DensityMatrix, ProjectiveObservable, _check_dims
@@ -134,7 +134,8 @@ def report_from_probabilities(kind: MetricKind, p_max_a, p_max_b, c) -> URReport
     give a report whose fields are arrays of the common shape, element i
     equal to the report of the floats at i; u_a is ``f_of(kind, p_max_a)``.
     """
-    y = [1.0 - clamp(x, "metric_domain_guard") for x in (p_max_a, p_max_b, np.square(c))]
+    c2 = np.square(_numbers(c, "overlap c"))
+    y = [1.0 - clamp(x, "metric_domain_guard") for x in (p_max_a, p_max_b, c2)]
     return _report(kind, p_max_a, p_max_b, c, *y)
 
 

@@ -49,3 +49,10 @@ def test_every_traced_function_still_exists(module, attr):
     """``perfbench/run.py --trace 1`` wraps each of these by name, so
     removing or renaming one breaks the traced benchmark run."""
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+@pytest.mark.parametrize("cls", _tracer_constant("VALIDATED"))
+def test_every_traced_constructor_defines_its_own_post_init(cls):
+    """``perfbench/run.py --trace 1`` wraps ``cls.__dict__["__post_init__"]``,
+    so the method must stay on each class, not move to a shared base."""
+    assert "__post_init__" in vars(getattr(importlib.import_module("fidur.states"), cls))

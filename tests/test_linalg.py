@@ -17,7 +17,7 @@ from fidur.errors import (
 )
 from fidur.fidelity import fidelity, fidelity_oracle
 from fidur.linalg import hermitian_eig, psd_sqrt
-from fidur.states import DensityMatrix, sample_haar_unitary
+from fidur.states import DensityMatrix, ProjectiveObservable, PureState, sample_haar_unitary
 
 
 def random_hermitian(dim, rng):
@@ -153,6 +153,15 @@ ENTRY_POINTS = {
     "psd_sqrt": psd_sqrt,
 }
 
+# Each entry that coerces through as_complex_stack, with a valid int array of 0s and 1s.
+COERCED = {
+    DensityMatrix: np.diag([1, 0]),
+    PureState: np.array([1, 0]),
+    ProjectiveObservable: np.eye(2, dtype=int),
+    hermitian_eig: np.eye(2, dtype=int),
+    psd_sqrt: np.eye(2, dtype=int),
+}
+
 
 class TestOneCheck:
     def test_check_errors_are_validation_errors(self):
@@ -175,6 +184,18 @@ class TestOneCheck:
     def test_empty_is_a_validation_error_everywhere(self, call, shape):
         with pytest.raises(ValidationError):
             call(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", ["none", "str", "ragged", "dict", "object", "bool"])
+    @pytest.mark.parametrize("call", COERCED, ids=lambda c: c.__name__)
+    def test_malformed_input_is_a_validation_error_everywhere(self, call, bad):
+        """numpy would raise a bare ValueError or TypeError for the first four,
+        and read an object or bool array of valid numbers as numbers."""
+        valid = COERCED[call]
+        call(valid)  # the int array itself is accepted
+        x = {"none": None, "str": "x", "ragged": [[1], [1, 2]], "dict": {},
+             "object": valid.astype(object), "bool": valid.astype(bool)}[bad]
+        with pytest.raises(ValidationError):
+            call(x)
 
     @pytest.mark.parametrize(
         "solver, call",

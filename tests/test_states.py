@@ -8,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from fidur.domains import DomainSpec, g_boundary, in_domain, region_samples
 from fidur.errors import DimensionMismatch, IndexOutOfRange, ValidationError
-from fidur.fidelity import fidelity_pure_mixed, purification_overlap_search
+from fidur.fidelity import (
+    fidelity,
+    fidelity_oracle,
+    fidelity_pure_mixed,
+    purification_overlap_search,
+)
 from fidur.linalg import psd_sqrt
 from fidur.metrics import MetricKind, metric_distance
 from fidur.states import (
@@ -29,7 +34,7 @@ from fidur.states import (
     state_from_payload,
 )
 from fidur.sweep import SweepConfig, run_sweep
-from fidur.uncertainty import outcome_probabilities
+from fidur.uncertainty import check_ur, outcome_probabilities, overlap
 
 BELL = PureState(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0))
 
@@ -77,25 +82,6 @@ def _good_stack(n=4, dim=3):
 
 
 class TestDensityMatrixStorage:
-    def test_matrix_is_read_only(self):
-        rho = DensityMatrix(np.diag([0.6, 0.4]))
-        with pytest.raises(ValueError):
-            rho.matrix[0, 0] = 1.0
-
-    def test_caller_array_is_copied(self):
-        source = np.diag([0.6, 0.4]).astype(np.complex128)
-        rho = DensityMatrix(source)
-        source[0, 0] = 0.9
-        source[1, 1] = 0.1
-        assert np.array_equal(rho.matrix, np.diag([0.6, 0.4]))
-        assert source.flags.writeable
-
-    def test_view_of_caller_array_is_copied(self):
-        stack = np.stack([np.diag([0.6, 0.4]), np.diag([0.5, 0.5])]).astype(np.complex128)
-        rho = DensityMatrix(stack[1])
-        stack[1] = np.diag([1.0, 0.0])
-        assert np.array_equal(rho.matrix, np.diag([0.5, 0.5]))
-
     def test_matrix_is_the_judged_hermitian_part(self):
         # Hermitian within TOL.hermitian, yet <v|m|v> has imaginary part
         # 4.95e-10 for the uniform v at N = 11: the stored matrix has none.
@@ -116,11 +102,81 @@ class TestDensityMatrixStorage:
             assert root.tobytes() == psd_sqrt(m).tobytes()
             assert DensityMatrix(m).sqrt.tobytes() == root.tobytes()
 
-    def test_pickle_round_trip_is_read_only(self):
-        rho = sample_mixed(3, 3, seed=1)
-        copy = pickle.loads(pickle.dumps(rho))
-        assert np.array_equal(copy.matrix, rho.matrix)
-        assert not copy.matrix.flags.writeable
+
+# A valid input of each container; none holds the 7.0 the caller writes below.
+VALID = {
+    DensityMatrix: np.diag([0.6, 0.4]),
+    PureState: np.array([0.6, 0.8j]),
+    ProjectiveObservable: np.array([[0.6, 0.8], [-0.8, 0.6]]),
+}
+SAMPLED = {
+    DensityMatrix: lambda: sample_mixed(3, 3, seed=1),
+    PureState: lambda: sample_pure(3, seed=1),
+    ProjectiveObservable: lambda: sample_observable(3, seed=1),
+}
+
+
+class TestContainerStorage:
+    """Every container keeps a read-only array of its own: it is built once,
+    from the caller's input, and unpickled through the constructor."""
+
+    @pytest.mark.parametrize("source", ["list", "ndarray", "view"])
+    @pytest.mark.parametrize("cls", VALID, ids=lambda c: c.__name__)
+    def test_mutating_the_input_leaves_the_container_unchanged(self, cls, source):
+        valid = VALID[cls]
+        stack = np.stack([valid, valid])
+        given = {"list": valid.tolist(), "ndarray": valid.copy(), "view": stack[1]}[source]
+        x = cls(given)
+        if source == "list":
+            given.clear()
+        else:
+            given[...] = 7.0  # the caller's array stays writable
+        stored = getattr(x, cls.FIELD)
+        assert np.array_equal(stored, valid)
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[0] = 1.0
+
+    @pytest.mark.parametrize("cls", SAMPLED, ids=lambda c: c.__name__)
+    def test_pickle_round_trip_is_read_only(self, cls):
+        x = SAMPLED[cls]()
+        copy = pickle.loads(pickle.dumps(x))
+        assert np.array_equal(getattr(copy, cls.FIELD), getattr(x, cls.FIELD))
+        assert not getattr(copy, cls.FIELD).flags.writeable
+
+    @pytest.mark.parametrize("cls", SAMPLED, ids=lambda c: c.__name__)
+    def test_unpickling_validates(self, cls):
+        bad = cls.__new__(cls)  # a container that skipped its check
+        object.__setattr__(bad, cls.FIELD, 2 * getattr(SAMPLED[cls](), cls.FIELD))
+        data = pickle.dumps(bad)
+        with pytest.raises(ValidationError):
+            pickle.loads(data)
+
+
+RHO = DensityMatrix(np.eye(2) / 2)
+OBS = computational_observable(2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fidelity(RHO.matrix, RHO),
+        lambda: fidelity(RHO, RHO.matrix),
+        lambda: metric_distance(MetricKind.ANGLE, RHO.matrix, RHO),
+        lambda: fidelity_oracle(RHO.matrix, RHO),
+        lambda: check_ur(MetricKind.ANGLE, OBS.eigenbasis, OBS, RHO),
+        lambda: outcome_probabilities(OBS, RHO.matrix),
+        lambda: overlap(OBS.eigenbasis, OBS),
+        lambda: purify(RHO.matrix),
+        lambda: partial_trace_aux(BELL.amplitudes, 2, 2),
+        lambda: projector(OBS.eigenbasis, 0),
+    ],
+    ids=["fidelity", "fidelity_sigma", "metric_distance", "fidelity_oracle", "check_ur",
+         "outcome_probabilities", "overlap", "purify", "partial_trace_aux", "projector"],
+)
+def test_a_raw_array_is_not_a_state_or_observable(call):
+    with pytest.raises(ValidationError, match="expected a .*got ndarray"):
+        call()
 
 
 # sha256 over the stored matrices, their roots and the 9 metric distances of

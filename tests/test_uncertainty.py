@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fidur.sweep
-from fidur.errors import DimensionMismatch, DomainError
+from fidur.errors import DimensionMismatch, DomainError, ValidationError
 from fidur.metrics import MetricKind, f_of
 from fidur.states import (
     DensityMatrix,
@@ -333,6 +333,13 @@ class TestURReport:
             assert report.slack == pytest.approx(
                 report.u_a + report.u_b - report.bound, abs=1e-15
             )
+
+    @pytest.mark.parametrize("c", [[[0.5], [0.5, 0.6]], "0.7", None, True], ids=repr)
+    def test_a_non_real_overlap_is_a_validation_error(self, c):
+        """c is checked before it is squared, as p_max_a and p_max_b are:
+        numpy would raise a bare error for the first three and read True as 1.0."""
+        with pytest.raises(ValidationError):
+            report_from_probabilities(MetricKind.ANGLE, 0.6, 0.6, c)
 
 
 FIELDS = ("p_max_a", "p_max_b", "u_a", "u_b", "overlap_c", "bound", "slack")
