@@ -72,6 +72,8 @@ def _fidelity_kernel(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
 
 def fidelity_pure_pure(psi: PureState, phi: PureState) -> float:
     """|<psi|phi>|^2."""
+    for x in (psi, phi):
+        _expect(x, PureState)
     _single(psi, phi)
     if (psi.amplitudes == phi.amplitudes).all():
         return 1.0
@@ -80,6 +82,8 @@ def fidelity_pure_pure(psi: PureState, phi: PureState) -> float:
 
 def fidelity_pure_mixed(psi: PureState, sigma: DensityMatrix) -> float:
     """<psi|sigma|psi> for pure psi against a density matrix."""
+    _expect(psi, PureState)
+    _expect(sigma, DensityMatrix)
     _single(psi, sigma)
     val = complex(np.vdot(psi.amplitudes, sigma.matrix @ psi.amplitudes))
     if abs(val.imag) > TOL.probability_imag:
@@ -97,6 +101,8 @@ def fidelity_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     never roots of round-off, so the sum needs no noise floor and F stays
     accurate near 1. Bitwise-identical matrices give exactly 1.0.
     """
+    for x in (rho, sigma):
+        _expect(x, DensityMatrix)
     _single(rho, sigma)
     if (rho.matrix == sigma.matrix).all():
         return 1.0

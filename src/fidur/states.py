@@ -13,7 +13,8 @@ Conventions fixed here and relied on everywhere else:
   indices feed one SeedSequence as its entropy tuple and are collapsed
   to a 128-bit integer. Two distinct index tuples give independent
   streams, so parallel and sequential sweeps see identical samples.
-  The seed and every stream index must be integers.
+  The seed and every stream index must be integers. ``_stream_words``
+  derives many such streams in one vectorized pass, bitwise the same.
 
 The three containers are built one way, in their base ``_Fixture``: the
 input is copied by ``linalg.as_complex_stack``, judged, stored read-only (so
@@ -23,6 +24,7 @@ the constructor. ``_Fixture`` also codes JSON payloads: [re, im], row-major.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,6 +258,7 @@ def purify(rho: DensityMatrix) -> PureState:
     invariant; the round trip through partial_trace_aux reproduces rho
     within 1e-10.
     """
+    _expect(rho, DensityMatrix)
     _single(rho)
     w, v = _eigenpairs(rho)
     order = np.argsort(-w, kind="stable")
@@ -335,17 +338,169 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def _gaussian(seed: Seed, shape: tuple) -> np.ndarray:
-    """Standard complex Gaussian entries (E|z|^2 = 1) of the given shape,
-    with a leading member per seed when ``seed`` is a tuple."""
-    if isinstance(seed, tuple):
+# SeedSequence's hash (numpy/random/bit_generator.pyx, pool of 4 words) in
+# numpy uint32 arithmetic over many entropy rows at once, one row per column.
+# Each hash constant depends only on how many hashes came before it, so its
+# values form a fixed table. The tables are uint32 arrays, so a product wraps
+# silently under every numpy casting rule, where uint32 scalars would warn.
+
+
+def _hash_chain(init: int, mult: int, n: int) -> tuple:
+    """The hash constant before and after each of ``n`` successive
+    multiplications by ``mult``, as two (n, 1) uint32 columns."""
+    h = [init]
+    for _ in range(n):
+        h.append(h[-1] * mult % 2**32)
+    return tuple(np.array(c, dtype=np.uint32)[:, None] for c in (h[:-1], h[1:]))
+
+
+_POOL_XOR, _POOL_MUL = _hash_chain(0x43B0D7E5, 0x931E8875, 16)  # 4 words in, 12 mixes
+# The mixing constants by source word, then destination word in ascending
+# order; the source's own slot is unused.
+_MIX_SLOTS = [[4 + 3 * src + dst - (dst > src) if dst != src else 0 for dst in range(4)]
+              for src in range(4)]
+_MIX_XOR, _MIX_MUL = _POOL_XOR[_MIX_SLOTS], _POOL_MUL[_MIX_SLOTS]
+# The output constants as (n_words // 4, 4, 1): the output cycles through the pool.
+_STATE_XOR, _STATE_MUL = (c.reshape(2, 4, 1) for c in _hash_chain(0x8B51F9DD, 0x58F38DED, 8))
+_MIX_L, _MIX_R, _XSHIFT = (np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mul
+    return v ^ (v >> _XSHIFT)
+
+
+def _seed_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(e).generate_state(n_words)`` (uint32) of every column
+    ``e`` of the (w, k) uint32 ``entropy``, w <= 4, as an (n_words, k) array;
+    ``n_words`` is 4 or 8.
+
+    With at most 4 words of entropy SeedSequence hashes a missing pool word
+    as the word 0, so trailing zero words change nothing: a column is
+    padded with zeros to 4 words, and the 128-bit derived seed ``s`` is
+    exactly its 4 little-endian words, whatever numpy drops of them.
+    """
+    pool = np.zeros((4, entropy.shape[1]), dtype=np.uint32)
+    pool[: len(entropy)] = entropy
+    pool = _hashmix(pool, _POOL_XOR[:4], _POOL_MUL[:4])
+    # Mix every pool word into every other one, in SeedSequence's order.
+    for src in range(4):
+        m = _MIX_L * pool - _MIX_R * _hashmix(pool[src], _MIX_XOR[src], _MIX_MUL[src])
+        m ^= m >> _XSHIFT
+        m[src] = pool[src]
+        pool = m
+    blocks = n_words // 4
+    return _hashmix(pool, _STATE_XOR[:blocks], _STATE_MUL[:blocks]).reshape(n_words, -1)
+
+
+def _pcg64_words(seed_words: np.ndarray) -> np.ndarray:
+    """The (k, 4) uint64 words PCG64 reads from ``SeedSequence(s)``, for the
+    derived seeds ``s`` given as the columns of their (4, k) uint32 words."""
+    state = _seed_state(seed_words, 8)
+    # SeedSequence's uint64 state: little-endian pairs of uint32 words.
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+def _stream_words(rows: list) -> np.ndarray:
+    """The (k, 4) uint64 words ``np.random.default_rng(derived_seed(*row))``
+    seeds its PCG64 with, for k rows of 4 non-negative integers: both
+    SeedSequence stages run over all rows at once. Entropy words of 2^32 and
+    above make a longer entropy, which SeedSequence mixes in a further loop,
+    so rows holding one take the scalar route."""
+    if max(map(max, rows)) >= 2**32:
+        seeds = (np.random.SeedSequence(derived_seed(*row)) for row in rows)
+        return np.array([s.generate_state(4, np.uint64) for s in seeds])
+    return _pcg64_words(_seed_state(np.array(rows, dtype=np.uint32).T, 4))
+
+
+def _derived_seeds(rows: list) -> tuple[int, ...]:
+    """``derived_seed(*row)`` of each of k rows of at most 4 integers below
+    2^32, from one first-stage pass."""
+    words = _seed_state(np.array(rows, dtype=np.uint32).T, 4)
+    data = np.ascontiguousarray(words.T, dtype="<u4").tobytes()
+    return tuple(int.from_bytes(data[i : i + 16], "little") for i in range(0, len(data), 16))
+
+
+@functools.cache
+def _given_state_sequence():
+    """The class of an ``ISeedSequence`` whose uint64 state is given, its
+    four words: ``PCG64`` seeds from ``generate_state(4, np.uint64)``. Built
+    on first use, so importing fidur loads no ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, dtype) != (4, np.uint64):
+                raise NotImplementedError("only PCG64's 4 uint64 words are known")
+            return self.words
+
+    return Words
+
+
+def _generators(words: np.ndarray) -> list:
+    """A PCG64 ``Generator`` per row of the (k, 4) uint64 ``words``, each
+    bitwise the one SeedSequence state of those words seeds."""
+    words_of = _given_state_sequence()
+    return [np.random.Generator(np.random.PCG64(words_of(w))) for w in words]
+
+
+# Tuples of fewer seeds seed each member alone: one pass costs about as much
+# as seeding four members alone.
+_MIN_PASS = 5
+
+
+def _members(seed: tuple) -> list:
+    """The generators of a tuple of seeds, member i that of seed i alone."""
+    if len(seed) < _MIN_PASS:
         if not seed:
             raise ValidationError("a tuple of seeds must not be empty")
-        x = np.stack([_generator(s).standard_normal((2, *shape)) for s in seed], axis=1)
-    else:
-        x = _generator(seed).standard_normal((2, *shape))
-    z = x[0] + 1j * x[1]
+        return [_generator(s) for s in seed]
+    ints = [_integer("seed", s) for s in seed]
+    if min(ints) < 0:
+        raise ValidationError("seed must be non-negative")
+    if max(ints) >= 2**128:
+        return [_generator(s) for s in ints]
+    words = np.frombuffer(b"".join(s.to_bytes(16, "little") for s in ints), dtype="<u4")
+    return _generators(_pcg64_words(words.reshape(-1, 4).T))
+
+
+def _draw(generators: list, shape: tuple) -> np.ndarray:
+    """Standard complex Gaussian entries (E|z|^2 = 1), one member of
+    ``shape`` per generator: the real then the imaginary parts of its
+    ``standard_normal((2, *shape))``."""
+    x = np.empty((len(generators), 2, *shape))
+    for g, out in zip(generators, x):
+        g.standard_normal(out=out)
+    z = x[:, 0] + 1j * x[:, 1]
     z /= np.sqrt(2.0)
+    return z
+
+
+def _gaussian(seed: Seed, shape: tuple) -> np.ndarray:
+    """``_draw`` of a seed's stream, with a leading member per seed when
+    ``seed`` is a tuple."""
+    if isinstance(seed, tuple):
+        return _draw(_members(seed), shape)
+    return _draw([_generator(seed)], shape)[0]
+
+
+def _haar(z: np.ndarray) -> np.ndarray:
+    """The Haar unitary of each Ginibre matrix of the stack ``z``, which is
+    factored in place: its Q factor, the phases of R's diagonal made real
+    positive (Mezzadri, Notices AMS 54, 2007)."""
+    q, d = linalg.qr_unitary(z)
+    ph = np.where(np.abs(d) > 0, d, 1.0)
+    ph = ph / np.abs(ph)
+    q *= ph[..., None, :]  # in place: the stack is the sampler's peak memory
+    return q
+
+
+def _normalize(z: np.ndarray) -> np.ndarray:
+    """Each vector of ``z`` over its norm, in place."""
+    z /= _norm(z)[..., None]
     return z
 
 
@@ -367,11 +522,7 @@ def sample_haar_unitary(dim: int, seed: Seed, count: int | None = None) -> np.nd
     """
     if _integer("dim", dim) < 1:
         raise DimensionMismatch("dimension must be at least 1")
-    q, d = linalg.qr_unitary(_gaussian(seed, _stack_shape(count, dim, dim)))
-    ph = np.where(np.abs(d) > 0, d, 1.0)
-    ph = ph / np.abs(ph)
-    q *= ph[..., None, :]  # in place: the stack is the sampler's peak memory
-    return q
+    return _haar(_gaussian(seed, _stack_shape(count, dim, dim)))
 
 
 def sample_pure(dim: int, seed: Seed, count: int | None = None) -> PureState:
@@ -382,9 +533,7 @@ def sample_pure(dim: int, seed: Seed, count: int | None = None) -> PureState:
     """
     if _integer("dim", dim) < 1:
         raise DimensionMismatch("dimension must be at least 1")
-    z = _gaussian(seed, _stack_shape(count, dim))
-    z /= _norm(z)[..., None]
-    return PureState(z)
+    return PureState(_normalize(_gaussian(seed, _stack_shape(count, dim))))
 
 
 def sample_mixed(

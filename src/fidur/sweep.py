@@ -13,6 +13,8 @@ Trials run in blocks of ``BLOCK``: block j of dimension d holds trials
 [j*BLOCK, (j+1)*BLOCK), and each of its random objects is drawn as one
 stack from the seed derived_seed(seed, d, j, role) (the two observables
 as one stack of their two seeds, each member the draw of its own).
+The streams of ``_WINDOW`` chunks at a time are derived in one vectorized
+pass, bitwise those of derived_seed and np.random.default_rng.
 ``BLOCK`` is a constant, so the chunk plan, and with it every sample,
 depends only on the configuration, not on the worker count or the
 execution order; results from any assignment of chunks to workers merge
@@ -35,17 +37,19 @@ import numpy as np
 
 from .config import TOL
 from .errors import ValidationError
-from .linalg import _integer, _real
+from .linalg import _integer, _real, adjoint, array_shape
 from .metrics import MetricKind, metric_kind
 from .states import (
     ProjectiveObservable,
     PureState,
-    derived_seed,
+    _draw,
+    _generators,
+    _haar,
+    _normalize,
+    _stream_words,
     partial_trace_aux,
-    sample_observable,
-    sample_pure,
 )
-from .uncertainty import _maxima, _overlap, _slacks
+from .uncertainty import _maxima, _overlap, _probabilities, _slacks
 
 __all__ = ["BLOCK", "SweepConfig", "SweepResult", "run_sweep"]
 
@@ -54,11 +58,15 @@ _MIXEDNESS = ("pure", "mixed", "both")
 # Trials per chunk. Changing it changes every sampled stream.
 BLOCK = 64
 
+# Chunks whose streams are derived in one pass; any window gives the same bytes.
+_WINDOW = 16
+
 # per-block sampler roles
 _ROLE_A = 0
 _ROLE_B = 1
 _ROLE_PURE = 2
 _ROLE_MIXED = 3
+_ROLES = (_ROLE_A, _ROLE_B, _ROLE_PURE, _ROLE_MIXED)
 
 
 @dataclass(frozen=True)
@@ -133,8 +141,9 @@ class SweepResult:
         return json.dumps(self.to_payload(), sort_keys=True)
 
 
-def _run_chunk(config: SweepConfig, dim: int, block: int):
-    """Evaluate the trials of one block of one dimension.
+def _run_chunk(config: SweepConfig, dim: int, block: int, words: np.ndarray):
+    """Evaluate the trials of one block of one dimension, drawn from
+    ``words``, the (4, 4) uint64 PCG64 words of the block's streams by role.
 
     Returns (count, violations, best) with best = (sort_key, psi, a, b):
     the key orders first by slack, then by trial coordinates, so the
@@ -143,29 +152,41 @@ def _run_chunk(config: SweepConfig, dim: int, block: int):
     """
     t0 = block * BLOCK
     n = min(BLOCK, config.trials_per_dim - t0)
-
-    def seed(role: int) -> int:
-        return derived_seed(config.seed, dim, block, role)
-
-    # A and B as one (2, n) stack; each member is what its own seed draws.
-    ab = sample_observable(dim, (seed(_ROLE_A), seed(_ROLE_B)), n)
+    streams = _generators(words)
+    # A and B as one (2, n) stack, drawn as sample_observable draws it; each
+    # member is what its own stream draws.
+    ab = streams[_ROLE_A : _ROLE_B + 1]
+    e = ProjectiveObservable(_haar(_draw(ab, array_shape(n, dim, dim))))
+    e_adj = adjoint(e.eigenbasis)
+    draws = {"pure": (_ROLE_PURE, 1), "mixed": (_ROLE_MIXED, dim)}  # (role, aux dim)
+    amplitudes, p = [], []
+    for variant in config.variants:
+        role, aux = draws[variant]
+        # sample_pure's draw, normalization and unit-norm check
+        psi = PureState(_normalize(_draw([streams[role]], (n, dim * aux))[0])).amplitudes
+        amplitudes.append(psi)
+        p.append(_probabilities(e_adj, psi.reshape(n, dim, aux)))
     # y[:, trial, variant] = (1 - P_A, 1 - P_B, 1 - c^2)
     y = np.empty((3, n, len(config.variants)))
-    y[2] = _overlap(*ab.eigenbasis)[1][:, None]
-    draws = {"pure": (_ROLE_PURE, 1), "mixed": (_ROLE_MIXED, dim)}  # (role, aux dim)
-    amplitudes = []
-    for v, variant in enumerate(config.variants):
-        role, aux = draws[variant]
-        psi = sample_pure(dim * aux, seed(role), n).amplitudes
-        amplitudes.append(psi)
-        y[:2, :, v] = _maxima(ab.eigenbasis, psi.reshape(n, dim, aux))[1]
+    y[:2] = _maxima(np.stack(p, axis=-2))[1]
+    y[2] = _overlap(e_adj[0], e.eigenbasis[1])[1][:, None]
     # slack[trial, variant, kind]: the first minimum in C order is the
     # smallest (trial, variant, kind), the witness key's tie-break.
     slack = _slacks(config.kinds, y)[-1]
     t, v, k = map(int, np.unravel_index(np.argmin(slack), slack.shape))
     key = (float(slack[t, v, k]), dim, t0 + t, v, k)
-    best = (key, amplitudes[v][t], ab.eigenbasis[0, t], ab.eigenbasis[1, t])
+    best = (key, amplitudes[v][t], e.eigenbasis[0, t], e.eigenbasis[1, t])
     return slack.size, int(np.count_nonzero(slack < -config.tolerance)), best
+
+
+def _plan(config: SweepConfig, blocks: int):
+    """The chunks' ``_run_chunk`` arguments in plan order, their stream words
+    derived ``_WINDOW`` chunks at a time, so a huge plan is never built."""
+    chunks = ((d, j) for d in config.dims for j in range(blocks))
+    while window := list(itertools.islice(chunks, _WINDOW)):
+        rows = [(config.seed, d, j, role) for d, j in window for role in _ROLES]
+        words = _stream_words(rows).reshape(len(window), 4, 4)
+        yield from ((config, d, j, w) for (d, j), w in zip(window, words))
 
 
 def _in_order(pool, plan, workers: int):
@@ -218,7 +239,7 @@ def run_sweep(
         raise ValidationError("workers must be at least 1")
     blocks = -(-config.trials_per_dim // BLOCK)
     n_chunks = len(config.dims) * blocks
-    plan = ((config, d, j) for d in config.dims for j in range(blocks))
+    plan = _plan(config, blocks)
     workers = min(workers, n_chunks, os.cpu_count() or 1)
 
     total = 0

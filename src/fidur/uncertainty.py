@@ -30,7 +30,7 @@ from . import linalg
 from .config import _numbers, clamp
 from .errors import DimensionMismatch
 from .metrics import MetricKind, _f
-from .states import DensityMatrix, ProjectiveObservable, _check_dims
+from .states import DensityMatrix, ProjectiveObservable, _check_dims, _expect
 
 __all__ = [
     "URReport",
@@ -74,14 +74,16 @@ def outcome_probabilities(obs: ProjectiveObservable, rho: DensityMatrix) -> np.n
     The sum is not checked: the constructors' trace and orthonormality
     tolerances fix it, to about 1e-10 + N * 1e-10 of 1.
     """
+    _expect(obs, ProjectiveObservable)
+    _expect(rho, DensityMatrix)
     _check_dims(obs, rho)
-    return clamp(_probabilities(obs.eigenbasis, rho.sqrt), "probability_clamp")
+    return clamp(_probabilities(linalg.adjoint(obs.eigenbasis), rho.sqrt), "probability_clamp")
 
 
-def _probabilities(e: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """p_i = ||G^dag e_i||^2 for eigenbases ``e`` and state factors ``g``
-    (N x K, rho = G G^dag) whose leading axes broadcast."""
-    w = linalg.adjoint(e) @ g
+def _probabilities(e_adj: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """p_i = ||G^dag e_i||^2 for the adjoints ``e_adj`` of eigenbases e and
+    state factors ``g`` (N x K, rho = G G^dag) whose leading axes broadcast."""
+    w = e_adj @ g
     return (w.real * w.real + w.imag * w.imag).sum(axis=-1)
 
 
@@ -90,9 +92,9 @@ def _complement(p: np.ndarray) -> np.ndarray:
     return np.sort(p)[..., :-1].sum(axis=-1) / p.sum(axis=-1)
 
 
-def _maxima(e: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P, 1 - P) of ``_probabilities(e, g)``, P under ``probability_clamp``."""
-    p = _probabilities(e, g)
+def _maxima(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P, 1 - P) of the probabilities ``p`` along the last axis, P under
+    ``probability_clamp``."""
     return clamp(p.max(axis=-1), "probability_clamp"), _complement(p)
 
 
@@ -112,14 +114,17 @@ def max_probability(obs: ProjectiveObservable, rho: DensityMatrix):
 
 def overlap(a: ProjectiveObservable, b: ProjectiveObservable):
     """c = max_ij |<a_i|b_j>|, in [1/sqrt(N), 1]; an array for stacks."""
+    for x in (a, b):
+        _expect(x, ProjectiveObservable)
     _check_dims(a, b)
-    c, _ = _overlap(a.eigenbasis, b.eigenbasis)
+    c, _ = _overlap(linalg.adjoint(a.eigenbasis), b.eigenbasis)
     return float(c) if c.ndim == 0 else c
 
 
-def _overlap(ea: np.ndarray, eb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(c, 1 - c^2) of two validated eigenbases (or stacks) of one dimension."""
-    x = linalg.adjoint(ea) @ eb
+def _overlap(ea_adj: np.ndarray, eb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, 1 - c^2) of two validated eigenbases (or stacks) of one dimension,
+    the first given by its adjoint."""
+    x = ea_adj @ eb
     # Valid bases keep c far above 1/sqrt(N), so only the upper guard is reachable.
     c = clamp(np.abs(x).max(axis=(-2, -1)), "overlap_guard")
     # Column j of |x|^2 is the outcome distribution of |b_j> under A.
@@ -167,9 +172,12 @@ def check_ur(
 ) -> URReport:
     """Evaluate U(A;rho) + U(B;rho) >= f(c^2) for one (kind, A, B, rho), with
     the probabilities of the factor sqrt(rho)."""
+    for x, cls in ((a, ProjectiveObservable), (b, ProjectiveObservable), (rho, DensityMatrix)):
+        _expect(x, cls)
     for x, z in ((a, b), (a, rho), (b, rho)):
         _check_dims(x, z)
     g = rho.sqrt
-    (p_a, y_a), (p_b, y_b) = (_maxima(e, g) for e in (a.eigenbasis, b.eigenbasis))
-    c, y_c = _overlap(a.eigenbasis, b.eigenbasis)
+    a_adj, b_adj = (linalg.adjoint(x.eigenbasis) for x in (a, b))
+    (p_a, y_a), (p_b, y_b) = (_maxima(_probabilities(e, g)) for e in (a_adj, b_adj))
+    c, y_c = _overlap(a_adj, b.eigenbasis)
     return _report(kind, p_a, p_b, c, y_a, y_b, y_c)

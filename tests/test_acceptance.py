@@ -29,6 +29,7 @@ from fidur.metrics import MetricKind, f_of, metric_distance
 from fidur.states import (
     DensityMatrix,
     ProjectiveObservable,
+    _derived_seeds,
     computational_observable,
     derived_seed,
     partial_trace_aux,
@@ -50,8 +51,8 @@ def report(label, ok, detail):
 
 
 def seeds(prefix, trials, role):
-    """The tuple of ``derived_seed(*prefix, t, role)`` over ``trials``."""
-    return tuple(derived_seed(*prefix, t, role) for t in trials)
+    """The tuple of ``derived_seed(*prefix, t, role)`` over ``trials``, in one pass."""
+    return _derived_seeds([(*prefix, t, role) for t in trials])
 
 
 def members(stack):

@@ -12,6 +12,7 @@ from fidur.fidelity import (
     fidelity,
     fidelity_oracle,
     fidelity_pure_mixed,
+    fidelity_pure_pure,
     purification_overlap_search,
 )
 from fidur.linalg import psd_sqrt
@@ -20,7 +21,12 @@ from fidur.states import (
     DensityMatrix,
     ProjectiveObservable,
     PureState,
+    _MIN_PASS,
+    _derived_seeds,
     _generator,
+    _generators,
+    _members,
+    _stream_words,
     computational_observable,
     derived_seed,
     fourier_observable,
@@ -34,7 +40,7 @@ from fidur.states import (
     state_from_payload,
 )
 from fidur.sweep import SweepConfig, run_sweep
-from fidur.uncertainty import check_ur, outcome_probabilities, overlap
+from fidur.uncertainty import check_ur, max_probability, outcome_probabilities, overlap
 
 BELL = PureState(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0))
 
@@ -176,6 +182,35 @@ OBS = computational_observable(2)
 )
 def test_a_raw_array_is_not_a_state_or_observable(call):
     with pytest.raises(ValidationError, match="expected a .*got ndarray"):
+        call()
+
+
+PSI = PureState(np.array([1.0, 0.0], dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "call, expected, got",
+    [
+        (lambda: outcome_probabilities(RHO, OBS), "ProjectiveObservable", "DensityMatrix"),
+        (lambda: outcome_probabilities(OBS, OBS), "DensityMatrix", "ProjectiveObservable"),
+        (lambda: max_probability(RHO, RHO), "ProjectiveObservable", "DensityMatrix"),
+        (lambda: overlap(RHO, RHO), "ProjectiveObservable", "DensityMatrix"),
+        (lambda: check_ur(MetricKind.ANGLE, RHO, OBS, OBS), "ProjectiveObservable", "DensityMatrix"),
+        (lambda: check_ur(MetricKind.ANGLE, OBS, OBS, OBS), "DensityMatrix", "ProjectiveObservable"),
+        (lambda: fidelity_pure_pure(RHO, RHO), "PureState", "DensityMatrix"),
+        (lambda: fidelity_pure_mixed(RHO, RHO), "PureState", "DensityMatrix"),
+        (lambda: fidelity_pure_mixed(PSI, PSI), "DensityMatrix", "PureState"),
+        (lambda: fidelity_oracle(PSI, PSI), "DensityMatrix", "PureState"),
+        (lambda: purify(PSI), "DensityMatrix", "PureState"),
+        (lambda: purification_overlap_search(PSI, PSI, trials=1, seed=1), "DensityMatrix",
+         "PureState"),
+    ],
+    ids=["outcome_probabilities", "outcome_probabilities_rho", "max_probability", "overlap",
+         "check_ur", "check_ur_rho", "fidelity_pure_pure", "fidelity_pure_mixed",
+         "fidelity_pure_mixed_sigma", "fidelity_oracle", "purify", "purification_overlap_search"],
+)
+def test_a_container_of_the_wrong_kind_is_named(call, expected, got):
+    with pytest.raises(ValidationError, match=f"expected a {expected}, got {got}"):
         call()
 
 
@@ -437,6 +472,8 @@ integers = st.one_of(
     st.integers(0, 2**32 - 1),
     st.integers(0, 2**140),
 )
+# One uint32 word, its edges weighted.
+words = st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1))
 # Derived seeds are 128-bit; keep 1 to 4 of their words, so the top ones are 0.
 seeds = st.one_of(
     integers,
@@ -463,6 +500,48 @@ class TestSeedingGate:
     def test_generator_is_default_rng(self, seed):
         ours = _generator(seed).standard_normal(16)
         assert ours.tobytes() == np.random.default_rng(seed).standard_normal(16).tobytes()
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(rows=st.lists(st.tuples(*[words] * 4), min_size=1, max_size=8))
+    def test_one_pass_streams_are_default_rng_of_each_derived_seed(self, rows):
+        generators = _generators(_stream_words(rows))
+        for row, ours in zip(rows, generators, strict=True):
+            theirs = np.random.default_rng(derived_seed(*row))
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[(2**32, 2, 0, 1)], [(7, 2, 0, 1), (7, 2, 2**32, 1)], [(10**40, 3, 1, 2)],
+         [(5, 2**64 + 1, 0, 0), (0, 0, 0, 0)]],
+    )
+    def test_rows_with_a_word_of_2_to_the_32_take_the_scalar_route(self, rows):
+        for row, words_ in zip(rows, _stream_words(rows), strict=True):
+            expected = np.random.SeedSequence(derived_seed(*row)).generate_state(4, np.uint64)
+            assert words_.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(width=st.integers(1, 4), data=st.data())
+    def test_one_pass_derived_seeds_are_derived_seed(self, width, data):
+        rows = data.draw(st.lists(st.tuples(*[words] * width), min_size=1, max_size=8))
+        assert _derived_seeds(rows) == tuple(derived_seed(*row) for row in rows)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(members=st.lists(seeds, min_size=_MIN_PASS, max_size=_MIN_PASS + 3))
+    def test_a_tuple_in_one_pass_seeds_each_member_as_default_rng(self, members):
+        for ours, seed in zip(_members(tuple(members)), members, strict=True):
+            assert ours.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+    def test_trailing_zero_words_hash_as_missing_words(self):
+        """SeedSequence hashes a missing pool word as 0, so the one pass may hand
+        every seed over as 4 words, and entropy rows may be padded with zeros."""
+        for entropy in ([5], [5, 0], [5, 0, 0], [0], [7, 2**32 - 1, 0]):
+            padded = entropy + [0] * (4 - len(entropy))
+            for n_words in (4, 8):
+                short = np.random.SeedSequence(entropy).generate_state(n_words)
+                assert short.tobytes() == np.random.SeedSequence(padded).generate_state(n_words).tobytes()
+        # Beyond the pool size the zero word is entropy like any other.
+        five = np.random.SeedSequence([5, 0, 0, 0, 0]).generate_state(4)
+        assert five.tobytes() != np.random.SeedSequence([5]).generate_state(4).tobytes()
 
 
 class TestSamplers:

@@ -13,6 +13,7 @@ from fidur.errors import ValidationError
 from fidur.metrics import MetricKind, metric_kind
 from fidur.states import (
     ProjectiveObservable,
+    PureState,
     derived_seed,
     sample_mixed,
     sample_pure,
@@ -130,6 +131,16 @@ class TestRunSweep:
         config = small_config(trials_per_dim=16)
         assert run_sweep(config, workers=2).to_json() == run_sweep(config, workers=1).to_json()
 
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    @pytest.mark.parametrize("window", [1, 3, fidur.sweep._WINDOW])
+    def test_bytes_do_not_depend_on_the_stream_window(self, monkeypatch, window, workers):
+        """Eight chunks' streams derived one, three (a partial last window) or
+        all at a time, run serially or in a pool: the same bytes."""
+        config = small_config(dims=(2, 3, 4, 5), trials_per_dim=BLOCK + 3)
+        expected = run_sweep(config).to_json()
+        monkeypatch.setattr(fidur.sweep, "_WINDOW", window)
+        assert run_sweep(config, workers=workers).to_json() == expected
+
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValidationError):
             run_sweep(small_config(), workers=0)
@@ -241,7 +252,7 @@ class TestHugeTrialCount:
             run_sweep(config, workers=workers, progress=progress)
         n_chunks = -(-(10**400) // BLOCK)
         assert messages == [f"{done}/{n_chunks} chunks done" for done in (1, 2, 3)]
-        assert [block for _, _, block in ran[:3]] == [0, 1, 2]
+        assert [block for _, _, block, _ in ran[:3]] == [0, 1, 2]
         # Serially a chunk runs only when it is merged; a pool runs at most
         # eight chunks per worker ahead of the merge.
         ahead = 8 * workers - 1 if workers > 1 else 0
@@ -343,15 +354,14 @@ class TestBlockedSweep:
 
     def test_pure_states_do_not_depend_on_mixedness(self, monkeypatch):
         drawn = {}
-        original = fidur.sweep.sample_pure
 
-        def recording(dim, seed, count=None):
-            psi = original(dim, seed, count)
-            if dim in (2, 3):  # the pure variant; the mixed one purifies on dim^2
-                drawn[mixedness].append(psi.amplitudes)
-            return psi
+        def recording(amplitudes):
+            # the pure variant's stacks; the mixed one purifies on dim^2, the witness is 1-D
+            if amplitudes.ndim == 2 and amplitudes.shape[-1] in (2, 3):
+                drawn[mixedness].append(amplitudes)
+            return PureState(amplitudes)
 
-        monkeypatch.setattr(fidur.sweep, "sample_pure", recording)
+        monkeypatch.setattr(fidur.sweep, "PureState", recording)
         for mixedness in ("pure", "both"):
             drawn[mixedness] = []
             run_sweep(small_config(trials_per_dim=BLOCK + 3, mixedness=mixedness))

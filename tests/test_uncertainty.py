@@ -22,10 +22,12 @@ from fidur.states import (
     sample_observable,
     sample_pure,
 )
-from fidur.sweep import SweepConfig, _run_chunk
+from fidur.linalg import adjoint
+from fidur.sweep import SweepConfig, _plan, _run_chunk
 from fidur.uncertainty import (
     URReport,
     _maxima,
+    _probabilities,
     check_ur,
     max_probability,
     outcome_probabilities,
@@ -387,7 +389,7 @@ class TestStackedKernels:
             return seen[-1]
 
         monkeypatch.setattr(fidur.sweep, "_slacks", recording)
-        _run_chunk(config, dim, 0)
+        _run_chunk(*next(_plan(config, 1)))
         slack = seen[0][-1]
         assert slack.shape == (9, 2, len(ALL_KINDS))
 
@@ -406,9 +408,9 @@ class TestStackedKernels:
     def test_the_probability_kernel_keeps_its_clamp_and_divides_out_the_trace(self):
         e = np.eye(2, dtype=complex)[None]
         with pytest.raises(DomainError, match="probability_clamp"):
-            _maxima(e, np.diag([1.5 ** 0.5, 0.0]).astype(complex)[None])
+            _maxima(_probabilities(adjoint(e), np.diag([1.5 ** 0.5, 0.0]).astype(complex)[None]))
         # P = 1 + 2e-11 is clamped to 1; its complement is that of the normalized state.
-        p, y = _maxima(e, np.diag([1.0 + 1e-11, 1e-9]).astype(complex))
+        p, y = _maxima(_probabilities(adjoint(e), np.diag([1.0 + 1e-11, 1e-9]).astype(complex)))
         assert p == 1.0
         assert y == pytest.approx(1e-18 / (1.0 + 2e-11), rel=1e-15)
 
