@@ -413,14 +413,6 @@ def _stream_words(rows: list) -> np.ndarray:
     return _pcg64_words(_seed_state(np.array(rows, dtype=np.uint32).T, 4))
 
 
-def _derived_seeds(rows: list) -> tuple[int, ...]:
-    """``derived_seed(*row)`` of each of k rows of at most 4 integers below
-    2^32, from one first-stage pass."""
-    words = _seed_state(np.array(rows, dtype=np.uint32).T, 4)
-    data = np.ascontiguousarray(words.T, dtype="<u4").tobytes()
-    return tuple(int.from_bytes(data[i : i + 16], "little") for i in range(0, len(data), 16))
-
-
 @functools.cache
 def _given_state_sequence():
     """The class of an ``ISeedSequence`` whose uint64 state is given, its
@@ -447,17 +439,11 @@ def _generators(words: np.ndarray) -> list:
     return [np.random.Generator(np.random.PCG64(words_of(w))) for w in words]
 
 
-# Tuples of fewer seeds seed each member alone: one pass costs about as much
-# as seeding four members alone.
-_MIN_PASS = 5
-
-
 def _members(seed: tuple) -> list:
-    """The generators of a tuple of seeds, member i that of seed i alone."""
-    if len(seed) < _MIN_PASS:
-        if not seed:
-            raise ValidationError("a tuple of seeds must not be empty")
-        return [_generator(s) for s in seed]
+    """The generators of a tuple of seeds, member i that of seed i alone,
+    seeded in one pass unless a member is 2^128 or more."""
+    if not seed:
+        raise ValidationError("a tuple of seeds must not be empty")
     ints = [_integer("seed", s) for s in seed]
     if min(ints) < 0:
         raise ValidationError("seed must be non-negative")
@@ -467,41 +453,44 @@ def _members(seed: tuple) -> list:
     return _generators(_pcg64_words(words.reshape(-1, 4).T))
 
 
-def _draw(generators: list, shape: tuple) -> np.ndarray:
-    """Standard complex Gaussian entries (E|z|^2 = 1), one member of
-    ``shape`` per generator: the real then the imaginary parts of its
-    ``standard_normal((2, *shape))``."""
-    x = np.empty((len(generators), 2, *shape))
-    for g, out in zip(generators, x):
-        g.standard_normal(out=out)
-    z = x[:, 0] + 1j * x[:, 1]
+def _streams(seed: Seed):
+    """The generator of a seed, or for a tuple of seeds their list."""
+    return _members(seed) if isinstance(seed, tuple) else _generator(seed)
+
+
+def _gaussian(stream, shape: tuple) -> np.ndarray:
+    """Standard complex Gaussian entries (E|z|^2 = 1) of the given shape: the
+    real then the imaginary parts of a generator's ``standard_normal((2,
+    *shape))``, with a leading member per generator when ``stream`` is a list."""
+    if isinstance(stream, list):
+        x = np.empty((len(stream), 2, *shape))
+        for g, out in zip(stream, x):
+            g.standard_normal(out=out)
+        z = x[:, 0] + 1j * x[:, 1]
+    else:
+        x = stream.standard_normal((2, *shape))
+        z = x[0] + 1j * x[1]
     z /= np.sqrt(2.0)
     return z
 
 
-def _gaussian(seed: Seed, shape: tuple) -> np.ndarray:
-    """``_draw`` of a seed's stream, with a leading member per seed when
-    ``seed`` is a tuple."""
-    if isinstance(seed, tuple):
-        return _draw(_members(seed), shape)
-    return _draw([_generator(seed)], shape)[0]
-
-
-def _haar(z: np.ndarray) -> np.ndarray:
-    """The Haar unitary of each Ginibre matrix of the stack ``z``, which is
-    factored in place: its Q factor, the phases of R's diagonal made real
-    positive (Mezzadri, Notices AMS 54, 2007)."""
-    q, d = linalg.qr_unitary(z)
+def _unitary(stream, shape: tuple) -> np.ndarray:
+    """Haar unitaries of ``shape`` drawn from ``stream`` (see ``_gaussian``):
+    the Q factor of each Ginibre matrix, the phases of R's diagonal made
+    real positive (Mezzadri, Notices AMS 54, 2007)."""
+    q, d = linalg.qr_unitary(_gaussian(stream, shape))
     ph = np.where(np.abs(d) > 0, d, 1.0)
     ph = ph / np.abs(ph)
     q *= ph[..., None, :]  # in place: the stack is the sampler's peak memory
     return q
 
 
-def _normalize(z: np.ndarray) -> np.ndarray:
-    """Each vector of ``z`` over its norm, in place."""
+def _pure(stream, shape: tuple) -> PureState:
+    """Haar pure states of ``shape`` drawn from ``stream`` (see ``_gaussian``):
+    normalized complex Gaussian vectors."""
+    z = _gaussian(stream, shape)
     z /= _norm(z)[..., None]
-    return z
+    return PureState(z)
 
 
 def _stack_shape(count, *shape: int) -> tuple:
@@ -522,7 +511,8 @@ def sample_haar_unitary(dim: int, seed: Seed, count: int | None = None) -> np.nd
     """
     if _integer("dim", dim) < 1:
         raise DimensionMismatch("dimension must be at least 1")
-    return _haar(_gaussian(seed, _stack_shape(count, dim, dim)))
+    shape = _stack_shape(count, dim, dim)
+    return _unitary(_streams(seed), shape)
 
 
 def sample_pure(dim: int, seed: Seed, count: int | None = None) -> PureState:
@@ -533,7 +523,8 @@ def sample_pure(dim: int, seed: Seed, count: int | None = None) -> PureState:
     """
     if _integer("dim", dim) < 1:
         raise DimensionMismatch("dimension must be at least 1")
-    return PureState(_normalize(_gaussian(seed, _stack_shape(count, dim))))
+    shape = _stack_shape(count, dim)
+    return _pure(_streams(seed), shape)
 
 
 def sample_mixed(

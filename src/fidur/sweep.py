@@ -42,11 +42,10 @@ from .metrics import MetricKind, metric_kind
 from .states import (
     ProjectiveObservable,
     PureState,
-    _draw,
     _generators,
-    _haar,
-    _normalize,
+    _pure,
     _stream_words,
+    _unitary,
     partial_trace_aux,
 )
 from .uncertainty import _maxima, _overlap, _probabilities, _slacks
@@ -155,15 +154,13 @@ def _run_chunk(config: SweepConfig, dim: int, block: int, words: np.ndarray):
     streams = _generators(words)
     # A and B as one (2, n) stack, drawn as sample_observable draws it; each
     # member is what its own stream draws.
-    ab = streams[_ROLE_A : _ROLE_B + 1]
-    e = ProjectiveObservable(_haar(_draw(ab, array_shape(n, dim, dim))))
+    e = ProjectiveObservable(_unitary(streams[_ROLE_A : _ROLE_B + 1], array_shape(n, dim, dim)))
     e_adj = adjoint(e.eigenbasis)
     draws = {"pure": (_ROLE_PURE, 1), "mixed": (_ROLE_MIXED, dim)}  # (role, aux dim)
     amplitudes, p = [], []
     for variant in config.variants:
         role, aux = draws[variant]
-        # sample_pure's draw, normalization and unit-norm check
-        psi = PureState(_normalize(_draw([streams[role]], (n, dim * aux))[0])).amplitudes
+        psi = _pure(streams[role], (n, dim * aux)).amplitudes  # as sample_pure draws it
         amplitudes.append(psi)
         p.append(_probabilities(e_adj, psi.reshape(n, dim, aux)))
     # y[:, trial, variant] = (1 - P_A, 1 - P_B, 1 - c^2)

@@ -29,7 +29,7 @@ from fidur.metrics import MetricKind, f_of, metric_distance
 from fidur.states import (
     DensityMatrix,
     ProjectiveObservable,
-    _derived_seeds,
+    _seed_state,
     computational_observable,
     derived_seed,
     partial_trace_aux,
@@ -51,8 +51,11 @@ def report(label, ok, detail):
 
 
 def seeds(prefix, trials, role):
-    """The tuple of ``derived_seed(*prefix, t, role)`` over ``trials``, in one pass."""
-    return _derived_seeds([(*prefix, t, role) for t in trials])
+    """The tuple of ``derived_seed(*prefix, t, role)`` over ``trials``: the
+    128-bit output of one SeedSequence hash pass over all the rows."""
+    rows = np.array([(*prefix, t, role) for t in trials], dtype=np.uint32)
+    data = np.ascontiguousarray(_seed_state(rows.T, 4).T, dtype="<u4").tobytes()
+    return tuple(int.from_bytes(data[i : i + 16], "little") for i in range(0, len(data), 16))
 
 
 def members(stack):

@@ -262,7 +262,7 @@ class TestSolverSeam:
     @pytest.mark.parametrize("dim", range(1, 11))
     def test_haar_sampler_is_bitwise_the_np_linalg_route(self, dim, count):
         shape = (dim, dim) if count is None else (count, dim, dim)
-        q, r = np.linalg.qr(fidur.states._gaussian(dim, shape))
+        q, r = np.linalg.qr(fidur.states._gaussian(fidur.states._generator(dim), shape))
         d = np.diagonal(r, axis1=-2, axis2=-1)
         ph = np.where(np.abs(d) > 0, d, 1.0)
         expected = q * (ph / np.abs(ph))[..., None, :]

@@ -21,11 +21,10 @@ from fidur.states import (
     DensityMatrix,
     ProjectiveObservable,
     PureState,
-    _MIN_PASS,
-    _derived_seeds,
     _generator,
     _generators,
     _members,
+    _seed_state,
     _stream_words,
     computational_observable,
     derived_seed,
@@ -521,12 +520,14 @@ class TestSeedingGate:
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(width=st.integers(1, 4), data=st.data())
-    def test_one_pass_derived_seeds_are_derived_seed(self, width, data):
+    def test_first_stage_is_seed_sequence_of_each_row(self, width, data):
         rows = data.draw(st.lists(st.tuples(*[words] * width), min_size=1, max_size=8))
-        assert _derived_seeds(rows) == tuple(derived_seed(*row) for row in rows)
+        state = _seed_state(np.array(rows, dtype=np.uint32).T, 4)
+        for row, ours in zip(rows, state.T, strict=True):
+            assert ours.tobytes() == np.random.SeedSequence(row).generate_state(4).tobytes()
 
     @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(members=st.lists(seeds, min_size=_MIN_PASS, max_size=_MIN_PASS + 3))
+    @given(members=st.lists(seeds, min_size=1, max_size=8))
     def test_a_tuple_in_one_pass_seeds_each_member_as_default_rng(self, members):
         for ours, seed in zip(_members(tuple(members)), members, strict=True):
             assert ours.bit_generator.state == np.random.default_rng(seed).bit_generator.state

@@ -13,7 +13,6 @@ from fidur.errors import ValidationError
 from fidur.metrics import MetricKind, metric_kind
 from fidur.states import (
     ProjectiveObservable,
-    PureState,
     derived_seed,
     sample_mixed,
     sample_pure,
@@ -354,14 +353,15 @@ class TestBlockedSweep:
 
     def test_pure_states_do_not_depend_on_mixedness(self, monkeypatch):
         drawn = {}
+        original = fidur.sweep._pure
 
-        def recording(amplitudes):
-            # the pure variant's stacks; the mixed one purifies on dim^2, the witness is 1-D
-            if amplitudes.ndim == 2 and amplitudes.shape[-1] in (2, 3):
-                drawn[mixedness].append(amplitudes)
-            return PureState(amplitudes)
+        def recording(stream, shape):
+            psi = original(stream, shape)
+            if shape[-1] in (2, 3):  # the pure variant; the mixed one purifies on dim^2
+                drawn[mixedness].append(psi.amplitudes)
+            return psi
 
-        monkeypatch.setattr(fidur.sweep, "PureState", recording)
+        monkeypatch.setattr(fidur.sweep, "_pure", recording)
         for mixedness in ("pure", "both"):
             drawn[mixedness] = []
             run_sweep(small_config(trials_per_dim=BLOCK + 3, mixedness=mixedness))
