@@ -16,10 +16,20 @@ Conventions fixed here and relied on everywhere else:
   The seed and every stream index must be integers. ``_stream_words``
   derives many such streams in one vectorized pass, bitwise the same.
 
-The three containers are built one way, in their base ``_Fixture``: the
-input is copied by ``linalg.as_complex_stack``, judged, stored read-only (so
-mutating the caller's array cannot break a container) and unpickled through
-the constructor. ``_Fixture`` also codes JSON payloads: [re, im], row-major.
+The three containers store their array one way, in their base ``_Fixture``:
+read-only (so mutating the caller's array cannot break a container) and
+unpickled through the judging constructor. Outside input is judged: the
+constructor copies it by ``linalg.as_complex_stack`` and checks it, and so
+do ``from_payload``, ``state_from_payload``, unpickling, ``purify`` and
+``projector`` (a judged basis bounds a projector's trace only by
+``TOL.orthonormal``, which is the edge of ``TOL.trace_one``). Arrays fidur
+builds valid by construction skip the checks they cannot fail, through
+``_Fixture._made``, with the bits the constructor would keep: the sampled
+pure states and observables (unit norm and orthonormality hold to O(N eps))
+and the traced-out states of ``partial_trace_aux`` and
+``PureState.density`` (M M^dag of a pure state, judged or sampled, is PSD,
+with trace within 2 * TOL.unit_norm of 1). ``_Fixture`` also codes JSON
+payloads: [re, im], row-major.
 """
 
 from __future__ import annotations
@@ -82,6 +92,15 @@ class _Fixture:
         a.flags.writeable = False
         object.__setattr__(self, self.FIELD, a)
 
+    @classmethod
+    def _made(cls, a: np.ndarray):
+        """A container of ``a``, a complex128 array fidur built valid by
+        construction and owns: stored as the constructor stores the array it
+        judged (``a`` itself, read-only), without judging it again."""
+        self = object.__new__(cls)
+        self._keep(a)
+        return self
+
     def __reduce__(self):
         """Unpickle through the constructor, validated and read-only like any other."""
         return (type(self), (getattr(self, self.FIELD),))
@@ -129,11 +148,14 @@ class DensityMatrix(_Fixture):
 
     ``matrix`` may also be a stack ``(..., N, N)``; every member is checked
     and one bad member rejects the whole stack. A single matrix and a stack
-    are validated alike, with one ``eigvalsh`` call, and this is the only
-    judge of a state. The stored ``matrix`` is the Hermitian part
-    (A + A^dag) / 2 that was judged. The Hermitian and PSD checks are
-    ``linalg``'s, so a bad matrix raises the same ``NotHermitian`` or
-    ``NotPSD`` (both ``ValidationError``) here as from ``linalg.psd_sqrt``.
+    are validated alike, with one ``eigvalsh`` call, and this constructor
+    is the only judge of a state: a state built from a ``PureState``
+    (``partial_trace_aux``, ``PureState.density``, and so every sampled
+    mixed state) is valid by construction and is not judged. The stored
+    ``matrix`` is the Hermitian part (A + A^dag) / 2, judged or built.
+    The Hermitian and PSD checks are ``linalg``'s, so a bad matrix raises
+    the same ``NotHermitian`` or ``NotPSD`` (both ``ValidationError``) here
+    as from ``linalg.psd_sqrt``.
     States compare and hash by identity, which is how the fidelity cache
     keys them: a matrix never changes after it is judged.
     """
@@ -211,7 +233,7 @@ class PureState(_Fixture):
     def density(self) -> DensityMatrix:
         """The rank-one density matrix |psi><psi| (a stack for a stack)."""
         a = self.amplitudes
-        return DensityMatrix(a[..., :, None] * a.conj()[..., None, :])
+        return _gram_state(a[..., :, None] * a.conj()[..., None, :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,7 +313,16 @@ def partial_trace_aux(psi: PureState, sys_dim: int, aux_dim: int) -> DensityMatr
             f"state dimension {psi.dim} is not {sys_dim}*{aux_dim}"
         )
     m = psi.amplitudes.reshape(*psi.amplitudes.shape[:-1], sys_dim, aux_dim)
-    return DensityMatrix(m @ linalg.adjoint(m))
+    return _gram_state(m @ linalg.adjoint(m))
+
+
+def _gram_state(a: np.ndarray) -> DensityMatrix:
+    """The state of ``a`` = M M^dag, M a ``PureState``'s amplitudes read as an
+    N x K matrix (or a stack of them), stored as ``DensityMatrix(a)`` would
+    store it, its Hermitian part, without the judging: ``a`` is PSD by
+    construction and its trace ||M||_F^2 lies within 2 * TOL.unit_norm (plus
+    round-off) of 1, far inside TOL.trace_one."""
+    return DensityMatrix._made((a + linalg.adjoint(a)) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +518,11 @@ def _unitary(stream, shape: tuple) -> np.ndarray:
 
 def _pure(stream, shape: tuple) -> PureState:
     """Haar pure states of ``shape`` drawn from ``stream`` (see ``_gaussian``):
-    normalized complex Gaussian vectors."""
+    normalized complex Gaussian vectors, of unit norm to O(N eps), far inside
+    TOL.unit_norm, so they are kept unjudged."""
     z = _gaussian(stream, shape)
     z /= _norm(z)[..., None]
-    return PureState(z)
+    return PureState._made(z)
 
 
 def _stack_shape(count, *shape: int) -> tuple:
@@ -544,8 +576,9 @@ def sample_mixed(
 def sample_observable(
     dim: int, seed: Seed, count: int | None = None
 ) -> ProjectiveObservable:
-    """Random projective observable: eigenbasis = Haar unitary columns."""
-    return ProjectiveObservable(sample_haar_unitary(dim, seed, count))
+    """Random projective observable: eigenbasis = Haar unitary columns,
+    orthonormal to O(N eps), far inside TOL.orthonormal."""
+    return ProjectiveObservable._made(sample_haar_unitary(dim, seed, count))
 
 
 def computational_observable(dim: int) -> ProjectiveObservable:

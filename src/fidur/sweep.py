@@ -154,8 +154,8 @@ def _run_chunk(config: SweepConfig, dim: int, block: int, words: np.ndarray):
     streams = _generators(words)
     # A and B as one (2, n) stack, drawn as sample_observable draws it; each
     # member is what its own stream draws.
-    e = ProjectiveObservable(_unitary(streams[_ROLE_A : _ROLE_B + 1], array_shape(n, dim, dim)))
-    e_adj = adjoint(e.eigenbasis)
+    e = _unitary(streams[_ROLE_A : _ROLE_B + 1], array_shape(n, dim, dim))
+    e_adj = adjoint(e)
     draws = {"pure": (_ROLE_PURE, 1), "mixed": (_ROLE_MIXED, dim)}  # (role, aux dim)
     amplitudes, p = [], []
     for variant in config.variants:
@@ -166,13 +166,13 @@ def _run_chunk(config: SweepConfig, dim: int, block: int, words: np.ndarray):
     # y[:, trial, variant] = (1 - P_A, 1 - P_B, 1 - c^2)
     y = np.empty((3, n, len(config.variants)))
     y[:2] = _maxima(np.stack(p, axis=-2))[1]
-    y[2] = _overlap(e_adj[0], e.eigenbasis[1])[1][:, None]
+    y[2] = _overlap(e_adj[0], e[1])[1][:, None]
     # slack[trial, variant, kind]: the first minimum in C order is the
     # smallest (trial, variant, kind), the witness key's tie-break.
     slack = _slacks(config.kinds, y)[-1]
     t, v, k = map(int, np.unravel_index(np.argmin(slack), slack.shape))
     key = (float(slack[t, v, k]), dim, t0 + t, v, k)
-    best = (key, amplitudes[v][t], e.eigenbasis[0, t], e.eigenbasis[1, t])
+    best = (key, amplitudes[v][t], e[0, t], e[1, t])
     return slack.size, int(np.count_nonzero(slack < -config.tolerance)), best
 
 

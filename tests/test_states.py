@@ -86,6 +86,132 @@ def _good_stack(n=4, dim=3):
     return sample_mixed(dim, dim, seed=5, count=n).matrix.copy()
 
 
+# The seed forms of the samplers: an int, a count, a tuple, a tuple and a count.
+SEED_FORMS = {
+    "single": (5, None),
+    "count": (5, 4),
+    "tuple": ((5, 0, derived_seed(5, 1)), None),
+    "tuple-count": ((5, 0, derived_seed(5, 1)), 3),
+}
+
+
+def _gram(m):
+    """M M^dag of every N x K matrix in a stack."""
+    return m @ m.conj().swapaxes(-1, -2)
+
+
+@pytest.fixture
+def judged(monkeypatch) -> list:
+    """The containers the judging constructor ran on, from the start of the test."""
+    seen = []
+    for cls in (DensityMatrix, PureState, ProjectiveObservable):
+
+        def counted(self, post_init=cls.__post_init__):
+            seen.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return seen
+
+
+# Inputs from outside, and the containers purify and projector build on.
+OUTSIDE = {
+    "rho": DensityMatrix(np.diag([0.6, 0.4])).to_payload(),
+    "psi": PureState(np.array([0.6, 0.8j])).to_payload(),
+    "pickled": pickle.dumps(sample_mixed(3, 3, seed=1)),
+    "mixed": sample_mixed(3, 3, seed=1),
+    "observable": sample_observable(3, seed=1),
+}
+
+
+class TestValidByConstruction:
+    """The samplers and the traced-out states skip the judging constructor:
+    each container holds the bits that constructor keeps for the same array,
+    read-only, and unpickles through it. Outside input stays judged."""
+
+    @staticmethod
+    def _as_judged(judged, build, cls, raw):
+        """``build()`` judges nothing and gives what ``cls(raw)`` gives."""
+        x = build()
+        assert type(x) is cls and judged == []
+        got, want = getattr(x, cls.FIELD), getattr(cls(raw), cls.FIELD)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        copy = pickle.loads(pickle.dumps(x))
+        assert len(judged) == 2 and judged[-1] is copy
+        assert getattr(copy, cls.FIELD).tobytes() == want.tobytes()
+        assert not getattr(copy, cls.FIELD).flags.writeable
+
+    @pytest.mark.parametrize("form", SEED_FORMS)
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_sample_pure(self, judged, dim, form):
+        seed, count = SEED_FORMS[form]
+        raw = sample_pure(dim, seed, count).amplitudes
+        judged.clear()
+        self._as_judged(judged, lambda: sample_pure(dim, seed, count), PureState, raw)
+
+    @pytest.mark.parametrize("form", SEED_FORMS)
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_sample_observable(self, judged, dim, form):
+        seed, count = SEED_FORMS[form]
+        raw = sample_haar_unitary(dim, seed, count)
+        self._as_judged(
+            judged, lambda: sample_observable(dim, seed, count), ProjectiveObservable, raw
+        )
+
+    @pytest.mark.parametrize("form", SEED_FORMS)
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_sample_mixed(self, judged, dim, form):
+        seed, count = SEED_FORMS[form]
+        aux = dim % 3 + 1
+        m = sample_pure(dim * aux, seed, count).amplitudes.reshape(-1, dim, aux)
+        raw = _gram(m).reshape(sample_mixed(dim, aux, seed, count).matrix.shape)
+        judged.clear()
+        self._as_judged(judged, lambda: sample_mixed(dim, aux, seed, count), DensityMatrix, raw)
+
+    @pytest.mark.parametrize("form", SEED_FORMS)
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_partial_trace_aux_of_a_judged_state(self, judged, dim, form):
+        seed, count = SEED_FORMS[form]
+        a = sample_pure(dim * dim, seed, count).amplitudes
+        psi = PureState(a)
+        raw = _gram(a.reshape(*a.shape[:-1], dim, dim))
+        judged.clear()
+        self._as_judged(judged, lambda: partial_trace_aux(psi, dim, dim), DensityMatrix, raw)
+
+    @pytest.mark.parametrize("form", SEED_FORMS)
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_density_of_a_judged_state(self, judged, dim, form):
+        seed, count = SEED_FORMS[form]
+        a = sample_pure(dim, seed, count).amplitudes
+        psi = PureState(a)
+        raw = a[..., :, None] * a.conj()[..., None, :]
+        judged.clear()
+        self._as_judged(judged, psi.density, DensityMatrix, raw)
+
+    @pytest.mark.parametrize(
+        "build, cls",
+        [
+            (lambda: ProjectiveObservable(VALID[ProjectiveObservable]), ProjectiveObservable),
+            (lambda: DensityMatrix.from_payload(OUTSIDE["rho"]), DensityMatrix),
+            (lambda: PureState.from_payload(OUTSIDE["psi"]), PureState),
+            (lambda: state_from_payload(OUTSIDE["rho"]), DensityMatrix),
+            (lambda: state_from_payload(OUTSIDE["psi"]), PureState),
+            (lambda: pickle.loads(OUTSIDE["pickled"]), DensityMatrix),
+            (lambda: purify(OUTSIDE["mixed"]), PureState),
+            (lambda: projector(OUTSIDE["observable"], 1), DensityMatrix),
+        ],
+        ids=["constructor", "from_payload", "pure_from_payload", "state_from_payload",
+             "state_from_pure_payload", "unpickling", "purify", "projector"],
+    )
+    def test_outside_input_stays_judged(self, judged, build, cls):
+        """One judging call, on the container read from outside (the pure
+        state a pure payload holds) or on what purify and projector build."""
+        build()
+        assert [type(x) for x in judged] == [cls]
+
+
 class TestDensityMatrixStorage:
     def test_matrix_is_the_judged_hermitian_part(self):
         # Hermitian within TOL.hermitian, yet <v|m|v> has imaginary part
@@ -247,11 +373,11 @@ class TestSolverCalls:
         assert h.hexdigest() == TRIANGLE_DIGEST
 
     @pytest.mark.parametrize("dim", range(2, 11))
-    def test_a_fresh_triple_makes_three_eigh_and_six_eigvalsh(self, solver_calls, dim):
+    def test_a_fresh_triple_makes_three_eigh_and_three_eigvalsh(self, solver_calls, dim):
         triple = _triple(dim, 0)
-        assert solver_calls == {"eigvalsh": 3}  # one validation per state
+        assert solver_calls == {}  # sampled states are valid by construction
         first = _triangle_distances(triple)
-        assert solver_calls == {"eigh": 3, "eigvalsh": 6}  # one root and one M per pair
+        assert solver_calls == {"eigh": 3, "eigvalsh": 3}  # one root and one M per pair
         solver_calls.clear()
         assert _triangle_distances(triple) == first
         assert solver_calls == {}
@@ -577,11 +703,16 @@ class TestSamplers:
         assert w[0] > 1e-4
 
     def test_sampled_states_pass_their_own_validation(self):
-        """Constructing DensityMatrix runs the full invariant suite, so a
+        """The judging constructor runs the full invariant suite on M M^dag,
+        the matrix sample_mixed keeps unjudged (M its sampled factor), so a
         sweep over dims and seeds is a sweep over those invariants."""
         for dim in range(2, 13):
+            products = []
             for t in range(1000):
-                sample_mixed(dim, dim, seed=derived_seed(4242, dim, t))
+                psi = sample_pure(dim * dim, seed=derived_seed(4242, dim, t))
+                m = psi.amplitudes.reshape(dim, dim)
+                products.append(m @ m.conj().T)
+            DensityMatrix(np.stack(products))  # one bad member rejects the stack
 
     def test_stacks_have_a_leading_count_axis(self):
         u = sample_haar_unitary(4, seed=1, count=6)
