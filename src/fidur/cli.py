@@ -6,8 +6,8 @@ stderr. Human-readable numbers carry 12 significant digits; serialized
 floats use the shortest round-trip representation, so output is
 byte-deterministic for fixed flags and seed.
 
-Exit codes: 0 success, 2 usage or input error, 3 uncertainty-relation
-violation finding.
+Exit codes: 0 success, 1 stdout closed by its reader, 2 usage or input
+error, 3 uncertainty-relation violation finding.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -254,26 +255,30 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        if args.command == "fidelity":
-            return cmd_fidelity(args.rho, args.sigma)
-        if args.command == "check-ur":
-            return cmd_check_ur(
-                args.rho, args.a, args.b, metric_kind(args.metric), args.tolerance
-            )
-        if args.command == "sweep":
-            config = _sweep_config_from_args(parser, args)
-            return cmd_sweep(config, workers=args.workers)
-        if args.command == "region":
-            return cmd_region(
-                metric_kind(args.metric), args.overlap, args.dim, args.points, args.out
-            )
-        if args.command == "sample":
-            return cmd_sample(args.what, args.dim, args.aux_dim, args.seed, args.out)
-        parser.error(f"unknown command {args.command!r}")
+        code = _run(parser, args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
     except (FidurError, MemoryError) as exc:  # MemoryError: a size the machine cannot hold
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
-    return 0
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(parser: argparse.ArgumentParser, args) -> int:
+    if args.command == "fidelity":
+        return cmd_fidelity(args.rho, args.sigma)
+    if args.command == "check-ur":
+        return cmd_check_ur(args.rho, args.a, args.b, metric_kind(args.metric), args.tolerance)
+    if args.command == "sweep":
+        return cmd_sweep(_sweep_config_from_args(parser, args), workers=args.workers)
+    if args.command == "region":
+        return cmd_region(metric_kind(args.metric), args.overlap, args.dim, args.points, args.out)
+    if args.command == "sample":
+        return cmd_sample(args.what, args.dim, args.aux_dim, args.seed, args.out)
+    parser.error(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

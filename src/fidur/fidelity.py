@@ -1,13 +1,12 @@
 """Uhlmann fidelity by two independent computation routes.
 
-``fidelity`` evaluates (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 directly,
-from the root of rho and the eigenvalues of the inner product;
-``fidelity_oracle`` evaluates the equivalent squared nuclear norm of
-sqrt(rho) sqrt(sigma) from its singular values. The two share only the
-root kernel and ``linalg``'s solvers, and serve as mutual oracles.
-``purification_overlap_search`` exhibits the third characterization: the
-supremum of |<psi|phi>|^2 over purifications, approached stochastically
-from below.
+``fidelity`` evaluates (tr sqrt(M))^2, M = sqrt(rho) sigma sqrt(rho), from
+the eigenvalues of K = G^dag sigma G, which are M's: G = V sqrt(w) is the
+eigen-factor of rho (sqrt(rho) = G V^dag), so no root is built.
+``fidelity_oracle`` evaluates the squared nuclear norm of sqrt(rho)
+sqrt(sigma). The two share only the root's floor and ``linalg``'s solvers,
+and serve as mutual oracles. ``purification_overlap_search`` approaches the
+supremum of |<psi|phi>|^2 over purifications stochastically from below.
 """
 
 from __future__ import annotations
@@ -37,37 +36,36 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix):
 
     Bitwise-identical matrices give exactly 1.0 (the numerical route would
     land ~1e-13 short and downstream arccos would amplify the gap).
-    Otherwise tr sqrt(M) for M = sqrt(rho) sigma sqrt(rho) is the sum of
-    the square roots of M's eigenvalues, with an absolute noise floor of
-    4*N*eps: both operands have operator norm at most 1, so eigenvalues
-    below that are round-off. Stacks broadcast over their leading axes and
-    give an array. A single pair runs the same kernel and gives a float,
-    cached for the 64 ordered pairs asked most recently (keyed by, and
-    holding, the states); a stack reads no cache.
+    Otherwise tr sqrt(M) is the sum of the square roots of K's eigenvalues,
+    floored at 4*N*eps: both operands have operator norm at most 1, so
+    eigenvalues below that are round-off. Stacks broadcast over their
+    leading axes and give an array. A single pair gives a float, cached for
+    the 64 ordered pairs asked most recently (keyed by, and holding, the
+    states); a stack reads no cache.
     """
     for x in (rho, sigma):
         _expect(x, DensityMatrix)
-    if rho.matrix.ndim == sigma.matrix.ndim == 2:
+    a, b = rho.matrix, sigma.matrix
+    if a.ndim == b.ndim == 2 and a.shape == b.shape:
         return _fidelity(rho, sigma)
-    return _fidelity_kernel(rho, sigma)
+    _check_dims(rho, sigma)
+    return np.where((a == b).all(axis=(-2, -1)), 1.0, _fidelity_kernel(a, b))
 
 
 @functools.lru_cache(maxsize=64)
 def _fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    return float(_fidelity_kernel(rho, sigma))
+    a, b = rho.matrix, sigma.matrix
+    return 1.0 if (a == b).all() else float(_fidelity_kernel(a, b))
 
 
-def _fidelity_kernel(rho: DensityMatrix, sigma: DensityMatrix) -> np.ndarray:
-    _check_dims(rho, sigma)
-    s = rho.sqrt
-    m = s @ sigma.matrix @ s
-    w = linalg.eigensolve((m + linalg.adjoint(m)) / 2)
-    # The states were judged PSD when built; the floor zeroes M's negative round-off.
-    w = np.where(w < 4 * w.shape[-1] * _EPS, 0.0, w)
+def _fidelity_kernel(a: np.ndarray, b: np.ndarray):
+    g = linalg._psd_factor(*linalg.eigensolve(a, vectors=True))
+    k = linalg.eigensolve(linalg.adjoint(g) @ b @ g)  # K, unsymmetrized: one triangle is read
+    # The states were judged PSD when built; the floor zeroes K's negative round-off.
+    k[k < 4 * k.shape[-1] * _EPS] = 0.0
     # An array's ** 2 is x * x, 1 last bit off a float's libm pow(x, 2) ~1 time
     # in 1000; float_power is pow for both, so a member keeps its pair's bits.
-    f = clamp(np.float_power(np.sqrt(w).sum(axis=-1), 2), "fidelity_guard")
-    return np.where((rho.matrix == sigma.matrix).all(axis=(-2, -1)), 1.0, f)
+    return clamp(np.float_power(np.sqrt(k).sum(axis=-1), 2), "fidelity_guard")
 
 
 def fidelity_pure_pure(psi: PureState, phi: PureState) -> float:

@@ -116,13 +116,14 @@ def _no_convergence(err, flag):
     raise NoConvergence("LAPACK solver did not converge")
 
 
-# numpy.linalg's error state for its gufuncs: a failed LAPACK call fills its
-# output with NaN and raises the invalid flag, which calls _no_convergence.
-_LAPACK_ERRSTATE = dict(
+# numpy.linalg's error state, set on each call of a decorated function: a failed
+# LAPACK call fills its output with NaN and raises invalid, calling _no_convergence.
+_lapack_errstate = np.errstate(
     call=_no_convergence, invalid="call", over="ignore", divide="ignore", under="ignore"
 )
 
 
+@_lapack_errstate
 def eigensolve(h: np.ndarray, vectors: bool = False):
     """Ascending eigenvalues ``w`` of every matrix in the complex128 stack
     ``h`` (its lower triangle is read), or ``(w, v)`` with the eigenvector
@@ -131,21 +132,20 @@ def eigensolve(h: np.ndarray, vectors: bool = False):
     flag raised) is NoConvergence. Like ``np.linalg``, a NaN input that
     LAPACK passes through without failing gives NaN eigenvalues; every
     caller hands in finite matrices only."""
-    with np.errstate(**_LAPACK_ERRSTATE):
-        if vectors:
-            return _umath_linalg.eigh_lo(h, signature="D->dD")
-        return _umath_linalg.eigvalsh_lo(h, signature="D->d")
+    if vectors:
+        return _umath_linalg.eigh_lo(h, signature="D->dD")
+    return _umath_linalg.eigvalsh_lo(h, signature="D->d")
 
 
+@_lapack_errstate
 def qr_unitary(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(q, d)``: the Q factor of every square matrix in the complex128 stack
     ``a`` and the diagonal of its R, the bits of ``np.linalg.qr(a)``. ``a``
     itself is factored in place (it ends holding R on and above its
     diagonal), so it must be the caller's own scratch array. A LAPACK
     failure raises NoConvergence."""
-    with np.errstate(**_LAPACK_ERRSTATE):
-        tau = _umath_linalg.qr_r_raw(a, signature="D->D")
-        q = _umath_linalg.qr_reduced(a, tau, signature="DD->D")
+    tau = _umath_linalg.qr_r_raw(a, signature="D->D")
+    q = _umath_linalg.qr_reduced(a, tau, signature="DD->D")
     return q, np.diagonal(a, axis1=-2, axis2=-1)
 
 
@@ -183,13 +183,16 @@ def psd_sqrt(m) -> np.ndarray:
     return _psd_root(check_psd(w), v)
 
 
-def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The root ``psd_sqrt`` builds from the eigenpairs ``(w, v)`` (ascending
-    ``w``) of the Hermitian part of a matrix judged PSD already (by ``psd_sqrt``
-    or ``DensityMatrix``); a stack of eigenpairs gives the stack of roots."""
-    # With lambda_max <= 0 the floor lies above every eigenvalue, so all of
-    # them are zeroed.
-    w = np.where(w < w.shape[-1] * _EPS * w[..., -1:], 0.0, w)
-    s = (v * np.sqrt(w)[..., None, :]) @ adjoint(v)
-    return (s + adjoint(s)) / 2
+def _psd_factor(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """G = V sqrt(w), the root being G V^dag, of the eigenpairs ``(w, v)`` (ascending
+    ``w``) of the Hermitian part of a matrix, or stack, judged PSD already (by
+    ``psd_sqrt`` or ``DensityMatrix``); w below N*eps*lambda_max, or all of it when
+    lambda_max <= 0, is zeroed in place."""
+    w[w < w.shape[-1] * _EPS * w[..., -1:]] = 0.0
+    return v * np.sqrt(w)[..., None, :]
 
+
+def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The root ``psd_sqrt`` builds from ``_psd_factor``'s eigenpairs."""
+    s = _psd_factor(w, v) @ adjoint(v)
+    return (s + adjoint(s)) / 2

@@ -67,6 +67,6 @@ def _f(kind: MetricKind, y):
 
 
 def metric_distance(kind: MetricKind, rho: DensityMatrix, sigma: DensityMatrix):
-    """d(rho, sigma) = f(F(rho, sigma)); stacks broadcast as in ``fidelity``."""
-    return f_of(kind, fidelity(rho, sigma))
-
+    """d(rho, sigma) = f(F(rho, sigma)), F clamped already; stacks broadcast as in ``fidelity``."""
+    y = _f(kind, 1.0 - fidelity(rho, sigma))
+    return float(y) if y.ndim == 0 else y

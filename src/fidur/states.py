@@ -22,14 +22,11 @@ unpickled through the judging constructor. Outside input is judged: the
 constructor copies it by ``linalg.as_complex_stack`` and checks it, and so
 do ``from_payload``, ``state_from_payload``, unpickling, ``purify`` and
 ``projector`` (a judged basis bounds a projector's trace only by
-``TOL.orthonormal``, which is the edge of ``TOL.trace_one``). Arrays fidur
-builds valid by construction skip the checks they cannot fail, through
-``_Fixture._made``, with the bits the constructor would keep: the sampled
-pure states and observables (unit norm and orthonormality hold to O(N eps))
-and the traced-out states of ``partial_trace_aux`` and
-``PureState.density`` (M M^dag of a pure state, judged or sampled, is PSD,
-with trace within 2 * TOL.unit_norm of 1). ``_Fixture`` also codes JSON
-payloads: [re, im], row-major.
+``TOL.orthonormal``, which is the edge of ``TOL.trace_one``). What fidur
+builds valid by construction, sampled pure states and observables and the
+states M M^dag traced out of a pure state, skips the checks it cannot fail
+through ``_Fixture._made``, with the bits the constructor would keep.
+``_Fixture`` also codes JSON payloads: [re, im], row-major.
 """
 
 from __future__ import annotations
@@ -150,8 +147,8 @@ class DensityMatrix(_Fixture):
     and one bad member rejects the whole stack. A single matrix and a stack
     are validated alike, with one ``eigvalsh`` call, and this constructor
     is the only judge of a state: a state built from a ``PureState``
-    (``partial_trace_aux``, ``PureState.density``, and so every sampled
-    mixed state) is valid by construction and is not judged. The stored
+    (``partial_trace_aux``, ``PureState.density``, ``sample_mixed``) is
+    valid by construction and is not judged. The stored
     ``matrix`` is the Hermitian part (A + A^dag) / 2, judged or built.
     The Hermitian and PSD checks are ``linalg``'s, so a bad matrix raises
     the same ``NotHermitian`` or ``NotPSD`` (both ``ValidationError``) here
@@ -176,7 +173,7 @@ class DensityMatrix(_Fixture):
     def sqrt(self) -> np.ndarray:
         """The principal square root (the stack of roots for a stack),
         computed on each access with the bits of ``linalg.psd_sqrt(matrix)``."""
-        return linalg._psd_root(*_eigenpairs(self))
+        return linalg._psd_root(*linalg.eigensolve(self.matrix, vectors=True))
 
 
 def _expect(x, *classes) -> None:
@@ -209,12 +206,6 @@ def _single(*states) -> None:
         if lead:
             raise DimensionMismatch(f"expected a single state, got stack axes {lead}")
         _check_dims(states[0], state)
-
-
-def _eigenpairs(state: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs of a state or stack, with the bits of ``psd_sqrt``'s
-    ``eigh``: the stored matrix is the Hermitian part that was judged."""
-    return linalg.eigensolve(state.matrix, vectors=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,7 +273,7 @@ def purify(rho: DensityMatrix) -> PureState:
     """
     _expect(rho, DensityMatrix)
     _single(rho)
-    w, v = _eigenpairs(rho)
+    w, v = linalg.eigensolve(rho.matrix, vectors=True)
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = v[:, order]
@@ -567,10 +558,14 @@ def sample_mixed(
     7111, 2001).
 
     aux_dim=1 yields pure states; aux_dim >= dim yields generic full-rank
-    states.
+    states. Bitwise ``partial_trace_aux(sample_pure(dim * aux_dim, ...))``.
     """
-    psi = sample_pure(dim * aux_dim, seed, count)
-    return partial_trace_aux(psi, dim, aux_dim)
+    dim, aux_dim = _integer("dim", dim), _integer("aux_dim", aux_dim)
+    if dim < 1 or aux_dim < 1:
+        raise DimensionMismatch("dimensions must be positive")
+    z = _pure(_streams(seed), _stack_shape(count, dim * aux_dim)).amplitudes
+    m = z.reshape(*z.shape[:-1], dim, aux_dim)
+    return _gram_state(m @ linalg.adjoint(m))
 
 
 def sample_observable(

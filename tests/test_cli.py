@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -73,6 +74,22 @@ class TestFidelityCommand:
         assert main(["fidelity", rho, sigma]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "F = 0.989897948557"
+
+    def test_readme_example_verbatim(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in (
+            "sample mixed --dim 3 --aux-dim 2 --seed 11 --out rho.json",
+            "sample mixed --dim 3 --aux-dim 3 --seed 12 --out sigma.json",
+        ):
+            assert main(argv.split()) == 0
+        capsys.readouterr()
+        assert main("fidelity rho.json sigma.json".split()) == 0
+        assert capsys.readouterr().out == (
+            "F = 0.504940432244\n"
+            "angle = 0.780457650759\n"
+            "bures = 0.760800095669\n"
+            "root-infidelity = 0.703604695661\n"
+        )
 
     def test_accepts_pure_state_fixture(self, capsys, one_state, zero_state):
         assert main(["fidelity", one_state, zero_state]) == 0
@@ -414,6 +431,32 @@ class TestSampleFuzz:
 )
 def test_oversized_size_exits_2(argv):
     assert _run_main(argv) == (2, "", "error: requested size is too large for one array\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fidelity", "rho.json", "psi.json"],
+        ["sample", "mixed", "--dim", "8", "--aux-dim", "8", "--seed", "3"],
+    ],
+    ids=["fidelity", "sample-mixed"],
+)
+def test_a_closed_stdout_exits_1_without_a_traceback(monkeypatch, tmp_path, argv):
+    """As in ``fidur ... | head -c 10``: writing to stdout raises
+    BrokenPipeError, and stdout then points at devnull, so that the final
+    flush of what is still buffered cannot raise again."""
+    monkeypatch.chdir(tmp_path)
+    for args in ("sample mixed --dim 3 --aux-dim 2 --seed 11 --out rho.json",
+                 "sample pure --dim 3 --seed 7 --out psi.json"):
+        assert _run_main(args.split())[0] == 0
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(argv) == 1
+        assert err.getvalue() == ""
+        print("more", flush=True)
 
 
 _NUMPY_OOM = "Unable to allocate 74.5 GiB for an array with shape (10000000000,)"

@@ -56,3 +56,30 @@ def test_every_traced_constructor_defines_its_own_post_init(cls):
     """``perfbench/run.py --trace 1`` wraps ``cls.__dict__["__post_init__"]``,
     so the method must stay on each class, not move to a shared base."""
     assert "__post_init__" in vars(getattr(importlib.import_module("fidur.states"), cls))
+
+
+def test_readme_library_quick_start_verbatim(capsys):
+    """The README's library quick start as written, and the values it prints."""
+    import numpy as np
+    from fidur import (
+        DensityMatrix, MetricKind, check_ur, computational_observable,
+        fidelity, fourier_observable, metric_distance,
+    )
+
+    rho = DensityMatrix(np.diag([0.6, 0.4]))
+    sigma = DensityMatrix(np.diag([0.5, 0.5]))
+    print(fidelity(rho, sigma))                              # 0.9898979485566358
+    print(metric_distance(MetricKind.ANGLE, rho, sigma))     # arccos(sqrt(F))
+
+    a = computational_observable(2)
+    b = fourier_observable(2)
+    report = check_ur(MetricKind.ANGLE, a, b, DensityMatrix(np.diag([1.0, 0.0])))
+    print(report.slack)                                      # 0.0 (tight instance)
+    print(report.to_json())
+    assert capsys.readouterr().out == (
+        "0.9898979485566358\n"
+        "0.10067896039516439\n"
+        "0.0\n"
+        '{"bound": 0.7853981633974484, "overlap_c": 0.7071067811865475, "p_max_a": 1.0, '
+        '"p_max_b": 0.4999999999999999, "slack": 0.0, "u_a": 0.0, "u_b": 0.7853981633974484}\n'
+    )

@@ -93,11 +93,19 @@ def nested_root_fidelity(rho, sigma):
 
 class TestFidelityCaching:
     def test_matches_nested_root_route(self):
+        # Rank-deficient first arguments give the eigen-factor of rho floored
+        # zero columns: traced-out states of rank r < N and pure projectors.
         for dim in range(2, 11):
             for t in range(20):
-                rho = sample_mixed(dim, dim, seed=derived_seed(70, dim, t, 0))
                 sigma = sample_mixed(dim, dim, seed=derived_seed(70, dim, t, 1))
-                assert abs(fidelity(rho, sigma) - nested_root_fidelity(rho, sigma)) <= 1e-13
+                firsts = [
+                    sample_mixed(dim, dim, seed=derived_seed(70, dim, t, 0)),
+                    sample_pure(dim, seed=derived_seed(70, dim, t, 2)).density(),
+                    *(sample_mixed(dim, r, seed=derived_seed(70, dim, t, 3, r))
+                      for r in range(1, dim)),
+                ]
+                for rho in firsts:
+                    assert abs(fidelity(rho, sigma) - nested_root_fidelity(rho, sigma)) <= 1e-13
 
     def test_repeated_call_returns_the_identical_float(self):
         rho = sample_mixed(4, 4, seed=1)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,10 +341,11 @@ def test_a_container_of_the_wrong_kind_is_named(call, expected, got):
 
 
 # sha256 over the stored matrices, their roots and the 9 metric distances of
-# 10 triples per dimension 2..10, taken when f moved to the complement form
-# f(1 - y): the values must not move by one bit. The earlier digest differed
-# in the last bit of 167 of the 810 distances (at most 5.2e-16 relative).
-TRIANGLE_DIGEST = "406628e67c1e0c4d386ebae7b841b240f9d6b4088c859bef2b36411fe5350224"
+# 10 triples per dimension 2..10, taken when fidelity moved to the eigen-factor
+# of rho (the eigenvalues of G^dag sigma G, no root built): the values must not
+# move by one bit. Against the root route 743 of the 810 distances moved, by at
+# most 6.9e-14 relative; every matrix and root kept its bits.
+TRIANGLE_DIGEST = "b0fda2afdbf96b571e7e3df56e0b38d6ce1cdced848111d3407f2d904e22a7d2"
 
 
 def _triple(dim, t):
@@ -381,6 +383,19 @@ class TestSolverCalls:
         solver_calls.clear()
         assert _triangle_distances(triple) == first
         assert solver_calls == {}
+
+    def test_a_kept_sampled_state_holds_its_matrix_and_little_more(self):
+        # A root, factor or eigenpairs cached on a state would show here.
+        n, count = 8, 1000
+        sample_mixed(n, n, seed=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [sample_mixed(n, n, seed=derived_seed(9, t)) for t in range(count)]
+            per_state = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+        finally:
+            tracemalloc.stop()
+        assert per_state <= 16 * n * n + 512
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
     def test_validation_makes_one_solver_call(self, solver_calls, stacked):
