@@ -480,29 +480,33 @@ def _streams(seed: Seed):
     return _members(seed) if isinstance(seed, tuple) else _generator(seed)
 
 
+_SQRT_HALF = 1.0 / np.sqrt(2.0)  # numpy divides a complex z by sqrt(2) as z * _SQRT_HALF
+
+
 def _gaussian(stream, shape: tuple) -> np.ndarray:
     """Standard complex Gaussian entries (E|z|^2 = 1) of the given shape: the
-    real then the imaginary parts of a generator's ``standard_normal((2,
-    *shape))``, with a leading member per generator when ``stream`` is a list."""
+    bits of ``(x[0] + 1j * x[1]) / np.sqrt(2.0)`` for a generator's ``x =
+    standard_normal((2, *shape))``, with no complex temporary, and a leading
+    member per generator when ``stream`` is a list."""
     if isinstance(stream, list):
         x = np.empty((len(stream), 2, *shape))
         for g, out in zip(stream, x):
             g.standard_normal(out=out)
-        z = x[:, 0] + 1j * x[:, 1]
+        re, im = x[:, 0], x[:, 1]
     else:
-        x = stream.standard_normal((2, *shape))
-        z = x[0] + 1j * x[1]
-    z /= np.sqrt(2.0)
+        re, im = x = stream.standard_normal((2, *shape))
+    x *= _SQRT_HALF
+    z = np.empty(re.shape, dtype=np.complex128)
+    z.real, z.imag = re, im
     return z
 
 
 def _unitary(stream, shape: tuple) -> np.ndarray:
-    """Haar unitaries of ``shape`` drawn from ``stream`` (see ``_gaussian``):
-    the Q factor of each Ginibre matrix, the phases of R's diagonal made
-    real positive (Mezzadri, Notices AMS 54, 2007)."""
+    """``sample_haar_unitary``'s unitaries of ``shape`` drawn from ``stream``
+    (see ``_gaussian``); a zero diagonal entry of R takes phase 1."""
     q, d = linalg.qr_unitary(_gaussian(stream, shape))
-    ph = np.where(np.abs(d) > 0, d, 1.0)
-    ph = ph / np.abs(ph)
+    r = np.abs(d)
+    ph = np.divide(d, r, out=np.ones_like(d), where=r > 0)
     q *= ph[..., None, :]  # in place: the stack is the sampler's peak memory
     return q
 
@@ -526,12 +530,9 @@ def _stack_shape(count, *shape: int) -> tuple:
 
 
 def sample_haar_unitary(dim: int, seed: Seed, count: int | None = None) -> np.ndarray:
-    """Haar-distributed unitary via a Ginibre matrix and QR.
-
-    The QR phase ambiguity is fixed by making the triangular factor's
-    diagonal real positive, which is what makes the distribution Haar
-    rather than merely unitary (Mezzadri, Notices AMS 54, 2007).
-    """
+    """Haar-distributed unitary: the Q factor of a Ginibre matrix, with the
+    phases of R's diagonal made real positive, which makes the law Haar
+    rather than merely unitary (Mezzadri, Notices AMS 54, 2007)."""
     if _integer("dim", dim) < 1:
         raise DimensionMismatch("dimension must be at least 1")
     shape = _stack_shape(count, dim, dim)

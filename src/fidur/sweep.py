@@ -48,7 +48,7 @@ from .states import (
     _unitary,
     partial_trace_aux,
 )
-from .uncertainty import _maxima, _overlap, _probabilities, _slacks
+from .uncertainty import _complement, _overlap_complement, _probabilities, _slacks
 
 __all__ = ["BLOCK", "SweepConfig", "SweepResult", "run_sweep"]
 
@@ -157,16 +157,17 @@ def _run_chunk(config: SweepConfig, dim: int, block: int, words: np.ndarray):
     e = _unitary(streams[_ROLE_A : _ROLE_B + 1], array_shape(n, dim, dim))
     e_adj = adjoint(e)
     draws = {"pure": (_ROLE_PURE, 1), "mixed": (_ROLE_MIXED, dim)}  # (role, aux dim)
-    amplitudes, p = [], []
-    for variant in config.variants:
+    amplitudes = []
+    p = np.empty((2, n, len(config.variants), dim))  # p[observable, trial, variant]
+    for v, variant in enumerate(config.variants):
         role, aux = draws[variant]
         psi = _pure(streams[role], (n, dim * aux)).amplitudes  # as sample_pure draws it
         amplitudes.append(psi)
-        p.append(_probabilities(e_adj, psi.reshape(n, dim, aux)))
+        p[:, :, v] = _probabilities(e_adj, psi.reshape(n, dim, aux))
     # y[:, trial, variant] = (1 - P_A, 1 - P_B, 1 - c^2)
     y = np.empty((3, n, len(config.variants)))
-    y[:2] = _maxima(np.stack(p, axis=-2))[1]
-    y[2] = _overlap(e_adj[0], e[1])[1][:, None]
+    y[:2] = _complement(p)
+    y[2] = _overlap_complement(e_adj[0] @ e[1])[:, None]
     # slack[trial, variant, kind]: the first minimum in C order is the
     # smallest (trial, variant, kind), the witness key's tie-break.
     slack = _slacks(config.kinds, y)[-1]

@@ -15,8 +15,11 @@ sum of all p_i but the largest over the sum of all, which divides out the
 trace; 1 - c^2 is the smallest such complement over the columns of
 |A^dag B|^2. ``check_ur`` factors rho by its root and the sweep by its
 sampled amplitudes; both, and ``report_from_probabilities``, take the
-slack from ``_slacks``. A negative slack beyond tolerance is a finding,
-never an exception: for valid inputs it means a bug.
+slack from ``_slacks``. P and c are formed, under ``probability_clamp``
+and ``overlap_guard``, only where a public function reports them; a sweep
+chunk forms just the complements, ratios in [0, 1 - 1/N] that need no guard.
+A negative slack beyond tolerance is a finding, never an exception: for
+valid inputs it means a bug.
 """
 
 from __future__ import annotations
@@ -126,10 +129,13 @@ def _overlap(ea_adj: np.ndarray, eb: np.ndarray) -> tuple[np.ndarray, np.ndarray
     the first given by its adjoint."""
     x = ea_adj @ eb
     # Valid bases keep c far above 1/sqrt(N), so only the upper guard is reachable.
-    c = clamp(np.abs(x).max(axis=(-2, -1)), "overlap_guard")
-    # Column j of |x|^2 is the outcome distribution of |b_j> under A.
-    y = _complement((x.real * x.real + x.imag * x.imag).swapaxes(-1, -2)).min(axis=-1)
-    return c, y
+    return clamp(np.abs(x).max(axis=(-2, -1)), "overlap_guard"), _overlap_complement(x)
+
+
+def _overlap_complement(x: np.ndarray) -> np.ndarray:
+    """1 - c^2 of the overlap matrix (or stack) x = A^dag B: column j of
+    |x|^2 is the outcome distribution of |b_j> under A."""
+    return _complement((x.real * x.real + x.imag * x.imag).swapaxes(-1, -2)).min(axis=-1)
 
 
 def report_from_probabilities(kind: MetricKind, p_max_a, p_max_b, c) -> URReport:

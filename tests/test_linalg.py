@@ -258,15 +258,33 @@ class TestSolverSeam:
         assert q.tobytes() == q_ref.tobytes()
         assert d.tobytes() == np.diagonal(r_ref, axis1=-2, axis2=-1).tobytes()
 
+    @staticmethod
+    def _np_linalg_haar(ginibre: np.ndarray) -> np.ndarray:
+        q, r = np.linalg.qr(ginibre)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        ph = np.where(np.abs(d) > 0, d, 1.0)
+        return q * (ph / np.abs(ph))[..., None, :]
+
     @pytest.mark.parametrize("count", [None, 4])
     @pytest.mark.parametrize("dim", range(1, 11))
     def test_haar_sampler_is_bitwise_the_np_linalg_route(self, dim, count):
         shape = (dim, dim) if count is None else (count, dim, dim)
-        q, r = np.linalg.qr(fidur.states._gaussian(fidur.states._generator(dim), shape))
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-        ph = np.where(np.abs(d) > 0, d, 1.0)
-        expected = q * (ph / np.abs(ph))[..., None, :]
+        x = np.random.default_rng(dim).standard_normal((2, *shape))
+        expected = self._np_linalg_haar((x[0] + 1j * x[1]) / np.sqrt(2.0))
         assert sample_haar_unitary(dim, dim, count).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_a_zero_diagonal_of_r_takes_phase_one(self, dim, monkeypatch):
+        """A Ginibre matrix with an exactly zero column has R_jj = 0 there; that
+        phase is 1, with no RuntimeWarning (pytest makes a warning an error)."""
+        rng = np.random.default_rng(300 + dim)
+        z = rng.standard_normal((4, dim, dim)) + 1j * rng.standard_normal((4, dim, dim))
+        for k in range(4):
+            z[k, :, k % dim] = 0.0
+        monkeypatch.setattr(fidur.states, "_gaussian", lambda stream, shape: z.copy())
+        d = np.diagonal(np.linalg.qr(z)[1], axis1=-2, axis2=-1)
+        assert (d == 0).any(axis=-1).all()
+        assert sample_haar_unitary(dim, 0, 4).tobytes() == self._np_linalg_haar(z).tobytes()
 
     @pytest.mark.parametrize("vectors", [False, True])
     @pytest.mark.parametrize("dim", range(3, 11))

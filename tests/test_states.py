@@ -22,6 +22,7 @@ from fidur.states import (
     DensityMatrix,
     ProjectiveObservable,
     PureState,
+    _gaussian,
     _generator,
     _generators,
     _members,
@@ -672,6 +673,29 @@ class TestSeedingGate:
     def test_a_tuple_in_one_pass_seeds_each_member_as_default_rng(self, members):
         for ours, seed in zip(_members(tuple(members)), members, strict=True):
             assert ours.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+    @pytest.mark.parametrize("members", [None, 3])
+    @pytest.mark.parametrize("lead", [(), (7,)], ids=str)
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_gaussian_is_bitwise_its_literal_recipe(self, dim, rank, lead, members):
+        """``_gaussian`` scales the real draws in place; it must keep the bits of
+        the complex combine and division by sqrt(2), for one generator and for a
+        list of them, over many seeds."""
+        shape = (*lead, *[dim] * rank)
+
+        def literal(g):
+            x = g.standard_normal((2, *shape))
+            return (x[0] + 1j * x[1]) / np.sqrt(2.0)
+
+        for seed in range(40):
+            if members is None:
+                ours, theirs = _gaussian(_generator(seed), shape), literal(_generator(seed))
+            else:
+                words = _stream_words([(seed, dim, len(shape), m) for m in range(members)])
+                ours = _gaussian(_generators(words), shape)
+                theirs = np.stack([literal(g) for g in _generators(words)])
+            assert ours.tobytes() == theirs.tobytes()
 
     def test_trailing_zero_words_hash_as_missing_words(self):
         """SeedSequence hashes a missing pool word as 0, so the one pass may hand

@@ -10,16 +10,18 @@ import pytest
 
 import fidur.sweep
 from fidur.errors import ValidationError
+from fidur.linalg import adjoint
 from fidur.metrics import MetricKind, metric_kind
 from fidur.states import (
     ProjectiveObservable,
     derived_seed,
+    sample_haar_unitary,
     sample_mixed,
     sample_pure,
     state_from_payload,
 )
 from fidur.sweep import BLOCK, SweepConfig, SweepResult, run_sweep
-from fidur.uncertainty import check_ur
+from fidur.uncertainty import _maxima, _overlap, check_ur
 
 ALL_KINDS = (MetricKind.ANGLE, MetricKind.BURES, MetricKind.ROOT_INFIDELITY)
 EPS = float(np.finfo(np.float64).eps)
@@ -368,6 +370,38 @@ class TestBlockedSweep:
         assert len(drawn["pure"]) == 4
         for x, y in zip(drawn["pure"], drawn["both"], strict=True):
             assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("trials", [1, 20, BLOCK])
+    @pytest.mark.parametrize("mixedness", ["pure", "mixed", "both"])
+    def test_every_slack_input_is_bitwise_the_guarded_kernels(self, monkeypatch, mixedness, trials):
+        """The chunks form only the complements y; every y they hand to
+        ``_slacks``, not only the minimum's, equals bit for bit the complements
+        ``_maxima`` and ``_overlap`` give on the same draws, with p_i = ||G^dag
+        a_i||^2 summed as re^2 + im^2 per column of G."""
+        recorded = []
+        original = fidur.sweep._slacks
+
+        def recording(kinds, y):
+            recorded.append(y.copy())
+            return original(kinds, y)
+
+        monkeypatch.setattr(fidur.sweep, "_slacks", recording)
+        config = small_config(dims=tuple(range(2, 11)), trials_per_dim=trials, mixedness=mixedness)
+        run_sweep(config)
+        assert len(recorded) == len(config.dims)  # one block per dimension
+        for dim, y in zip(config.dims, recorded):
+            seeds = [derived_seed(config.seed, dim, 0, role) for role in range(4)]
+            e = sample_haar_unitary(dim, (seeds[0], seeds[1]), trials)
+            p = []
+            for variant in config.variants:
+                role, aux = (2, 1) if variant == "pure" else (3, dim)
+                psi = sample_pure(dim * aux, seeds[role], trials).amplitudes
+                w = adjoint(e) @ psi.reshape(trials, dim, aux)
+                p.append((w.real * w.real + w.imag * w.imag).sum(axis=-1))
+            expected = np.empty_like(y)
+            expected[:2] = _maxima(np.stack(p, axis=-2))[1]
+            expected[2] = _overlap(adjoint(e[0]), e[1])[1][:, None]
+            assert y.tobytes() == expected.tobytes()
 
     def test_counts_a_scalar_violating_report_once_per_trial(self, monkeypatch):
         def violating_slacks(kinds, y):
