@@ -1,6 +1,6 @@
 """Seeded Monte Carlo verification sweeps over the uncertainty relation.
 
-One trial of dimension d draws two Haar observables and, depending on
+One trial of dimension d draws a Haar observable B and, depending on
 ``mixedness``, a Haar pure state and/or a generic full-rank mixed state
 (auxiliary dimension = d), then evaluates the slack of the relation
 U(A;rho) + U(B;rho) >= f(c^2) per requested metric kind and state variant,
@@ -9,10 +9,13 @@ of the drawn amplitudes alone: each variant draws a Haar pure state of
 dimension N*K, read as an N x K matrix M (rho = M M^dag), K = 1 if pure
 and K = N if mixed. Only the minimum-slack witness becomes a state.
 
+A is the computational basis: p_i and c are unchanged by (A, B, rho) ->
+(A^dag A, A^dag B, A^dag rho A), whose law for a Haar A independent of B
+and rho is that of (I, B, rho), so each slack has the law a Haar A gives.
+
 Trials run in blocks of ``BLOCK``: block j of dimension d holds trials
 [j*BLOCK, (j+1)*BLOCK), and each of its random objects is drawn as one
-stack from the seed derived_seed(seed, d, j, role) (the two observables
-as one stack of their two seeds, each member the draw of its own).
+stack from the seed derived_seed(seed, d, j, role) of its role, 1 to 3.
 The streams of ``_WINDOW`` chunks at a time are derived in one vectorized
 pass, bitwise those of derived_seed and np.random.default_rng.
 ``BLOCK`` is a constant, so the chunk plan, and with it every sample,
@@ -46,6 +49,7 @@ from .states import (
     _pure,
     _stream_words,
     _unitary,
+    computational_observable,
     partial_trace_aux,
 )
 from .uncertainty import _complement, _overlap_complement, _probabilities, _slacks
@@ -60,12 +64,7 @@ BLOCK = 64
 # Chunks whose streams are derived in one pass; any window gives the same bytes.
 _WINDOW = 16
 
-# per-block sampler roles
-_ROLE_A = 0
-_ROLE_B = 1
-_ROLE_PURE = 2
-_ROLE_MIXED = 3
-_ROLES = (_ROLE_A, _ROLE_B, _ROLE_PURE, _ROLE_MIXED)
+_ROLES = (_ROLE_B, _ROLE_PURE, _ROLE_MIXED) = (1, 2, 3)  # per-block sampler roles; 0 (A) is unused
 
 
 @dataclass(frozen=True)
@@ -142,20 +141,18 @@ class SweepResult:
 
 def _run_chunk(config: SweepConfig, dim: int, block: int, words: np.ndarray):
     """Evaluate the trials of one block of one dimension, drawn from
-    ``words``, the (4, 4) uint64 PCG64 words of the block's streams by role.
+    ``words``, the (3, 4) uint64 PCG64 words of the block's streams by role.
 
-    Returns (count, violations, best) with best = (sort_key, psi, a, b):
+    Returns (count, violations, best) with best = (sort_key, psi, b):
     the key orders first by slack, then by trial coordinates, so the
     merged minimum is unique and order-free, and the arrays are the
-    witness's drawn amplitudes and observable bases.
+    witness's drawn amplitudes and the basis of B.
     """
     t0 = block * BLOCK
     n = min(BLOCK, config.trials_per_dim - t0)
-    streams = _generators(words)
-    # A and B as one (2, n) stack, drawn as sample_observable draws it; each
-    # member is what its own stream draws.
-    e = _unitary(streams[_ROLE_A : _ROLE_B + 1], array_shape(n, dim, dim))
-    e_adj = adjoint(e)
+    streams = dict(zip(_ROLES, _generators(words)))
+    b = _unitary(streams[_ROLE_B], array_shape(n, dim, dim))  # as sample_observable draws it
+    b_adj = adjoint(b)
     draws = {"pure": (_ROLE_PURE, 1), "mixed": (_ROLE_MIXED, dim)}  # (role, aux dim)
     amplitudes = []
     p = np.empty((2, n, len(config.variants), dim))  # p[observable, trial, variant]
@@ -163,17 +160,19 @@ def _run_chunk(config: SweepConfig, dim: int, block: int, words: np.ndarray):
         role, aux = draws[variant]
         psi = _pure(streams[role], (n, dim * aux)).amplitudes  # as sample_pure draws it
         amplitudes.append(psi)
-        p[:, :, v] = _probabilities(e_adj, psi.reshape(n, dim, aux))
+        m = psi.reshape(n, dim, aux)
+        p[0, :, v] = (m.real * m.real + m.imag * m.imag).sum(axis=-1)  # A = I
+        p[1, :, v] = _probabilities(b_adj, m)
     # y[:, trial, variant] = (1 - P_A, 1 - P_B, 1 - c^2)
     y = np.empty((3, n, len(config.variants)))
     y[:2] = _complement(p)
-    y[2] = _overlap_complement(e_adj[0] @ e[1])[:, None]
+    y[2] = _overlap_complement(b)[:, None]
     # slack[trial, variant, kind]: the first minimum in C order is the
     # smallest (trial, variant, kind), the witness key's tie-break.
     slack = _slacks(config.kinds, y)[-1]
     t, v, k = map(int, np.unravel_index(np.argmin(slack), slack.shape))
     key = (float(slack[t, v, k]), dim, t0 + t, v, k)
-    best = (key, amplitudes[v][t], e[0, t], e[1, t])
+    best = (key, amplitudes[v][t], b[t])
     return slack.size, int(np.count_nonzero(slack < -config.tolerance)), best
 
 
@@ -183,7 +182,7 @@ def _plan(config: SweepConfig, blocks: int):
     chunks = ((d, j) for d in config.dims for j in range(blocks))
     while window := list(itertools.islice(chunks, _WINDOW)):
         rows = [(config.seed, d, j, role) for d, j in window for role in _ROLES]
-        words = _stream_words(rows).reshape(len(window), 4, 4)
+        words = _stream_words(rows).reshape(len(window), len(_ROLES), 4)
         yield from ((config, d, j, w) for (d, j), w in zip(window, words))
 
 
@@ -206,7 +205,7 @@ def _pool(workers: int):
 
 
 def _witness(config: SweepConfig, best) -> dict:
-    (slack, dim, trial, v_idx, k_idx), psi, a, b = best
+    (slack, dim, trial, v_idx, k_idx), psi, b = best
     psi = PureState(psi)  # rho has the bits of sample_pure(...).density() or sample_mixed's
     rho = psi.density() if psi.dim == dim else partial_trace_aux(psi, dim, dim)
     return {
@@ -216,7 +215,7 @@ def _witness(config: SweepConfig, best) -> dict:
         "kind": config.kinds[k_idx].value,
         "slack": slack,
         "rho": rho.to_payload(),
-        "a": ProjectiveObservable(a).to_payload(),
+        "a": computational_observable(dim).to_payload(),
         "b": ProjectiveObservable(b).to_payload(),
         "seed": config.seed,
     }

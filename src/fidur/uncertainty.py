@@ -120,16 +120,14 @@ def overlap(a: ProjectiveObservable, b: ProjectiveObservable):
     for x in (a, b):
         _expect(x, ProjectiveObservable)
     _check_dims(a, b)
-    c, _ = _overlap(linalg.adjoint(a.eigenbasis), b.eigenbasis)
+    c = _max_overlap(linalg.adjoint(a.eigenbasis) @ b.eigenbasis)
     return float(c) if c.ndim == 0 else c
 
 
-def _overlap(ea_adj: np.ndarray, eb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(c, 1 - c^2) of two validated eigenbases (or stacks) of one dimension,
-    the first given by its adjoint."""
-    x = ea_adj @ eb
-    # Valid bases keep c far above 1/sqrt(N), so only the upper guard is reachable.
-    return clamp(np.abs(x).max(axis=(-2, -1)), "overlap_guard"), _overlap_complement(x)
+def _max_overlap(x: np.ndarray) -> np.ndarray:
+    """c = max |x_ij| of the overlap matrix (or stack) x = A^dag B of valid bases,
+    which keep c far above 1/sqrt(N): only the upper guard is reachable."""
+    return clamp(np.abs(x).max(axis=(-2, -1)), "overlap_guard")
 
 
 def _overlap_complement(x: np.ndarray) -> np.ndarray:
@@ -166,7 +164,9 @@ def _report(kind: MetricKind, *values) -> URReport:
 def _slacks(kinds, y: np.ndarray) -> tuple:
     """(u_a, u_b, bound, slack) for each kind of ``kinds`` on a new last axis,
     from the complements ``y`` = (1 - P_A, 1 - P_B, 1 - c^2) on a first axis."""
-    u = np.stack([_f(kind, y) for kind in kinds], axis=-1)
+    u = np.empty((*y.shape, len(kinds)))
+    for k, kind in enumerate(kinds):
+        u[..., k] = _f(kind, y)
     return u[0], u[1], u[2], u[0] + u[1] - u[2]
 
 
@@ -185,5 +185,6 @@ def check_ur(
     g = rho.sqrt
     a_adj, b_adj = (linalg.adjoint(x.eigenbasis) for x in (a, b))
     (p_a, y_a), (p_b, y_b) = (_maxima(_probabilities(e, g)) for e in (a_adj, b_adj))
-    c, y_c = _overlap(a_adj, b.eigenbasis)
+    x = a_adj @ b.eigenbasis
+    c, y_c = _max_overlap(x), _overlap_complement(x)
     return _report(kind, p_a, p_b, c, y_a, y_b, y_c)

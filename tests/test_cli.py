@@ -179,7 +179,7 @@ class TestCheckURCommand:
             report = json.loads(capsys.readouterr().out)
             assert report["slack"] >= -1e-15
 
-    def test_readme_example_verbatim(self, capsys, tmp_path, monkeypatch):
+    def test_readme_example_verbatim(self, capsys, tmp_path, monkeypatch, blas_core):
         monkeypatch.chdir(tmp_path)
         for argv in (
             "sample mixed --dim 3 --aux-dim 2 --seed 11 --out rho.json",
@@ -193,7 +193,7 @@ class TestCheckURCommand:
             '{"bound": 0.7178137637432005, "overlap_c": 0.7532455019940689, '
             '"p_max_a": 0.3615371197327872, "p_max_b": 0.626803061548805, '
             '"slack": 0.8650759735135507, "u_a": 0.92569479594047, "u_b": 0.6571949413162812}\n'
-        )
+        ), f"pinned under the OpenBLAS core SkylakeX; this run's core is {blas_core}"
 
 
 def _payload_cases():

@@ -363,7 +363,7 @@ def _triangle_distances(triple):
 
 
 class TestSolverCalls:
-    def test_triangle_values_are_pinned(self):
+    def test_triangle_values_are_pinned(self, blas_core):
         h = hashlib.sha256()
         for dim in range(2, 11):
             for t in range(10):
@@ -373,7 +373,8 @@ class TestSolverCalls:
                 for state in triple:
                     h.update(state.matrix.tobytes())
                     h.update(state.sqrt.tobytes())
-        assert h.hexdigest() == TRIANGLE_DIGEST
+        assert h.hexdigest() == TRIANGLE_DIGEST, (
+            f"pinned under the OpenBLAS core SkylakeX; this run's core is {blas_core}")
 
     @pytest.mark.parametrize("dim", range(2, 11))
     def test_a_fresh_triple_makes_three_eigh_and_three_eigvalsh(self, solver_calls, dim):
@@ -854,7 +855,7 @@ FIXTURE_DIGEST = "caa40f90a993e3cd77e5afed3e84e4cd528e186bcab3199bd6f9fece793608
 
 
 class TestPayloadHelpers:
-    def test_fixture_bytes_are_pinned(self):
+    def test_fixture_bytes_are_pinned(self, blas_core):
         h = hashlib.sha256()
         for dim in range(1, 11):
             for t in range(3):
@@ -869,7 +870,8 @@ class TestPayloadHelpers:
                 for x in fixtures:
                     h.update(json.dumps(x.to_payload(), sort_keys=True).encode("utf-8"))
             h.update(json.dumps(fourier_observable(dim).to_payload(), sort_keys=True).encode("utf-8"))
-        assert h.hexdigest() == FIXTURE_DIGEST
+        assert h.hexdigest() == FIXTURE_DIGEST, (
+            f"pinned under the OpenBLAS core SkylakeX; this run's core is {blas_core}")
 
     @pytest.mark.parametrize(
         "stack",

@@ -14,14 +14,16 @@ from fidur.linalg import adjoint
 from fidur.metrics import MetricKind, metric_kind
 from fidur.states import (
     ProjectiveObservable,
+    computational_observable,
     derived_seed,
     sample_haar_unitary,
     sample_mixed,
+    sample_observable,
     sample_pure,
     state_from_payload,
 )
 from fidur.sweep import BLOCK, SweepConfig, SweepResult, run_sweep
-from fidur.uncertainty import _maxima, _overlap, check_ur
+from fidur.uncertainty import _maxima, _overlap_complement, _probabilities, check_ur
 
 ALL_KINDS = (MetricKind.ANGLE, MetricKind.BURES, MetricKind.ROOT_INFIDELITY)
 EPS = float(np.finfo(np.float64).eps)
@@ -200,6 +202,20 @@ class TestRunSweep:
         assert math.isfinite(payload["min_slack"])
 
 
+@pytest.fixture
+def slack_inputs(monkeypatch) -> list:
+    """Every y a chunk hands to ``fidur.sweep._slacks``, a copy each, in plan order."""
+    recorded = []
+    original = fidur.sweep._slacks
+
+    def recording(kinds, y):
+        recorded.append(y.copy())
+        return original(kinds, y)
+
+    monkeypatch.setattr(fidur.sweep, "_slacks", recording)
+    return recorded
+
+
 class _RecordingPool:
     """Stands in for the process pool: records max_workers, runs in-process."""
 
@@ -306,7 +322,7 @@ class TestBlockedSweep:
     @pytest.mark.parametrize("mixedness", ["pure", "mixed", "both"])
     def test_witness_reproduces_through_check_ur(self, mixedness):
         """Over dims up to 10 and a partial last block, the witness rebuilt
-        from its payload gives back the identical slack."""
+        from its payload gives back its slack to round-off, 16 N eps."""
         config = small_config(
             dims=tuple(range(2, 11)), trials_per_dim=BLOCK + 3, mixedness=mixedness
         )
@@ -353,6 +369,18 @@ class TestBlockedSweep:
         got = state_from_payload(witness["rho"]).matrix
         assert got.tobytes() == rho.matrix[t].tobytes()
 
+    def test_witness_observables_are_the_identity_and_role_bs_draw(self):
+        """The witness's a is the computational basis, and its b carries the
+        bits of the observable that role B's stream draws."""
+        config = small_config(dims=tuple(range(2, 11)), trials_per_dim=BLOCK + 3)
+        witness = run_sweep(config).min_slack_witness
+        dim, (block, t) = witness["dim"], divmod(witness["trial"], BLOCK)
+        n = min(BLOCK, config.trials_per_dim - block * BLOCK)
+        b = sample_observable(dim, derived_seed(config.seed, dim, block, 1), n).eigenbasis[t]
+        a = ProjectiveObservable.from_payload(witness["a"]).eigenbasis
+        assert a.tobytes() == computational_observable(dim).eigenbasis.tobytes()
+        assert ProjectiveObservable.from_payload(witness["b"]).eigenbasis.tobytes() == b.tobytes()
+
     def test_pure_states_do_not_depend_on_mixedness(self, monkeypatch):
         drawn = {}
         original = fidur.sweep._pure
@@ -373,25 +401,19 @@ class TestBlockedSweep:
 
     @pytest.mark.parametrize("trials", [1, 20, BLOCK])
     @pytest.mark.parametrize("mixedness", ["pure", "mixed", "both"])
-    def test_every_slack_input_is_bitwise_the_guarded_kernels(self, monkeypatch, mixedness, trials):
-        """The chunks form only the complements y; every y they hand to
-        ``_slacks``, not only the minimum's, equals bit for bit the complements
-        ``_maxima`` and ``_overlap`` give on the same draws, with p_i = ||G^dag
-        a_i||^2 summed as re^2 + im^2 per column of G."""
-        recorded = []
-        original = fidur.sweep._slacks
-
-        def recording(kinds, y):
-            recorded.append(y.copy())
-            return original(kinds, y)
-
-        monkeypatch.setattr(fidur.sweep, "_slacks", recording)
+    def test_every_slack_input_is_bitwise_the_guarded_kernels(self, slack_inputs, mixedness, trials):
+        """The chunks form only the complements y, with A the identity; every y
+        they hand to ``_slacks``, not only the minimum's, equals bit for bit the
+        complements ``_maxima`` and ``_overlap_complement`` give for e = (I, B)
+        on the same B and state draws, with p_i = ||G^dag e_i||^2 summed as
+        re^2 + im^2 per column of G."""
         config = small_config(dims=tuple(range(2, 11)), trials_per_dim=trials, mixedness=mixedness)
         run_sweep(config)
-        assert len(recorded) == len(config.dims)  # one block per dimension
-        for dim, y in zip(config.dims, recorded):
+        assert len(slack_inputs) == len(config.dims)  # one block per dimension
+        for dim, y in zip(config.dims, slack_inputs):
             seeds = [derived_seed(config.seed, dim, 0, role) for role in range(4)]
-            e = sample_haar_unitary(dim, (seeds[0], seeds[1]), trials)
+            b = sample_haar_unitary(dim, seeds[1], trials)
+            e = np.stack((np.broadcast_to(np.eye(dim, dtype=complex), b.shape), b))
             p = []
             for variant in config.variants:
                 role, aux = (2, 1) if variant == "pure" else (3, dim)
@@ -400,7 +422,7 @@ class TestBlockedSweep:
                 p.append((w.real * w.real + w.imag * w.imag).sum(axis=-1))
             expected = np.empty_like(y)
             expected[:2] = _maxima(np.stack(p, axis=-2))[1]
-            expected[2] = _overlap(adjoint(e[0]), e[1])[1][:, None]
+            expected[2] = _overlap_complement(adjoint(e[0]) @ e[1])[:, None]
             assert y.tobytes() == expected.tobytes()
 
     def test_counts_a_scalar_violating_report_once_per_trial(self, monkeypatch):
@@ -430,10 +452,15 @@ class TestBlockedSweep:
 
 
 # sha256 of the concatenated run_sweep(config).to_json() over _digest_grid(),
-# taken when the slacks moved to complements (1 - P from the sampled factors):
-# the bytes must not move. The earlier digest, of the 1 - x forms, differed
-# only in the slacks' last bits; every witness and every sample is unchanged.
-SWEEP_DIGEST = "8cfca033e6ac3c9c6091f4cee9306d10355682b950776f1c4616672c4f75ca03"
+# pinned under the OpenBLAS core SkylakeX, under which the bytes must not move
+# (QR and matmul bits depend on the kernel). Taken when a chunk moved to A = I: a trial
+# (A, B, rho) and (I, A^dag B, A^dag rho A) give the same slack, and with A,
+# B Haar and rho unitarily invariant the second has the law of (I, B, rho).
+# So the sample moved and its law did not; every B, pure and mixed stream kept
+# its bits, and role A's stream is no longer drawn. The digest before it,
+# 8cfca033e6ac3c9c6091f4cee9306d10355682b950776f1c4616672c4f75ca03, held from
+# the move of the slacks to complements until then.
+SWEEP_DIGEST = "786989323f3cbf9a3eaa6f0984512d27470c5df3722b8119d0986be9738f239c"
 
 
 def _digest_grid():
@@ -446,6 +473,47 @@ def _digest_grid():
                       kinds=(MetricKind.BURES, MetricKind.ANGLE), mixedness="both")
 
 
-def test_sweep_bytes_are_pinned():
+def test_sweep_bytes_are_pinned(blas_core):
     text = "".join(run_sweep(config).to_json() for config in _digest_grid())
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SWEEP_DIGEST
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SWEEP_DIGEST, (
+        f"pinned under the OpenBLAS core SkylakeX; this run's core is {blas_core}")
+
+
+def _ks_statistic(x: np.ndarray, y: np.ndarray) -> float:
+    """The two-sample Kolmogorov-Smirnov statistic D = sup |F_x - F_y| of the
+    empirical distribution functions of the samples x and y."""
+    x, y = np.sort(x), np.sort(y)
+    at = np.concatenate((x, y))
+    f_x = np.searchsorted(x, at, side="right") / x.size
+    f_y = np.searchsorted(y, at, side="right") / y.size
+    return float(np.abs(f_x - f_y).max())
+
+
+# Trials per sample of the law test, and its bound on D: 1.95 sqrt(2 / n) is
+# the two-sample critical value at alpha ~ 0.001 for two samples of n.
+LAW_TRIALS = 4096
+LAW_BOUND = 1.95 * math.sqrt(2 / LAW_TRIALS)
+
+
+@pytest.mark.parametrize("dim", [2, 5, 10])
+def test_chunk_complements_have_the_law_of_haar_a(slack_inputs, dim):
+    """A chunk sets A = I. Its y = (1 - P_A, 1 - P_B, 1 - c^2) of each state
+    variant has the law of the literal recipe, with A and B drawn Haar and
+    independent: each component's two samples of LAW_TRIALS trials, drawn
+    from unrelated fixed seeds, differ by a Kolmogorov-Smirnov D of at most
+    LAW_BOUND."""
+    config = small_config(dims=(dim,), trials_per_dim=LAW_TRIALS, seed=2718,
+                          kinds=(MetricKind.ANGLE,))
+    run_sweep(config)
+    chunk = np.concatenate(slack_inputs, axis=1)  # (3, trial, variant)
+
+    seeds = [derived_seed(31415, dim, role) for role in range(4)]
+    a, b = sample_haar_unitary(dim, (seeds[0], seeds[1]), LAW_TRIALS)
+    for v, (role, aux) in enumerate(((2, 1), (3, dim))):  # the pure, then the mixed variant
+        psi = sample_pure(dim * aux, seeds[role], LAW_TRIALS).amplitudes
+        m = psi.reshape(LAW_TRIALS, dim, aux)
+        recipe = [_maxima(_probabilities(adjoint(e), m))[1] for e in (a, b)]
+        recipe.append(_overlap_complement(adjoint(a) @ b))
+        for component, y in enumerate(recipe):
+            d = _ks_statistic(chunk[component, :, v], y)
+            assert d <= LAW_BOUND, (component, config.variants[v], d)

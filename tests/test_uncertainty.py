@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fidur.sweep
+import fidur.uncertainty
 from fidur.errors import DimensionMismatch, DomainError, ValidationError
 from fidur.metrics import MetricKind, f_of
 from fidur.states import (
@@ -102,6 +103,14 @@ class TestOverlap:
         assert overlap(computational_observable(4), fourier_observable(4)) == pytest.approx(
             0.5, abs=1e-12
         )
+
+    def test_forms_c_alone(self, monkeypatch):
+        """overlap reports c only, so it never computes 1 - c^2."""
+        def unused(x):
+            raise AssertionError("overlap computed 1 - c^2")
+
+        monkeypatch.setattr(fidur.uncertainty, "_overlap_complement", unused)
+        assert overlap(computational_observable(2), HADAMARD) == 1.0 / math.sqrt(2.0)
 
     def test_range_bounds(self):
         for dim in range(2, 7):
@@ -377,8 +386,9 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("dim", [2, 3, 7, 10])
     def test_sweep_chunk_slacks_are_check_ur_of_each_trial(self, dim, monkeypatch):
-        """The chunk factors its states by the sampled amplitudes, check_ur by
-        sqrt(rho): the two routes agree to round-off on every slack."""
+        """The chunk factors its states by the sampled amplitudes and sets A to
+        the computational basis, check_ur factors by sqrt(rho): the two routes
+        agree to round-off on every slack."""
         config = SweepConfig(dims=(dim,), trials_per_dim=9, seed=91, kinds=ALL_KINDS,
                              mixedness="both")
         seen = []
@@ -396,8 +406,8 @@ class TestStackedKernels:
         def seed(role):
             return derived_seed(config.seed, dim, 0, role)
 
-        ab = sample_observable(dim, (seed(fidur.sweep._ROLE_A), seed(fidur.sweep._ROLE_B)), 9)
-        a, b = (ProjectiveObservable(e) for e in ab.eigenbasis)
+        a = computational_observable(dim)  # the chunk's A
+        b = sample_observable(dim, seed(fidur.sweep._ROLE_B), 9)
         states = (sample_pure(dim, seed(fidur.sweep._ROLE_PURE), 9).density(),
                   sample_mixed(dim, dim, seed(fidur.sweep._ROLE_MIXED), 9))
         for v, rho in enumerate(states):
