@@ -95,13 +95,9 @@ def cmd_check_ur(
     return 3 if report.slack < -tolerance else 0
 
 
-def cmd_sweep(config: SweepConfig, workers: int = 1) -> int:
+def cmd_sweep(config: SweepConfig) -> int:
     """Run a verification sweep; JSON result to stdout, progress to stderr."""
-    result = run_sweep(
-        config,
-        workers=workers,
-        progress=lambda msg: print(msg, file=sys.stderr),
-    )
+    result = run_sweep(config, progress=lambda msg: print(msg, file=sys.stderr))
     print(result.to_json())
     return 3 if result.violations else 0
 
@@ -184,7 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--metric", action="append", choices=_KIND_NAMES, help="repeatable")
     p_swp.add_argument("--mixedness", choices=["pure", "mixed", "both"])
     p_swp.add_argument("--tolerance", type=float, default=None)
-    p_swp.add_argument("--workers", type=int, default=1)
     p_swp.add_argument("--config", help="JSON file holding the whole sweep config")
 
     p_reg = sub.add_parser("region", help="export one feasibility boundary as CSV")
@@ -273,7 +268,7 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
     if args.command == "check-ur":
         return cmd_check_ur(args.rho, args.a, args.b, metric_kind(args.metric), args.tolerance)
     if args.command == "sweep":
-        return cmd_sweep(_sweep_config_from_args(parser, args), workers=args.workers)
+        return cmd_sweep(_sweep_config_from_args(parser, args))
     if args.command == "region":
         return cmd_region(metric_kind(args.metric), args.overlap, args.dim, args.points, args.out)
     if args.command == "sample":

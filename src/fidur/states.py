@@ -334,8 +334,8 @@ def derived_seed(seed: int, *stream: int) -> int:
     The tuple (seed, *stream) is the entropy of a SeedSequence, whose
     first 128 bits of output become the derived seed. Distinct tuples give
     statistically independent streams, and the rule is pure arithmetic,
-    so any partitioning of trials across workers reproduces the
-    sequential samples exactly. The seed and the indices must be integers:
+    so a stream depends only on its tuple, not on the order or the
+    process in which it is drawn. The seed and the indices must be integers:
     a float or bool would alias an integer's stream.
     """
     entropy = [_integer("seed or stream index", s) for s in (seed, *stream)]

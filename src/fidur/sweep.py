@@ -19,20 +19,16 @@ stack from the seed derived_seed(seed, d, j, role) of its role, 1 to 3.
 The streams of ``_WINDOW`` chunks at a time are derived in one vectorized
 pass, bitwise those of derived_seed and np.random.default_rng.
 ``BLOCK`` is a constant, so the chunk plan, and with it every sample,
-depends only on the configuration, not on the worker count or the
-execution order; results from any assignment of chunks to workers merge
-into the same SweepResult (violations and totals are sums, the
-minimum-slack witness is selected by a total order).
+depends only on the configuration. The chunks run in this process in plan
+order; violations and totals are sums, and the minimum-slack witness is
+selected by a total order.
 """
 
 from __future__ import annotations
 
-import collections
-import contextlib
 import itertools
 import json
 import math
-import os
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
@@ -186,24 +182,6 @@ def _plan(config: SweepConfig, blocks: int):
         yield from ((config, d, j, w) for (d, j), w in zip(window, words))
 
 
-def _in_order(pool, plan, workers: int):
-    """``_run_chunk`` over ``plan`` through ``pool``, in plan order, with at most
-    eight chunks per worker submitted and not yet yielded: a huge plan is never submitted."""
-    pending = collections.deque()
-    for args in plan:
-        pending.append(pool.submit(_run_chunk, *args))
-        if len(pending) == 8 * workers:
-            yield pending.popleft().result()
-    yield from (future.result() for future in pending)
-
-
-def _pool(workers: int):
-    """A process pool, imported here so that importing fidur loads no multiprocessing."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=workers)
-
-
 def _witness(config: SweepConfig, best) -> dict:
     (slack, dim, trial, v_idx, k_idx), psi, b = best
     psi = PureState(psi)  # rho has the bits of sample_pure(...).density() or sample_mixed's
@@ -226,32 +204,28 @@ def run_sweep(
     workers: int = 1,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepResult:
-    """Run the full sweep; identical output for any worker count.
+    """Run the full sweep in this process, chunk by chunk in plan order.
 
-    At most min(workers, chunks, CPUs) worker processes are started; with
-    one, the chunks run in this process. The chunk plan is generated as
-    the run goes, so memory does not grow with the trial count.
+    The chunk plan is generated as the run goes, so memory does not grow
+    with the trial count. ``workers`` is checked and otherwise ignored; it
+    stays only because perfbench's sweep workloads still pass it.
     """
     if _integer("workers", workers) < 1:
         raise ValidationError("workers must be at least 1")
     blocks = -(-config.trials_per_dim // BLOCK)
     n_chunks = len(config.dims) * blocks
-    plan = _plan(config, blocks)
-    workers = min(workers, n_chunks, os.cpu_count() or 1)
 
     total = 0
     violations = 0
     best = None
-    pool = _pool(workers) if workers > 1 else None
-    with pool or contextlib.nullcontext():
-        results = _in_order(pool, plan, workers) if pool else itertools.starmap(_run_chunk, plan)
-        for done, (count, bad, cand) in enumerate(results, start=1):
-            total += count
-            violations += bad
-            if best is None or cand[0] < best[0]:
-                best = cand
-            if progress is not None:
-                progress(f"{done}/{n_chunks} chunks done")
+    results = itertools.starmap(_run_chunk, _plan(config, blocks))
+    for done, (count, bad, cand) in enumerate(results, start=1):
+        total += count
+        violations += bad
+        if best is None or cand[0] < best[0]:
+            best = cand
+        if progress is not None:
+            progress(f"{done}/{n_chunks} chunks done")
 
     return SweepResult(
         total_trials=total,

@@ -346,7 +346,7 @@ def test_c10_purification_contracts():
     )
 
 
-def test_c11_sweep_determinism():
+def test_c11_sweep_determinism(sweep_in_child):
     config = SweepConfig(
         dims=(2, 3, 4),
         trials_per_dim=200,
@@ -354,14 +354,14 @@ def test_c11_sweep_determinism():
         kinds=ALL_KINDS,
         mixedness="both",
     )
-    sequential_a = run_sweep(config, workers=1).to_json()
-    sequential_b = run_sweep(config, workers=1).to_json()
-    parallel = run_sweep(config, workers=3).to_json()
-    ok = sequential_a == sequential_b == parallel
+    sequential_a = run_sweep(config).to_json()
+    sequential_b = run_sweep(config).to_json()
+    _, fresh = sweep_in_child(config)
+    ok = sequential_a == sequential_b == fresh
     report(
         "criterion 11, sweep determinism",
         ok,
-        "sequential repeat and 3-worker run byte-identical"
+        "repeat and fresh-interpreter run byte-identical"
         if ok
         else "results differ between runs",
     )

@@ -534,6 +534,13 @@ class TestSweepCommand:
             main(["sweep", "--dim", "2"])
         assert exc.value.code == 2
 
+    def test_workers_flag_is_a_usage_error(self, capsys):
+        """A sweep runs in one process; --workers is no longer a flag."""
+        with pytest.raises(SystemExit) as exc:
+            main(SWEEP_FLAGS + ["--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "key, value",
         [

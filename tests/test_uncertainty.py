@@ -254,22 +254,33 @@ class TestAccuracyNearCertainty:
                 assert 0.0 <= report.u_a <= 16 * dim * EPS
 
 
+def _mp_f(kind, y):
+    """f of ``kind`` at the complement y = 1 - P (or 1 - c^2), in mpmath."""
+    if kind is MetricKind.ANGLE:
+        return mpmath.asin(mpmath.sqrt(y))
+    if kind is MetricKind.BURES:
+        return mpmath.sqrt(2 - 2 * mpmath.sqrt(1 - y))
+    return mpmath.sqrt(y)
+
+
+def _mp_slack(kind, y_a, y_b, y_c) -> float:
+    return float(_mp_f(kind, y_a) + _mp_f(kind, y_b) - _mp_f(kind, y_c))
+
+
 @lru_cache(maxsize=None)
 def _exact_slack(kind, theta, alpha):
     """The slack of the equality family below, in 50-digit arithmetic:
     1 - P_A = sin^2(theta), 1 - P_B = sin^2(alpha - theta), 1 - c^2 = sin^2(alpha)."""
     with mpmath.workdps(50):
         theta, alpha = mpmath.mpf(theta), mpmath.mpf(alpha)
+        return _mp_slack(kind, *(mpmath.sin(t) ** 2 for t in (theta, alpha - theta, alpha)))
 
-        def f(y):
-            if kind is MetricKind.ANGLE:
-                return mpmath.asin(mpmath.sqrt(y))
-            if kind is MetricKind.BURES:
-                return mpmath.sqrt(2 - 2 * mpmath.sqrt(1 - y))
-            return mpmath.sqrt(y)
 
-        return float(f(mpmath.sin(theta) ** 2) + f(mpmath.sin(alpha - theta) ** 2)
-                     - f(mpmath.sin(alpha) ** 2))
+def _mp_complement(amplitudes) -> mpmath.mpf:
+    """1 - max p / sum p of p = |amplitudes|^2, as ``uncertainty._complement``
+    defines it, in mpmath."""
+    p = [abs(z) ** 2 for z in amplitudes]
+    return (mpmath.fsum(p) - max(p)) / mpmath.fsum(p)
 
 
 class TestEqualityFamily:
@@ -303,6 +314,46 @@ class TestEqualityFamily:
                         else:
                             exact = _exact_slack(kind, theta, alpha)
                             assert abs(slack - exact) <= 16 * EPS, (kind, alpha, theta, scale)
+
+    @pytest.mark.parametrize("dim", range(2, 11))
+    def test_great_circle_of_a_haar_pair_at_any_dim(self, dim):
+        """Independent Haar A and B at any N, odd N included. The overlap
+        c = |<a|b>| = cos(alpha) is attained at a = a_i*, b = b_j*, and
+        psi = cos(theta) a + sin(theta) e runs on the great circle from a to b
+        (e the unit part of b orthogonal to a, b's phase set so <a|b> = c):
+        there P_A = cos^2(theta) and P_B = cos^2(alpha - theta), the
+        Landau-Pollak equality set, so the angle slack is 0 to 16 eps. Bures
+        and root-infidelity hold within 16 eps of the 50-digit slack of the
+        same float psi, A and B. The reference reads psi, not the rounded
+        entries of psi psi^dag: those lie about eps off rank one, which puts
+        a complement of about eps, and so a slack of about sqrt(eps), into
+        the reference."""
+        u = sample_haar_unitary(dim, (derived_seed(86, dim, 0), derived_seed(86, dim, 1)))
+        a, b = ProjectiveObservable(u[0]), ProjectiveObservable(u[1])
+        x = adjoint(u[0]) @ u[1]
+        i, j = np.unravel_index(np.argmax(np.abs(x)), x.shape)
+        c = abs(x[i, j])
+        top = u[0][:, i]
+        e = u[1][:, j] * (x[i, j].conjugate() / c) - c * top
+        e /= np.linalg.norm(e)
+        alpha = math.acos(c)
+        with mpmath.workdps(50):
+            a_cols, b_cols = ([[mpmath.mpc(z) for z in col] for col in m.T] for m in u)
+            y_c = min(_mp_complement([mpmath.fdot(bc, ac, conjugate=True) for ac in a_cols])
+                      for bc in b_cols)
+        for theta in (0.0, 1e-8 * alpha, 1e-4 * alpha, 0.5 * alpha, (1 - 1e-4) * alpha,
+                      (1 - 1e-8) * alpha, alpha):
+            psi = math.cos(theta) * top + math.sin(theta) * e
+            rho = PureState(psi).density()
+            with mpmath.workdps(50):
+                psi_mp = [mpmath.mpc(z) for z in psi]
+                y_a, y_b = (_mp_complement([mpmath.fdot(psi_mp, col, conjugate=True)
+                                            for col in cols]) for cols in (a_cols, b_cols))
+                exact = {kind: _mp_slack(kind, y_a, y_b, y_c) for kind in ALL_KINDS}
+            for kind in ALL_KINDS:
+                slack = check_ur(kind, a, b, rho).slack
+                reference = 0.0 if kind is MetricKind.ANGLE else exact[kind]
+                assert abs(slack - reference) <= 16 * EPS, (kind, theta / alpha)
 
 
 class TestComplementaryObservables:
