@@ -13,9 +13,9 @@ is evaluated on complements, never on P or c^2: p_i = ||G^dag a_i||^2, a
 sum of squares, for a factor G of the state (rho = G G^dag); 1 - P is the
 sum of all p_i but the largest over the sum of all, which divides out the
 trace; 1 - c^2 is the smallest such complement over the columns of
-|A^dag B|^2. ``check_ur`` factors rho by its root and the sweep by its
-sampled amplitudes; both, and ``report_from_probabilities``, take the
-slack from ``_slacks``. P and c are formed, under ``probability_clamp``
+|A^dag B|^2. ``check_ur`` factors rho by G = V sqrt(w) of its eigenpairs
+and the sweep by its drawn amplitudes; both, and ``report_from_probabilities``,
+take the slack from ``_slacks``. P and c are formed, under ``probability_clamp``
 and ``overlap_guard``, only where a public function reports them; a sweep
 chunk forms just the complements, ratios in [0, 1 - 1/N] that need no guard.
 A negative slack beyond tolerance is a finding, never an exception: for
@@ -70,7 +70,8 @@ class URReport:
 
 
 def outcome_probabilities(obs: ProjectiveObservable, rho: DensityMatrix) -> np.ndarray:
-    """p_i = <a_i|rho|a_i> = ||sqrt(rho) a_i||^2 for every outcome, clamped to [0, 1].
+    """p_i = <a_i|rho|a_i> = ||G^dag a_i||^2 for every outcome, clamped to [0, 1],
+    with G = V sqrt(w) of rho's eigenpairs (``_factor``).
 
     Stacked observables and/or states broadcast over their leading axes;
     the result has shape (..., N) and every member passes the same guard.
@@ -80,7 +81,13 @@ def outcome_probabilities(obs: ProjectiveObservable, rho: DensityMatrix) -> np.n
     _expect(obs, ProjectiveObservable)
     _expect(rho, DensityMatrix)
     _check_dims(obs, rho)
-    return clamp(_probabilities(linalg.adjoint(obs.eigenbasis), rho.sqrt), "probability_clamp")
+    return clamp(_probabilities(linalg.adjoint(obs.eigenbasis), _factor(rho)), "probability_clamp")
+
+
+def _factor(rho: DensityMatrix) -> np.ndarray:
+    """G = V sqrt(w), rho = G G^dag, with ``psd_sqrt``'s floor on w: the root's
+    factor, without the product that builds the root."""
+    return linalg._psd_factor(*linalg.eigensolve(rho.matrix, vectors=True))
 
 
 def _probabilities(e_adj: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -177,12 +184,12 @@ def check_ur(
     rho: DensityMatrix,
 ) -> URReport:
     """Evaluate U(A;rho) + U(B;rho) >= f(c^2) for one (kind, A, B, rho), with
-    the probabilities of the factor sqrt(rho)."""
+    the probabilities of rho's factor G = V sqrt(w)."""
     for x, cls in ((a, ProjectiveObservable), (b, ProjectiveObservable), (rho, DensityMatrix)):
         _expect(x, cls)
     for x, z in ((a, b), (a, rho), (b, rho)):
         _check_dims(x, z)
-    g = rho.sqrt
+    g = _factor(rho)
     a_adj, b_adj = (linalg.adjoint(x.eigenbasis) for x in (a, b))
     (p_a, y_a), (p_b, y_b) = (_maxima(_probabilities(e, g)) for e in (a_adj, b_adj))
     x = a_adj @ b.eigenbasis

@@ -51,17 +51,38 @@ def blas_core() -> str:
     return openblas_core()
 
 
-# A fresh interpreter that prints its OpenBLAS kernel, then the JSON of
-# run_sweep on the config payload given as its first argument.
-_CHILD_SWEEP = f"""
-import json, sys
+# A fresh interpreter, with fidur's sources and this directory on its path,
+# that prints its OpenBLAS kernel, then the output of the code that follows.
+_CHILD = f"""
+import importlib, json, sys
 sys.path[:0] = [{str(pathlib.Path(fidur.linalg.__file__).resolve().parents[1])!r},
                 {str(pathlib.Path(__file__).resolve().parent)!r}]
 from conftest import openblas_core
-from fidur.sweep import SweepConfig, run_sweep
 print(openblas_core())
+"""
+# ... the JSON of run_sweep on the config payload given as its first argument.
+_CHILD_SWEEP = _CHILD + """
+from fidur.sweep import SweepConfig, run_sweep
 print(run_sweep(SweepConfig.from_payload(json.loads(sys.argv[1]))).to_json())
 """
+# ... json.dumps of what the function "module:name" of this directory,
+# given as its first argument, returns.
+_CHILD_CALL = _CHILD + """
+module, name = sys.argv[1].split(":")
+print(json.dumps(getattr(importlib.import_module(module), name)()))
+"""
+
+
+def _in_child(code: str, arg: str, env: dict) -> tuple[str, str]:
+    """Run ``code`` with ``arg`` in a fresh interpreter, ``env`` added to the
+    environment of that child only; its OpenBLAS kernel and output line."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, arg],
+        env={**os.environ, **env}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    core, text = proc.stdout.splitlines()
+    return core, text
 
 
 @pytest.fixture(scope="session")
@@ -72,12 +93,20 @@ def sweep_in_child():
     result JSON."""
 
     def run(config, **env) -> tuple[str, str]:
-        proc = subprocess.run(
-            [sys.executable, "-c", _CHILD_SWEEP, json.dumps(config.to_payload())],
-            env={**os.environ, **env}, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        core, text = proc.stdout.splitlines()
-        return core, text
+        return _in_child(_CHILD_SWEEP, json.dumps(config.to_payload()), env)
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def call_in_child():
+    """``run("module:name", **env)`` calls the function ``name`` of the test
+    module ``module`` in a fresh interpreter, with ``env`` added to the
+    environment of that child only, and returns the child's OpenBLAS kernel
+    and the function's JSON-able result, read back."""
+
+    def run(target: str, **env) -> tuple[str, object]:
+        core, text = _in_child(_CHILD_CALL, target, env)
+        return core, json.loads(text)
 
     return run

@@ -191,8 +191,8 @@ class TestCheckURCommand:
         assert main("check-ur rho.json a.json b.json --metric angle".split()) == 0
         assert capsys.readouterr().out == (
             '{"bound": 0.7178137637432005, "overlap_c": 0.7532455019940689, '
-            '"p_max_a": 0.3615371197327872, "p_max_b": 0.626803061548805, '
-            '"slack": 0.8650759735135507, "u_a": 0.92569479594047, "u_b": 0.6571949413162812}\n'
+            '"p_max_a": 0.3615371197327872, "p_max_b": 0.6268030615488046, '
+            '"slack": 0.8650759735135509, "u_a": 0.92569479594047, "u_b": 0.6571949413162813}\n'
         ), f"pinned under the OpenBLAS core SkylakeX; this run's core is {blas_core}"
 
 

@@ -43,6 +43,7 @@ from fidur.states import (
 from fidur.sweep import SweepConfig, run_sweep
 from fidur.uncertainty import check_ur, max_probability, outcome_probabilities, overlap
 
+EPS = float(np.finfo(np.float64).eps)
 BELL = PureState(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0))
 
 
@@ -362,17 +363,23 @@ def _triangle_distances(triple):
     ]
 
 
+def _triangle():
+    """(distances, triple) of each triple TRIANGLE_DIGEST pins, in its order."""
+    for dim in range(2, 11):
+        for t in range(10):
+            triple = _triple(dim, t)
+            yield _triangle_distances(triple), triple
+
+
 class TestSolverCalls:
     def test_triangle_values_are_pinned(self, blas_core):
         h = hashlib.sha256()
-        for dim in range(2, 11):
-            for t in range(10):
-                triple = _triple(dim, t)
-                for d in _triangle_distances(triple):
-                    h.update(np.float64(d).tobytes())
-                for state in triple:
-                    h.update(state.matrix.tobytes())
-                    h.update(state.sqrt.tobytes())
+        for distances, triple in _triangle():
+            for d in distances:
+                h.update(np.float64(d).tobytes())
+            for state in triple:
+                h.update(state.matrix.tobytes())
+                h.update(state.sqrt.tobytes())
         assert h.hexdigest() == TRIANGLE_DIGEST, (
             f"pinned under the OpenBLAS core SkylakeX; this run's core is {blas_core}")
 
@@ -854,22 +861,80 @@ class TestNamedBases:
 FIXTURE_DIGEST = "caa40f90a993e3cd77e5afed3e84e4cd528e186bcab3199bd6f9fece793608f0"
 
 
+def _fixtures():
+    """(blas, x) for each fixture FIXTURE_DIGEST pins, in its order: ``blas``
+    tells whether a BLAS or LAPACK call (a product or a QR) made x."""
+    for dim in range(1, 11):
+        for t in range(3):
+            psi = sample_pure(dim, derived_seed(606, dim, t, 0))
+            yield False, psi
+            yield False, psi.density()
+            yield True, sample_mixed(dim, dim, derived_seed(606, dim, t, 1))
+            yield True, sample_mixed(dim, 2, derived_seed(606, dim, t, 2))
+            yield True, sample_observable(dim, derived_seed(606, dim, t, 3))
+        yield False, fourier_observable(dim)
+
+
+def kernel_values() -> dict:
+    """The fixture payloads and, per triangle triple, its distances and its
+    states' matrices and roots, as JSON (complex entries as [re, im] pairs),
+    for comparison across kernels."""
+    def pairs(a):
+        return np.stack((a.real, a.imag), axis=-1).tolist()
+
+    return {
+        "fixtures": [[blas, x.to_payload()] for blas, x in _fixtures()],
+        "triangle": [[distances, [pairs(s.matrix) for s in triple], [pairs(s.sqrt) for s in triple]]
+                     for distances, triple in _triangle()],
+    }
+
+
+# How far a value made by BLAS or LAPACK may move between OpenBLAS kernels,
+# absolute, on entries and distances of size <= 1. Haswell against SkylakeX
+# moved QR results (observables) by at most 5.6 eps and products (mixed
+# states) by 0.5 eps; eigh results by 18.4 eps (roots) and, through F, by
+# 45.5 eps (root-infidelity distances).
+PRODUCT_BAND = 16 * EPS
+EIGH_BAND = 128 * EPS
+
+
+def _gap(x, y) -> float:
+    return float(np.abs(np.array(x) - np.array(y)).max())
+
+
+def test_fixture_and_triangle_values_hold_across_blas_kernels(call_in_child):
+    """The fixture draws and the triangle triples computed under OpenBLAS's
+    Haswell kernel in a child process keep every value-level fact of the same
+    values computed here: types and dims exactly, and so whatever no BLAS call
+    touched (the sampled Gaussian bits of pure states, their projectors, the
+    Fourier basis); QR and product results (observables, mixed states)
+    within PRODUCT_BAND, and eigh results (roots, distances) within EIGH_BAND.
+    The bitwise pins hold for one kernel only."""
+    core, there = call_in_child("test_states:kernel_values", OPENBLAS_CORETYPE="Haswell")
+    if core != "Haswell":
+        pytest.skip(f"OpenBLAS ran its {core} kernel where Haswell was asked for")
+    here = kernel_values()
+    assert len(here["fixtures"]) == len(there["fixtures"]) == 160
+    for (blas, x), (_, y) in zip(here["fixtures"], there["fixtures"]):
+        field = next(k for k in x if k not in ("type", "dim"))
+        assert (x["type"], x["dim"]) == (y["type"], y["dim"])
+        if blas:
+            assert _gap(x[field], y[field]) <= PRODUCT_BAND, x["type"]
+        else:
+            assert x == y
+    assert len(here["triangle"]) == len(there["triangle"]) == 90
+    for (d_here, m_here, r_here), (d_there, m_there, r_there) in zip(here["triangle"],
+                                                                   there["triangle"]):
+        assert _gap(m_here, m_there) <= PRODUCT_BAND
+        assert _gap(r_here, r_there) <= EIGH_BAND
+        assert _gap(d_here, d_there) <= EIGH_BAND
+
+
 class TestPayloadHelpers:
     def test_fixture_bytes_are_pinned(self, blas_core):
         h = hashlib.sha256()
-        for dim in range(1, 11):
-            for t in range(3):
-                psi = sample_pure(dim, derived_seed(606, dim, t, 0))
-                fixtures = (
-                    psi,
-                    psi.density(),
-                    sample_mixed(dim, dim, derived_seed(606, dim, t, 1)),
-                    sample_mixed(dim, 2, derived_seed(606, dim, t, 2)),
-                    sample_observable(dim, derived_seed(606, dim, t, 3)),
-                )
-                for x in fixtures:
-                    h.update(json.dumps(x.to_payload(), sort_keys=True).encode("utf-8"))
-            h.update(json.dumps(fourier_observable(dim).to_payload(), sort_keys=True).encode("utf-8"))
+        for _, x in _fixtures():
+            h.update(json.dumps(x.to_payload(), sort_keys=True).encode("utf-8"))
         assert h.hexdigest() == FIXTURE_DIGEST, (
             f"pinned under the OpenBLAS core SkylakeX; this run's core is {blas_core}")
 

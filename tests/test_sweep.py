@@ -4,6 +4,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from fidur.errors import ValidationError
 from fidur.linalg import adjoint
 from fidur.metrics import MetricKind, metric_kind
 from fidur.states import (
+    DensityMatrix,
     ProjectiveObservable,
+    _gaussian,
     computational_observable,
     derived_seed,
     sample_haar_unitary,
@@ -23,7 +26,13 @@ from fidur.states import (
     state_from_payload,
 )
 from fidur.sweep import BLOCK, SweepConfig, SweepResult, run_sweep
-from fidur.uncertainty import _maxima, _overlap_complement, _probabilities, check_ur
+from fidur.uncertainty import (
+    _complement,
+    _maxima,
+    _overlap_complement,
+    _probabilities,
+    check_ur,
+)
 
 ALL_KINDS = (MetricKind.ANGLE, MetricKind.BURES, MetricKind.ROOT_INFIDELITY)
 EPS = float(np.finfo(np.float64).eps)
@@ -139,6 +148,13 @@ class TestRunSweep:
         monkeypatch.setattr(fidur.sweep, "_WINDOW", window)
         assert run_sweep(config).to_json() == expected
 
+    def test_bytes_do_not_depend_on_the_window_bytes(self, monkeypatch):
+        """Windows cut at every chunk by their byte bound: the same bytes."""
+        config = small_config(dims=(2, 3, 4, 5), trials_per_dim=BLOCK + 3)
+        expected = run_sweep(config).to_json()
+        monkeypatch.setattr(fidur.sweep, "_WINDOW_BYTES", 0)
+        assert run_sweep(config).to_json() == expected
+
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValidationError):
             run_sweep(small_config(), workers=0)
@@ -214,7 +230,8 @@ class _Stop(Exception):
 
 
 class TestHugeTrialCount:
-    """The chunk plan is generated as the run goes, never built whole."""
+    """The chunk plan is generated as the run goes, one window at a time,
+    never built whole."""
 
     def test_raising_progress_stops_the_run(self, monkeypatch):
         ran = []
@@ -233,8 +250,9 @@ class TestHugeTrialCount:
             run_sweep(config, progress=progress)
         n_chunks = -(-(10**400) // BLOCK)
         assert messages == [f"{done}/{n_chunks} chunks done" for done in (1, 2, 3)]
-        # A chunk runs only when it is merged: none runs ahead of the merge.
-        assert [block for _, _, block, _ in ran] == [0, 1, 2]
+        # A window's chunks run before its slack stage merges them, so chunks
+        # run at most one window ahead of the merge: the first window, no more.
+        assert [block for _, _, block, _ in ran] == list(range(fidur.sweep._WINDOW))
 
 
 def test_importing_fidur_loads_no_process_pool():
@@ -326,49 +344,65 @@ class TestBlockedSweep:
         assert a.tobytes() == computational_observable(dim).eigenbasis.tobytes()
         assert ProjectiveObservable.from_payload(witness["b"]).eigenbasis.tobytes() == b.tobytes()
 
-    def test_pure_states_do_not_depend_on_mixedness(self, monkeypatch):
-        drawn = {}
-        original = fidur.sweep._pure
-
-        def recording(stream, shape):
-            psi = original(stream, shape)
-            if shape[-1] in (2, 3):  # the pure variant; the mixed one purifies on dim^2
-                drawn[mixedness].append(psi.amplitudes)
-            return psi
-
-        monkeypatch.setattr(fidur.sweep, "_pure", recording)
-        for mixedness in ("pure", "both"):
-            drawn[mixedness] = []
+    def test_state_draws_do_not_depend_on_mixedness(self, slack_inputs):
+        """Each variant reads its own stream. Its 1 - P_A and 1 - c^2 reach y
+        through squares and sums alone and keep their bits whether or not the
+        other variant runs; 1 - P_B, whose product Q^dag M spans the columns of
+        every variant that runs, keeps them to round-off."""
+        for mixedness in ("pure", "mixed", "both"):
             run_sweep(small_config(trials_per_dim=BLOCK + 3, mixedness=mixedness))
-        assert len(drawn["pure"]) == 4
-        for x, y in zip(drawn["pure"], drawn["both"], strict=True):
-            assert np.array_equal(x, y)
+        pure, mixed, both = slack_inputs  # four chunks each, one window
+        for alone, v in ((pure, 0), (mixed, 1)):
+            assert np.array_equal(alone[[0, 2], :, 0], both[[0, 2], :, v])
+            assert np.abs(alone[1, :, 0] / both[1, :, v] - 1).max() <= 8 * EPS  # 3.5 eps seen
 
     @pytest.mark.parametrize("trials", [1, 20, BLOCK])
     @pytest.mark.parametrize("mixedness", ["pure", "mixed", "both"])
-    def test_every_slack_input_is_bitwise_the_guarded_kernels(self, slack_inputs, mixedness, trials):
-        """The chunks form only the complements y, with A the identity; every y
-        they hand to ``_slacks``, not only the minimum's, equals bit for bit the
-        complements ``_maxima`` and ``_overlap_complement`` give for e = (I, B)
-        on the same B and state draws, with p_i = ||G^dag e_i||^2 summed as
-        re^2 + im^2 per column of G."""
+    def test_every_slack_input_is_bitwise_its_recipe(self, slack_inputs, mixedness, trials):
+        """One slack stage per window: the y it gets, every chunk's y side by
+        side along the trial axis, equals bit for bit the recipe below on the
+        same streams. The recipe reads the raw draws: the states' standard
+        normals, neither scaled nor normalized, and the Q factor of B's draw
+        before its phase fix. With A the identity, y also lies within
+        16 N eps relative of the guarded kernels ``_maxima`` and
+        ``_overlap_complement`` for e = (I, B) on the samplers' normalized,
+        phase-fixed draws, with p_i = ||G^dag e_i||^2."""
         config = small_config(dims=tuple(range(2, 11)), trials_per_dim=trials, mixedness=mixedness)
         run_sweep(config)
-        assert len(slack_inputs) == len(config.dims)  # one block per dimension
-        for dim, y in zip(config.dims, slack_inputs):
+        (y,) = slack_inputs  # nine chunks of one block each: one window
+        v = len(config.variants)
+        recipe, guarded = [], []
+        for dim in config.dims:
             seeds = [derived_seed(config.seed, dim, 0, role) for role in range(4)]
+            q, _ = np.linalg.qr(_gaussian(np.random.default_rng(seeds[1]), (trials, dim, dim)))
             b = sample_haar_unitary(dim, seeds[1], trials)
             e = np.stack((np.broadcast_to(np.eye(dim, dtype=complex), b.shape), b))
-            p = []
+            m_t, p = [], []
             for variant in config.variants:
                 role, aux = (2, 1) if variant == "pure" else (3, dim)
+                x = np.random.default_rng(seeds[role]).standard_normal((2, trials, dim, aux))
+                m_t.append((x[0] + 1j * x[1]).swapaxes(-1, -2))
                 psi = sample_pure(dim * aux, seeds[role], trials).amplitudes
                 w = adjoint(e) @ psi.reshape(trials, dim, aux)
                 p.append((w.real * w.real + w.imag * w.imag).sum(axis=-1))
-            expected = np.empty_like(y)
-            expected[:2] = _maxima(np.stack(p, axis=-2))[1]
-            expected[2] = _overlap_complement(adjoint(e[0]) @ e[1])[:, None]
-            assert y.tobytes() == expected.tobytes()
+            m_t = np.concatenate(m_t, axis=1)  # the variants' M^T, stacked
+            k = m_t.shape[1]
+            rows = np.concatenate((m_t, m_t @ q.conj(), q.swapaxes(-1, -2)), axis=1)
+            firsts = [0, 1] if mixedness == "both" else [0]
+            groups = [*firsts, *(k + i for i in firsts), *range(2 * k, 2 * k + dim)]
+            complements = _complement(np.add.reduceat(rows.real * rows.real + rows.imag * rows.imag,
+                                                      groups, axis=1))
+            chunk = np.empty((3, trials, v))
+            chunk[0], chunk[1] = complements[:, :v], complements[:, v:2 * v]
+            chunk[2] = complements[:, 2 * v:].min(axis=-1)[:, None]
+            recipe.append(chunk)
+            kernels = np.empty_like(chunk)
+            kernels[:2] = _maxima(np.stack(p, axis=-2))[1]
+            kernels[2] = _overlap_complement(adjoint(e[0]) @ e[1])[:, None]
+            guarded.append(kernels)
+        assert y.tobytes() == np.concatenate(recipe, axis=1).tobytes()
+        for dim, ours, kernels in zip(config.dims, recipe, guarded):
+            assert np.abs(ours / kernels - 1).max() <= 16 * dim * EPS
 
     def test_counts_a_scalar_violating_report_once_per_trial(self, monkeypatch):
         def violating_slacks(kinds, y):
@@ -395,17 +429,101 @@ class TestBlockedSweep:
         assert (witness["dim"], witness["trial"], witness["mixedness"], witness["kind"]) == (
             2, 3, "pure", config.kinds[2].value)
 
+    def test_witness_is_the_lowest_key_over_unsorted_dims(self, monkeypatch):
+        """Dims in the order (5, 2, 3) share one window, rows 0-11, 12-23 and
+        24-35. Of four equal minima in three dims, the lowest (dim, trial,
+        variant, kind) wins, not the first in plan order: dim 2's trial 2
+        beats its trial 8, an earlier variant and kind notwithstanding."""
+        config = small_config(dims=(5, 2, 3))
+
+        def tied_slacks(kinds, y):
+            slack = np.zeros((*y.shape[1:], len(kinds)))
+            for row, v, k in ((1, 0, 0), (20, 0, 0), (14, 1, 2), (26, 0, 0)):
+                slack[row, v, k] = -1.0
+            return (slack,)
+
+        monkeypatch.setattr(fidur.sweep, "_slacks", tied_slacks)
+        witness = run_sweep(config).min_slack_witness
+        assert (witness["dim"], witness["trial"], witness["mixedness"], witness["kind"]) == (
+            2, 2, "mixed", config.kinds[2].value)
+
+    @pytest.mark.parametrize(
+        "target", [(5, 0, 1, 1), (2, 0, 10, 1), (2, 1, 63, 0), (3, 1, 7, 0), (3, 2, 4, 0)],
+        ids=["first-chunk", "after-a-partial-block", "last-row-of-a-block",
+             "last-chunk-of-a-window", "partial-last-block"])
+    def test_witness_payloads_are_the_samplers(self, monkeypatch, target):
+        """Wherever the witness sits, in any window of unsorted dims, its rho and
+        b are bit for bit the payloads of the samplers drawn from
+        derived_seed(seed, dim, trial // BLOCK, role), row trial % BLOCK. The
+        target trial's y is set to (0, 0, 1), which no drawn trial undercuts.
+        The windows hold the chunks (5, 0-2) (2, 0), then (2, 1-2) (3, 0-1),
+        then (3, 2)."""
+        dim, block, t, v = target
+        config = small_config(dims=(5, 2, 3), trials_per_dim=2 * BLOCK + 5)
+        monkeypatch.setattr(fidur.sweep, "_WINDOW", 4)  # windows of 4, 4 and 1 chunks
+        run_chunk = fidur.sweep._run_chunk
+
+        def marked(config, d, j, words):
+            y, draws = run_chunk(config, d, j, words)
+            if (d, j) == (dim, block):
+                y[:, t, v] = (0.0, 0.0, 1.0)
+            return y, draws
+
+        monkeypatch.setattr(fidur.sweep, "_run_chunk", marked)
+        witness = run_sweep(config).min_slack_witness
+        assert (witness["dim"], witness["trial"], witness["mixedness"]) == (
+            dim, block * BLOCK + t, config.variants[v])
+        n = min(BLOCK, config.trials_per_dim - block * BLOCK)
+        seeds = [derived_seed(config.seed, dim, block, role) for role in range(4)]
+        if v == 0:
+            rho = sample_pure(dim, seeds[2], n).density().matrix[t]
+        else:
+            rho = sample_mixed(dim, dim, seeds[3], n).matrix[t]
+        b = sample_observable(dim, seeds[1], n).eigenbasis[t]
+        assert witness["rho"] == DensityMatrix(rho).to_payload()
+        assert witness["b"] == ProjectiveObservable(b).to_payload()
+
+
+def _peak_bytes(config) -> int:
+    tracemalloc.start()
+    try:
+        run_sweep(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dim", [10, 30])
+def test_memory_is_bounded_by_one_window(dim):
+    """A window's chunks keep their draws until its slack stage, so a sweep
+    holds one window's draws at a time, and a window ends before they pass
+    _WINDOW_BYTES. The traced peak with 64 blocks of trials (at least four
+    windows) is within 10 % of the peak with 16 (one window of 16 chunks at
+    dim 10, of two at dim 30), which is within _WINDOW_BYTES of the peak
+    with one block: memory grows neither with the trial count nor with a
+    window's 16 chunks of a large dim. (Seen: 1.7, 7.70 and 7.71 MB at
+    dim 10; 7.5, 11.32 and 11.32 MB at dim 30.)"""
+    one_chunk, one_window, four_windows = (
+        _peak_bytes(small_config(dims=(dim,), kinds=(MetricKind.ANGLE,), trials_per_dim=trials))
+        for trials in (BLOCK, fidur.sweep._WINDOW * BLOCK, 4 * fidur.sweep._WINDOW * BLOCK))
+    assert one_window <= one_chunk + 8 * 2**20  # the value of _WINDOW_BYTES, pinned here
+    assert four_windows <= 1.1 * one_window
+
 
 # sha256 of the concatenated run_sweep(config).to_json() over _digest_grid(),
 # pinned under the OpenBLAS core SkylakeX, under which the bytes must not move
-# (QR and matmul bits depend on the kernel). Taken when a chunk moved to A = I: a trial
-# (A, B, rho) and (I, A^dag B, A^dag rho A) give the same slack, and with A,
-# B Haar and rho unitarily invariant the second has the law of (I, B, rho).
-# So the sample moved and its law did not; every B, pure and mixed stream kept
-# its bits, and role A's stream is no longer drawn. The digest before it,
-# 8cfca033e6ac3c9c6091f4cee9306d10355682b950776f1c4616672c4f75ca03, held from
-# the move of the slacks to complements until then.
-SWEEP_DIGEST = "786989323f3cbf9a3eaa6f0984512d27470c5df3722b8119d0986be9738f239c"
+# (QR and matmul bits depend on the kernel). Taken when a window of chunks
+# moved to one slack stage and each chunk to one product Q^dag [psi | M] and
+# one complement call, read from the raw draws (unscaled, unnormalized, before
+# the phase fix): the sums round differently, so min_slack moved by at most
+# 1.5 eps, while every count, stream and witness coordinate, rho, a and b kept
+# its bits. Before it, 786989323f3cbf9a3eaa6f0984512d27470c5df3722b8119d0986be9738f239c
+# held from the move of a chunk to A = I (a trial (A, B, rho) and (I, A^dag B,
+# A^dag rho A) give the same slack, and with A, B Haar and rho unitarily
+# invariant the second has the law of (I, B, rho)), and
+# 8cfca033e6ac3c9c6091f4cee9306d10355682b950776f1c4616672c4f75ca03 from the
+# move of the slacks to complements until then.
+SWEEP_DIGEST = "6d67da122332e17a15c1ea462058fda096bb3d33c84bc314bf06a64bdb71346e"
 
 
 def _digest_grid():

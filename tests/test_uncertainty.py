@@ -24,7 +24,7 @@ from fidur.states import (
     sample_pure,
 )
 from fidur.linalg import adjoint
-from fidur.sweep import SweepConfig, _plan, _run_chunk
+from fidur.sweep import SweepConfig, _plan, _run_window
 from fidur.uncertainty import (
     URReport,
     _maxima,
@@ -437,9 +437,9 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("dim", [2, 3, 7, 10])
     def test_sweep_chunk_slacks_are_check_ur_of_each_trial(self, dim, monkeypatch):
-        """The chunk factors its states by the sampled amplitudes and sets A to
-        the computational basis, check_ur factors by sqrt(rho): the two routes
-        agree to round-off on every slack."""
+        """The chunk factors its states by the drawn amplitudes and sets A to
+        the computational basis, check_ur factors rho by V sqrt(w): the two
+        routes agree to round-off on every slack."""
         config = SweepConfig(dims=(dim,), trials_per_dim=9, seed=91, kinds=ALL_KINDS,
                              mixedness="both")
         seen = []
@@ -450,7 +450,7 @@ class TestStackedKernels:
             return seen[-1]
 
         monkeypatch.setattr(fidur.sweep, "_slacks", recording)
-        _run_chunk(*next(_plan(config, 1)))
+        _run_window(config, next(_plan(config, 1)))  # one chunk, one window
         slack = seen[0][-1]
         assert slack.shape == (9, 2, len(ALL_KINDS))
 
