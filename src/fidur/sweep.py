@@ -9,8 +9,8 @@ of the drawn amplitudes alone: each variant draws a Haar pure state of
 dimension N*K, read as an N x K matrix M (rho = M M^dag), K = 1 if pure
 and K = N if mixed. The complements are read from the raw draws, before
 the samplers scale, normalize and phase-fix them, which changes them by
-round-off only; only the minimum-slack witness is finished as the samplers finish
-it, and only it becomes a state.
+round-off only; only the minimum-slack witness is finished as the
+samplers finish it, and only it becomes a state.
 
 A is the computational basis: p_i and c are unchanged by (A, B, rho) ->
 (A^dag A, A^dag B, A^dag rho A), whose law for a Haar A independent of B
