@@ -494,18 +494,10 @@ def _gaussian(stream, shape: tuple) -> np.ndarray:
             g.standard_normal(out=out)
         re, im = x[:, 0], x[:, 1]
     else:
-        re, im = stream.standard_normal((2, *shape))
+        re, im = x = stream.standard_normal((2, *shape))
+    x *= _SQRT_HALF
     z = np.empty(re.shape, dtype=np.complex128)
     z.real, z.imag = re, im
-    return _scaled(z)
-
-
-def _scaled(z: np.ndarray) -> np.ndarray:
-    """``z`` / sqrt(2) in place, for a contiguous ``z`` = x[0] + 1j * x[1] of
-    standard normals x: each real and imaginary part times ``_SQRT_HALF``,
-    which gives the bits ``_gaussian`` gives the same draws."""
-    x = z.view(np.float64)
-    x *= _SQRT_HALF
     return z
 
 
@@ -525,18 +517,13 @@ def _unitary(stream, shape: tuple) -> np.ndarray:
     return _phased(*linalg.qr_unitary(_gaussian(stream, shape)))
 
 
-def _normalized(z: np.ndarray) -> PureState:
-    """The pure states of the complex Gaussian vectors ``z`` (the last axis),
-    normalized in place, of unit norm to O(N eps), far inside TOL.unit_norm,
-    so they are kept unjudged."""
-    z /= _norm(z)[..., None]
-    return PureState._made(z)
-
-
 def _pure(stream, shape: tuple) -> PureState:
     """Haar pure states of ``shape`` drawn from ``stream`` (see ``_gaussian``):
-    normalized complex Gaussian vectors."""
-    return _normalized(_gaussian(stream, shape))
+    normalized complex Gaussian vectors, of unit norm to O(N eps), far inside
+    TOL.unit_norm, so they are kept unjudged."""
+    z = _gaussian(stream, shape)
+    z /= _norm(z)[..., None]
+    return PureState._made(z)
 
 
 def _stack_shape(count, *shape: int) -> tuple:

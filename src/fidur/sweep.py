@@ -9,8 +9,9 @@ of the drawn amplitudes alone: each variant draws a Haar pure state of
 dimension N*K, read as an N x K matrix M (rho = M M^dag), K = 1 if pure
 and K = N if mixed. The complements are read from the raw draws, before
 the samplers scale, normalize and phase-fix them, which changes them by
-round-off only; only the minimum-slack witness is finished as the
-samplers finish it, and only it becomes a state.
+round-off only. A chunk keeps only its complements: the minimum-slack
+witness is drawn again at the end of the run, from its block's streams
+through the samplers' own recipes, and only it becomes a state.
 
 A is the computational basis: p_i and c are unchanged by (A, B, rho) ->
 (A^dag A, A^dag B, A^dag rho A), whose law for a Haar A independent of B
@@ -24,13 +25,16 @@ vectorized pass, bitwise those of derived_seed and np.random.default_rng.
 ``BLOCK`` is a constant, so the chunk plan, and with it every sample,
 depends only on the configuration. The chunks run in this process in plan
 order, a window at a time: its chunks' complements are laid side by side
-and go through one slack stage. Violations and totals are sums, and the
+and go through one slack stage, so a run holds one chunk's draws and one
+window's complements at a time. Violations and totals are sums, and the
 minimum-slack witness is selected by a total order, so neither depends on
 the window.
 """
 
 from __future__ import annotations
 
+import collections
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -44,11 +48,11 @@ from .linalg import _integer, _real, array_shape, qr_unitary
 from .metrics import MetricKind, metric_kind
 from .states import (
     ProjectiveObservable,
+    PureState,
     _gaussian,
     _generators,
-    _normalized,
     _phased,
-    _scaled,
+    _pure,
     _stream_words,
     computational_observable,
     partial_trace_aux,
@@ -65,10 +69,6 @@ BLOCK = 64
 # Chunks whose streams are derived, and whose slacks are evaluated, in one
 # pass; any window gives the same bytes.
 _WINDOW = 16
-
-# A window's chunks keep their draws until its slack stage, so a window also
-# ends before its draws would pass this many bytes; it always takes one chunk.
-_WINDOW_BYTES = 8 * 2**20
 
 _ROLES = (_ROLE_B, _ROLE_PURE, _ROLE_MIXED) = (1, 2, 3)  # per-block sampler roles; 0 (A) is unused
 
@@ -92,6 +92,12 @@ class SweepConfig:
             raise ValidationError("dims must be a nonempty list of integers >= 2")
         if not kinds or not all(isinstance(k, MetricKind) for k in kinds):
             raise ValidationError("kinds must be a nonempty list of MetricKind members")
+        # Streams are keyed by (seed, dim, block, role): a repeated entry would
+        # evaluate the same trials again and count them twice.
+        for name, entries in (("dims", dims), ("kinds", [k.value for k in kinds])):
+            repeated = [e for e, n in collections.Counter(entries).items() if n > 1]
+            if repeated:
+                raise ValidationError(f"{name} entry {repeated[0]!r} is given more than once")
         if _integer("trials_per_dim", self.trials_per_dim) < 1:
             raise ValidationError("trials_per_dim must be at least 1")
         if _integer("seed", self.seed) < 0:
@@ -145,16 +151,16 @@ class SweepResult:
         return json.dumps(self.to_payload(), sort_keys=True)
 
 
-def _run_chunk(config: SweepConfig, dim: int, block: int, words: np.ndarray):
+def _run_chunk(config: SweepConfig, dim: int, block: int, words: np.ndarray) -> np.ndarray:
     """The complements of the trials of one block of one dimension, drawn
     from ``words``, the (3, 4) uint64 PCG64 words of the block's streams by role.
 
-    Returns (y, draws) with y[:, trial, variant] = (1 - P_A, 1 - P_B, 1 - c^2)
-    and ``draws`` = (x, q, r), from which ``_run_window`` takes a witness.
-    y comes from the raw draws: the states' standard normals before ``_pure``
-    scales and normalizes them (1 - P does not change with a state's scale),
-    and B's Q factor and R diagonal before ``_unitary``'s phase fix (|b_ij|^2
-    and |B^dag M|^2 do not change with unit phases on B's columns).
+    Returns y with y[:, trial, variant] = (1 - P_A, 1 - P_B, 1 - c^2); the
+    draws die with the call. y comes from the raw draws: the states'
+    standard normals before ``_gaussian`` scales them and ``_pure``
+    normalizes them (1 - P does not change with a state's scale), and B's Q
+    factor before ``_unitary``'s phase fix (|b_ij|^2 and |B^dag M|^2 do not
+    change with unit phases on B's columns).
 
     x[trial] holds the rows of M^T (each variant's state, its amplitudes read
     as an N x K matrix M), of (Q^dag M)^T = M^T conj(Q) and of Q^T: one
@@ -163,11 +169,14 @@ def _run_chunk(config: SweepConfig, dim: int, block: int, words: np.ndarray):
     ``_complement`` call gives their 1 - P.
     """
     n = min(BLOCK, config.trials_per_dim - block * BLOCK)
-    rows = _variant_rows(config, dim)
+    # Where each variant's rows of M^T start in x, and where the last one
+    # ends: a pure variant has K = 1 row, a mixed one K = N.
+    rows = list(itertools.accumulate((dim if v == "mixed" else 1 for v in config.variants),
+                                     initial=0))
     k = rows[-1]
     x = np.empty(array_shape(n, 2 * k + dim, dim), dtype=np.complex128)
     streams = dict(zip(_ROLES, _generators(words)))
-    q, r = qr_unitary(_gaussian(streams[_ROLE_B], (n, dim, dim)))  # as _unitary draws it
+    q, _ = qr_unitary(_gaussian(streams[_ROLE_B], (n, dim, dim)))  # as _unitary draws it
     for variant, start, stop in zip(config.variants, rows, rows[1:]):
         role = _ROLE_MIXED if variant == "mixed" else _ROLE_PURE
         m = x[:, start:stop]  # M^T, with K = stop - start
@@ -181,30 +190,20 @@ def _run_chunk(config: SweepConfig, dim: int, block: int, words: np.ndarray):
     y = np.empty((3, n, v))
     y[:2] = y_all[:, :2 * v].reshape(n, 2, v).swapaxes(0, 1)
     y[2] = y_all[:, 2 * v:].min(axis=-1)[:, None]
-    return y, (x, q, r.copy())  # r views the R factor; the copy lets it go
-
-
-def _variant_rows(config: SweepConfig, dim: int) -> list:
-    """Where each variant's rows of M^T start in a chunk's x, and where the
-    last one ends: a pure variant has K = 1 row, a mixed one K = N."""
-    rows = [0]
-    for variant in config.variants:
-        rows.append(rows[-1] + (dim if variant == "mixed" else 1))
-    return rows
+    return y
 
 
 def _run_window(config: SweepConfig, window: list):
     """Evaluate a window of chunks, each a (dim, block, words) of ``_plan``,
     with one slack stage over all their trials.
 
-    Returns (count, violations, best) with best = (sort_key, draws): the
-    key orders first by slack, then by trial coordinates, so the merged
-    minimum is unique and order-free, and ``draws`` are copies of the
-    witness's raw amplitudes, flat with index n*K + k, and of its B's Q
-    factor and R diagonal.
+    Returns (count, violations, best) with best = (key, words): the key
+    (slack, dim, trial, variant, kind) orders first by slack, then by trial
+    coordinates, so the merged minimum is unique and order-free, and
+    ``words`` are the stream words of the witness's chunk, from which
+    ``_witness`` draws it again.
     """
-    chunks = [_run_chunk(config, *chunk) for chunk in window]
-    ys = [y for y, _ in chunks]
+    ys = [_run_chunk(config, *chunk) for chunk in window]
     firsts = np.cumsum([0] + [y.shape[1] for y in ys])  # each chunk's first row
     # slack[row, variant, kind] over the window's trials in plan order.
     slack = _slacks(config.kinds, np.concatenate(ys, axis=1))[-1]
@@ -212,47 +211,42 @@ def _run_window(config: SweepConfig, window: list):
     for i, v, k in zip(*np.unravel_index(np.flatnonzero(slack == slack.min()), slack.shape)):
         c = int(np.searchsorted(firsts, i, side="right")) - 1
         dim, block, _ = window[c]
-        t = int(i - firsts[c])
-        keys.append((float(slack[i, v, k]), dim, block * BLOCK + t, int(v), int(k), c, t))
-    *key, c, t = min(keys)
-    x, q, r = chunks[c][1]
-    start, stop = _variant_rows(config, window[c][0])[key[3]:key[3] + 2]
-    best = (tuple(key), (x[t, start:stop].T.flatten(), q[t].copy(), r[t].copy()))
+        keys.append((float(slack[i, v, k]), dim, block * BLOCK + int(i - firsts[c]), int(v),
+                     int(k), c))
+    *key, c = min(keys)
+    best = (tuple(key), window[c][2])
     return slack.size, int(np.count_nonzero(slack < -config.tolerance)), best
 
 
 def _plan(config: SweepConfig, blocks: int):
     """The chunks in plan order, a window at a time: lists of (dim, block,
-    words) of at most ``_WINDOW`` chunks and ``_WINDOW_BYTES`` of kept draws,
-    their stream words derived one window at a time, so a huge plan is never
-    built."""
-
-    def with_words(window):
+    words) of at most ``_WINDOW`` chunks, their stream words derived one
+    window at a time, so a huge plan is never built."""
+    chunks = ((d, j) for d in config.dims for j in range(blocks))
+    while window := list(itertools.islice(chunks, _WINDOW)):
         rows = [(config.seed, d, j, role) for d, j in window for role in _ROLES]
         words = _stream_words(rows).reshape(len(window), len(_ROLES), 4)
-        return [(d, j, w) for (d, j), w in zip(window, words)]
-
-    window, size = [], 0
-    for d in config.dims:
-        for j in range(blocks):
-            # The x and q a chunk keeps: n N (2K + N) and n N^2 complex entries.
-            n = min(BLOCK, config.trials_per_dim - j * BLOCK)
-            kept = 16 * n * d * (2 * _variant_rows(config, d)[-1] + 2 * d)
-            if window and (len(window) == _WINDOW or size + kept > _WINDOW_BYTES):
-                yield with_words(window)
-                window, size = [], 0
-            window.append((d, j))
-            size += kept
-    yield with_words(window)
+        yield [(d, j, w) for (d, j), w in zip(window, words)]
 
 
-def _witness(config: SweepConfig, best) -> dict:
-    (slack, dim, trial, v_idx, k_idx), (psi, q, r) = best
-    # Scaled, normalized and phase-fixed as the samplers do it, elementwise:
-    # rho has the bits of sample_pure(...).density() or sample_mixed's, b of
-    # sample_observable's.
-    psi = _normalized(_scaled(psi))
-    rho = psi.density() if psi.dim == dim else partial_trace_aux(psi, dim, dim)
+def _witness(config: SweepConfig, key: tuple, words: np.ndarray) -> dict:
+    """The record of the trial ``key`` = (slack, dim, trial, variant, kind),
+    its rho and b drawn again from ``words``, the stream words of its block,
+    through the samplers' own recipes. The whole block is drawn, as the
+    streams' order requires, and member trial % BLOCK is taken: rho has the
+    bits of sample_pure(...).density() or sample_mixed's. Only that member's
+    B is factored, and LAPACK factors each member of a stack on its own, so
+    b has the bits of sample_observable's."""
+    slack, dim, trial, v_idx, k_idx = key
+    block, t = divmod(trial, BLOCK)
+    n = min(BLOCK, config.trials_per_dim - block * BLOCK)
+    streams = dict(zip(_ROLES, _generators(words)))
+    mixed = config.variants[v_idx] == "mixed"
+    psi = _pure(streams[_ROLE_MIXED if mixed else _ROLE_PURE], (n, dim * (dim if mixed else 1)))
+    psi = PureState._made(psi.amplitudes[t])
+    rho = partial_trace_aux(psi, dim, dim) if mixed else psi.density()
+    g = _gaussian(streams[_ROLE_B], (n, dim, dim))
+    b = _phased(*qr_unitary(g[t:t + 1]))[0]
     return {
         "dim": dim,
         "trial": trial,
@@ -261,7 +255,7 @@ def _witness(config: SweepConfig, best) -> dict:
         "slack": slack,
         "rho": rho.to_payload(),
         "a": computational_observable(dim).to_payload(),
-        "b": ProjectiveObservable._made(_phased(q, r)).to_payload(),
+        "b": ProjectiveObservable._made(b).to_payload(),
         "seed": config.seed,
     }
 
@@ -274,9 +268,11 @@ def run_sweep(
     """Run the full sweep in this process, a window of chunks at a time in
     plan order, and report progress per chunk.
 
-    The chunk plan is generated as the run goes, so memory does not grow
-    with the trial count. ``workers`` is checked and otherwise ignored; it
-    stays only because perfbench's sweep workloads still pass it.
+    The chunk plan is generated as the run goes and a chunk keeps only its
+    complements, so memory does not grow with the trial count; the witness
+    is drawn again once, from the stream words of its block. ``workers`` is
+    checked and otherwise ignored; it stays only because perfbench's sweep
+    workloads still pass it.
     """
     if _integer("workers", workers) < 1:
         raise ValidationError("workers must be at least 1")
@@ -298,9 +294,10 @@ def run_sweep(
             if progress is not None:
                 progress(f"{done}/{n_chunks} chunks done")
 
+    key, words = best
     return SweepResult(
         total_trials=total,
         violations=violations,
-        min_slack=best[0][0],
-        min_slack_witness=_witness(config, best),
+        min_slack=key[0],
+        min_slack_witness=_witness(config, key, words),
     )

@@ -563,6 +563,17 @@ class TestSweepCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("flag, key", [("--dim", "dims"), ("--metric", "kinds")])
+    def test_repeated_entry_exits_2(self, capsys, tmp_path, flag, key):
+        """A dim or metric given twice would run or count the same trials
+        twice: an error, from flags and from --config alike."""
+        assert main(SWEEP_FLAGS + [flag, SWEEP_FLAGS[SWEEP_FLAGS.index(flag) + 1]]) == 2
+        payload = {**SWEEP_CONFIG, key: SWEEP_CONFIG[key] * 2}
+        assert main(["sweep", "--config", write_json(tmp_path / "sweep.json", payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(f"error: {key} entry ") == 2
+
     def test_infinite_tolerance_flag_exits_2(self, capsys):
         assert main(SWEEP_FLAGS + ["--tolerance", "inf"]) == 2
 

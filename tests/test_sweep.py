@@ -97,6 +97,17 @@ class TestSweepConfig:
         with pytest.raises(ValidationError):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value, repeated",
+        [("dims", (2, 3, 2), "2"), ("kinds", (MetricKind.ANGLE, MetricKind.BURES,
+                                              MetricKind.ANGLE), "'angle'")],
+        ids=["dims", "kinds"])
+    def test_rejects_a_repeated_entry(self, field, value, repeated):
+        """Streams are keyed by (seed, dim, block, role), so a repeated dim
+        would run the same trials twice; a repeated kind would count them twice."""
+        with pytest.raises(ValidationError, match=f"{field} entry {repeated} is given more"):
+            small_config(**{field: value})
+
     def test_variants(self):
         assert small_config(mixedness="both").variants == ("pure", "mixed")
         assert small_config(mixedness="pure").variants == ("pure",)
@@ -146,13 +157,6 @@ class TestRunSweep:
         config = small_config(dims=(2, 3, 4, 5), trials_per_dim=BLOCK + 3)
         expected = run_sweep(config).to_json()
         monkeypatch.setattr(fidur.sweep, "_WINDOW", window)
-        assert run_sweep(config).to_json() == expected
-
-    def test_bytes_do_not_depend_on_the_window_bytes(self, monkeypatch):
-        """Windows cut at every chunk by their byte bound: the same bytes."""
-        config = small_config(dims=(2, 3, 4, 5), trials_per_dim=BLOCK + 3)
-        expected = run_sweep(config).to_json()
-        monkeypatch.setattr(fidur.sweep, "_WINDOW_BYTES", 0)
         assert run_sweep(config).to_json() == expected
 
     def test_rejects_bad_worker_count(self):
@@ -448,9 +452,10 @@ class TestBlockedSweep:
             2, 2, "mixed", config.kinds[2].value)
 
     @pytest.mark.parametrize(
-        "target", [(5, 0, 1, 1), (2, 0, 10, 1), (2, 1, 63, 0), (3, 1, 7, 0), (3, 2, 4, 0)],
+        "target", [(5, 0, 1, 1), (2, 0, 10, 1), (2, 1, 63, 0), (3, 1, 7, 0), (3, 2, 4, 0),
+                   (5, 0, 63, 1)],
         ids=["first-chunk", "after-a-partial-block", "last-row-of-a-block",
-             "last-chunk-of-a-window", "partial-last-block"])
+             "last-chunk-of-a-window", "partial-last-block", "mixed-last-row-at-the-largest-dim"])
     def test_witness_payloads_are_the_samplers(self, monkeypatch, target):
         """Wherever the witness sits, in any window of unsorted dims, its rho and
         b are bit for bit the payloads of the samplers drawn from
@@ -464,10 +469,10 @@ class TestBlockedSweep:
         run_chunk = fidur.sweep._run_chunk
 
         def marked(config, d, j, words):
-            y, draws = run_chunk(config, d, j, words)
+            y = run_chunk(config, d, j, words)
             if (d, j) == (dim, block):
                 y[:, t, v] = (0.0, 0.0, 1.0)
-            return y, draws
+            return y
 
         monkeypatch.setattr(fidur.sweep, "_run_chunk", marked)
         witness = run_sweep(config).min_slack_witness
@@ -483,6 +488,18 @@ class TestBlockedSweep:
         assert witness["rho"] == DensityMatrix(rho).to_payload()
         assert witness["b"] == ProjectiveObservable(b).to_payload()
 
+    def test_a_run_factors_one_stack_per_chunk_and_one_witness_matrix(self, monkeypatch):
+        """The witness draws its whole block of B again, as the stream order
+        requires, but factors only its own member: a run makes one (n, d, d)
+        QR call per chunk, in plan order, and then one (1, d, d) call."""
+        shapes = []
+        qr_unitary = fidur.sweep.qr_unitary
+        monkeypatch.setattr(fidur.sweep, "qr_unitary",
+                            lambda a: shapes.append(a.shape) or qr_unitary(a))
+        config = small_config(dims=(3, 2), trials_per_dim=BLOCK + 3)
+        dim = run_sweep(config).min_slack_witness["dim"]
+        assert shapes == [(BLOCK, 3, 3), (3, 3, 3), (BLOCK, 2, 2), (3, 2, 2), (1, dim, dim)]
+
 
 def _peak_bytes(config) -> int:
     tracemalloc.start()
@@ -494,20 +511,18 @@ def _peak_bytes(config) -> int:
 
 
 @pytest.mark.parametrize("dim", [10, 30])
-def test_memory_is_bounded_by_one_window(dim):
-    """A window's chunks keep their draws until its slack stage, so a sweep
-    holds one window's draws at a time, and a window ends before they pass
-    _WINDOW_BYTES. The traced peak with 64 blocks of trials (at least four
-    windows) is within 10 % of the peak with 16 (one window of 16 chunks at
-    dim 10, of two at dim 30), which is within _WINDOW_BYTES of the peak
-    with one block: memory grows neither with the trial count nor with a
-    window's 16 chunks of a large dim. (Seen: 1.7, 7.70 and 7.71 MB at
-    dim 10; 7.5, 11.32 and 11.32 MB at dim 30.)"""
-    one_chunk, one_window, four_windows = (
-        _peak_bytes(small_config(dims=(dim,), kinds=(MetricKind.ANGLE,), trials_per_dim=trials))
-        for trials in (BLOCK, fidur.sweep._WINDOW * BLOCK, 4 * fidur.sweep._WINDOW * BLOCK))
-    assert one_window <= one_chunk + 8 * 2**20  # the value of _WINDOW_BYTES, pinned here
-    assert four_windows <= 1.1 * one_window
+def test_memory_is_bounded_by_one_chunk(dim):
+    """A chunk keeps only its complements, so a sweep holds one chunk's draws
+    at a time: after a warm-up run, the traced peak with 64 blocks of trials
+    (four windows of 16 chunks) is within 10 % of the peak with one block.
+    (Seen: 1.03 and 1.10 MB at dim 10; 7.50 and 7.56 MB at dim 30.)"""
+
+    def config(trials):
+        return small_config(dims=(dim,), kinds=(MetricKind.ANGLE,), trials_per_dim=trials)
+
+    run_sweep(config(BLOCK))  # first-use caches and imports are not the sweep's
+    one_chunk, four_windows = (_peak_bytes(config(trials)) for trials in (BLOCK, 64 * BLOCK))
+    assert four_windows <= 1.1 * one_chunk
 
 
 # sha256 of the concatenated run_sweep(config).to_json() over _digest_grid(),
