@@ -271,9 +271,8 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
         return cmd_sweep(_sweep_config_from_args(parser, args))
     if args.command == "region":
         return cmd_region(metric_kind(args.metric), args.overlap, args.dim, args.points, args.out)
-    if args.command == "sample":
-        return cmd_sample(args.what, args.dim, args.aux_dim, args.seed, args.out)
-    parser.error(f"unknown command {args.command!r}")
+    # The subparsers are required and fixed, so what is left is "sample".
+    return cmd_sample(args.what, args.dim, args.aux_dim, args.seed, args.out)
 
 
 if __name__ == "__main__":

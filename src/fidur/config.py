@@ -27,7 +27,6 @@ class Tolerances:
     orthonormal: float = 1e-10        # |E^dag E - I| element-wise
     rank_cutoff: float = 1e-10        # eigenvalues above this count toward rank
     fidelity_guard: float = 1e-9      # admissible excursion of F outside [0, 1]
-    probability_imag: float = 1e-10   # |Im <a|rho|a>|
     probability_clamp: float = 1e-9   # admissible excursion of p_i outside [0, 1]
     overlap_guard: float = 1e-9       # admissible excursion of c outside [1/sqrt(N), 1]
     metric_domain_guard: float = 1e-9 # admissible excursion of f's argument outside [0, 1]

@@ -2,7 +2,8 @@
 
 ``fidelity`` evaluates (tr sqrt(M))^2, M = sqrt(rho) sigma sqrt(rho), from
 the eigenvalues of K = G^dag sigma G, which are M's: G = V sqrt(w) is the
-eigen-factor of rho (sqrt(rho) = G V^dag), so no root is built.
+eigen-factor of rho (``DensityMatrix._factor``; sqrt(rho) = G V^dag), so no
+root is built.
 ``fidelity_oracle`` evaluates the squared nuclear norm of sqrt(rho)
 sqrt(sigma). The two share only the root's floor and ``linalg``'s solvers,
 and serve as mutual oracles. ``purification_overlap_search`` approaches the
@@ -16,7 +17,7 @@ import functools
 import numpy as np
 
 from . import linalg
-from .config import TOL, clamp
+from .config import clamp
 from .errors import DomainError
 from .linalg import _EPS, _integer
 from .states import DensityMatrix, PureState, purify, sample_haar_unitary, derived_seed
@@ -49,17 +50,17 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix):
     if a.ndim == b.ndim == 2 and a.shape == b.shape:
         return _fidelity(rho, sigma)
     _check_dims(rho, sigma)
-    return np.where((a == b).all(axis=(-2, -1)), 1.0, _fidelity_kernel(a, b))
+    return np.where((a == b).all(axis=(-2, -1)), 1.0, _fidelity_kernel(rho._factor, b))
 
 
 @functools.lru_cache(maxsize=64)
 def _fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     a, b = rho.matrix, sigma.matrix
-    return 1.0 if (a == b).all() else float(_fidelity_kernel(a, b))
+    return 1.0 if (a == b).all() else float(_fidelity_kernel(rho._factor, b))
 
 
-def _fidelity_kernel(a: np.ndarray, b: np.ndarray):
-    g = linalg._psd_factor(*linalg.eigensolve(a, vectors=True))
+def _fidelity_kernel(g: np.ndarray, b: np.ndarray):
+    """F of each pair whose first state has the factor ``g`` and second the matrix ``b``."""
     k = linalg.eigensolve(linalg.adjoint(g) @ b @ g)  # K, unsymmetrized: one triangle is read
     # The states were judged PSD when built; the floor zeroes K's negative round-off.
     k[k < 4 * k.shape[-1] * _EPS] = 0.0
@@ -83,12 +84,9 @@ def fidelity_pure_mixed(psi: PureState, sigma: DensityMatrix) -> float:
     _expect(psi, PureState)
     _expect(sigma, DensityMatrix)
     _single(psi, sigma)
-    val = complex(np.vdot(psi.amplitudes, sigma.matrix @ psi.amplitudes))
-    if abs(val.imag) > TOL.probability_imag:
-        raise DomainError(
-            f"<psi|sigma|psi> has imaginary part {val.imag:.3e}; sigma is not Hermitian enough"
-        )
-    return float(clamp(val.real, "fidelity_guard"))
+    # sigma's stored matrix is exactly Hermitian, so the imaginary part is round-off.
+    val = np.vdot(psi.amplitudes, sigma.matrix @ psi.amplitudes).real
+    return float(clamp(val, "fidelity_guard"))
 
 
 def fidelity_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -175,6 +175,13 @@ class DensityMatrix(_Fixture):
         computed on each access with the bits of ``linalg.psd_sqrt(matrix)``."""
         return linalg._psd_root(*linalg.eigensolve(self.matrix, vectors=True))
 
+    @property
+    def _factor(self) -> np.ndarray:
+        """G = V sqrt(w), rho = G G^dag, of the eigenpairs the root is built from,
+        with ``psd_sqrt``'s floor on w (a stack for a stack): the one place a
+        state is factored, computed on each access like ``sqrt``."""
+        return linalg._psd_factor(*linalg.eigensolve(self.matrix, vectors=True))
+
 
 def _expect(x, *classes) -> None:
     """ValidationError unless ``x`` is an instance of one of ``classes``."""
@@ -277,9 +284,8 @@ def purify(rho: DensityMatrix) -> PureState:
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = v[:, order]
+    # A judged state keeps lambda_max >= (1 - 2e-10) / N, so one eigenvalue is kept.
     kept = w > TOL.rank_cutoff
-    if not kept.any():
-        raise ValidationError("density matrix has numerical rank zero")
     w = w[kept]
     v = v[:, kept]
     # Psi_{n,k} = sqrt(lambda_k) * v[n, k]; row-major flattening realizes n*r + k.

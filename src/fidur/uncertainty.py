@@ -71,7 +71,7 @@ class URReport:
 
 def outcome_probabilities(obs: ProjectiveObservable, rho: DensityMatrix) -> np.ndarray:
     """p_i = <a_i|rho|a_i> = ||G^dag a_i||^2 for every outcome, clamped to [0, 1],
-    with G = V sqrt(w) of rho's eigenpairs (``_factor``).
+    with G = V sqrt(w) of rho's eigenpairs (``DensityMatrix._factor``).
 
     Stacked observables and/or states broadcast over their leading axes;
     the result has shape (..., N) and every member passes the same guard.
@@ -81,13 +81,7 @@ def outcome_probabilities(obs: ProjectiveObservable, rho: DensityMatrix) -> np.n
     _expect(obs, ProjectiveObservable)
     _expect(rho, DensityMatrix)
     _check_dims(obs, rho)
-    return clamp(_probabilities(linalg.adjoint(obs.eigenbasis), _factor(rho)), "probability_clamp")
-
-
-def _factor(rho: DensityMatrix) -> np.ndarray:
-    """G = V sqrt(w), rho = G G^dag, with ``psd_sqrt``'s floor on w: the root's
-    factor, without the product that builds the root."""
-    return linalg._psd_factor(*linalg.eigensolve(rho.matrix, vectors=True))
+    return clamp(_probabilities(linalg.adjoint(obs.eigenbasis), rho._factor), "probability_clamp")
 
 
 def _probabilities(e_adj: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -189,7 +183,7 @@ def check_ur(
         _expect(x, cls)
     for x, z in ((a, b), (a, rho), (b, rho)):
         _check_dims(x, z)
-    g = _factor(rho)
+    g = rho._factor
     a_adj, b_adj = (linalg.adjoint(x.eigenbasis) for x in (a, b))
     (p_a, y_a), (p_b, y_b) = (_maxima(_probabilities(e, g)) for e in (a_adj, b_adj))
     x = a_adj @ b.eigenbasis

@@ -44,11 +44,20 @@ def openblas_core() -> str:
 
 
 @pytest.fixture(scope="session")
-def blas_core() -> str:
-    """This run's OpenBLAS kernel (``openblas_core``). The bits of QR, matmul
-    and eigh depend on it, so every pinned digest holds for one kernel only,
-    and its failure message names the kernel of the run."""
-    return openblas_core()
+def pinned():
+    """``pinned(pins)``: the value that ``pins``, a dict keyed by (numpy
+    version, OpenBLAS kernel), holds for this run's key. The bits of QR,
+    matmul and eigh depend on both, so a byte pin holds for one key only; on
+    a key with no pin the test skips, naming the key, and the value-level
+    tests across kernels still hold what every kernel must keep."""
+    key = (np.__version__, openblas_core())
+
+    def pin(pins: dict):
+        if key not in pins:
+            pytest.skip(f"no pin for numpy {key[0]} under the OpenBLAS kernel {key[1]}")
+        return pins[key]
+
+    return pin
 
 
 # A fresh interpreter, with fidur's sources and this directory on its path,
@@ -89,7 +98,7 @@ def _in_child(code: str, arg: str, env: dict) -> tuple[str, str]:
 def sweep_in_child():
     """``run(config, **env)`` runs ``run_sweep(config)`` in a fresh interpreter,
     with ``env`` added to the environment of that child only, and returns
-    the child's OpenBLAS kernel, read as ``blas_core`` reads it, and its
+    the child's OpenBLAS kernel, read as ``openblas_core`` reads it, and its
     result JSON."""
 
     def run(config, **env) -> tuple[str, str]:

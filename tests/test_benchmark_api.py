@@ -38,11 +38,6 @@ def test_traced_name_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
 
 
-@pytest.mark.parametrize("cls", tracing.VALIDATED)
-def test_validated_class_has_post_init(cls):
-    assert callable(getattr(importlib.import_module("fidur.states"), cls).__post_init__)
-
-
 def test_every_hook_is_covered():
     assert set(tracing._HOOKS) == set(HOOKED_PARAMETERS)
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fidur.cli import main
+from fidur.cli import cmd_sample, main
+from fidur.errors import ValidationError
 from fidur.metrics import metric_kind
 from fidur.states import (
     DensityMatrix,
@@ -109,6 +110,28 @@ class TestFidelityCommand:
         assert main(["fidelity", zero_state, comp_obs]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_a_fixture_that_is_not_an_object_exits_2(self, capsys, tmp_path, zero_state):
+        bad = write_json(tmp_path / "list.json", [])
+        assert main(["fidelity", zero_state, bad]) == 2
+        assert capsys.readouterr().err == "error: payload must be a JSON object\n"
+
+
+# The output of README's check-ur example, keyed by (numpy version, OpenBLAS
+# kernel): the samples' QR and products, and so the report, move in their last
+# bits with the kernel. The README shows the SkylakeX output.
+CHECK_UR_EXAMPLE = {
+    ("2.4.6", "SkylakeX"): (
+        '{"bound": 0.7178137637432005, "overlap_c": 0.7532455019940689, '
+        '"p_max_a": 0.3615371197327872, "p_max_b": 0.6268030615488046, '
+        '"slack": 0.8650759735135509, "u_a": 0.92569479594047, "u_b": 0.6571949413162813}\n'
+    ),
+    ("2.4.6", "Haswell"): (
+        '{"bound": 0.7178137637432004, "overlap_c": 0.7532455019940689, '
+        '"p_max_a": 0.36153711973278724, "p_max_b": 0.6268030615488044, '
+        '"slack": 0.8650759735135515, "u_a": 0.92569479594047, "u_b": 0.6571949413162818}\n'
+    ),
+}
+
 
 class TestCheckURCommand:
     def test_certainty_case(self, capsys, zero_state, comp_obs, hadamard_obs):
@@ -179,7 +202,8 @@ class TestCheckURCommand:
             report = json.loads(capsys.readouterr().out)
             assert report["slack"] >= -1e-15
 
-    def test_readme_example_verbatim(self, capsys, tmp_path, monkeypatch, blas_core):
+    def test_readme_example_verbatim(self, capsys, tmp_path, monkeypatch, pinned):
+        expected = pinned(CHECK_UR_EXAMPLE)
         monkeypatch.chdir(tmp_path)
         for argv in (
             "sample mixed --dim 3 --aux-dim 2 --seed 11 --out rho.json",
@@ -189,11 +213,7 @@ class TestCheckURCommand:
             assert main(argv.split()) == 0
         capsys.readouterr()
         assert main("check-ur rho.json a.json b.json --metric angle".split()) == 0
-        assert capsys.readouterr().out == (
-            '{"bound": 0.7178137637432005, "overlap_c": 0.7532455019940689, '
-            '"p_max_a": 0.3615371197327872, "p_max_b": 0.6268030615488046, '
-            '"slack": 0.8650759735135509, "u_a": 0.92569479594047, "u_b": 0.6571949413162813}\n'
-        ), f"pinned under the OpenBLAS core SkylakeX; this run's core is {blas_core}"
+        assert capsys.readouterr().out == expected
 
 
 def _payload_cases():
@@ -690,6 +710,12 @@ class TestRegionCommand:
                      "--points", "1"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_unwritable_out_path_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["region", "--metric", "angle", "--overlap", "0.6", "--dim", "4",
+                     "--points", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
     def test_readme_example_verbatim(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["region", "--metric", "bures", "--overlap", "0.6", "--dim", "4",
@@ -765,6 +791,15 @@ class TestSampleCommand:
         assert main(["sample", "pure", "--dim", "2", "--seed", "1", "--out", str(out)]) == 0
         assert capsys.readouterr().out.strip() == str(out)
         json.loads(out.read_text())
+
+    def test_unwritable_out_path_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["sample", "pure", "--dim", "2", "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
+    def test_unknown_target_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="unknown sample target 'foo'"):
+            cmd_sample("foo", 3, None, 7)
 
     def test_same_seed_same_bytes(self, capsys):
         main(["sample", "mixed", "--dim", "3", "--aux-dim", "2", "--seed", "21"])

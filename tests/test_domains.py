@@ -113,6 +113,10 @@ class TestGBoundary:
         with pytest.raises(DomainError):
             g_boundary(MetricKind.ANGLE, 0.6, p, 4)
 
+    def test_rejects_dimension_one(self):
+        with pytest.raises(DomainError, match="dimension must be at least 2"):
+            g_boundary(MetricKind.ANGLE, 0.6, 0.5, 1)
+
 
 def boundary_grids(dim, c):
     """A g-grid over [1/N, 1] and an h-grid over [c^2, 1], each with the
@@ -243,6 +247,10 @@ class TestQuadraticForm:
                 for p_a in np.linspace(0.0, 1.0, 11):
                     xi_minus, _ = quadratic_form(kind, c, float(p_a), 0.5).roots()
                     assert xi_minus <= 1e-15
+
+    def test_roots_reject_a_negative_discriminant(self):
+        with pytest.raises(DomainError, match="negative discriminant"):
+            QuadraticForm(a1=0.0, a0=1.0, xi=0.0).roots()
 
     def test_flat_branch_root_is_nonpositive(self):
         # below p_a = c^2 the cap on xi degenerates and no constraint remains

@@ -25,6 +25,7 @@ from fidur.states import (
     _gaussian,
     _generator,
     _generators,
+    _given_state_sequence,
     _members,
     _seed_state,
     _stream_words,
@@ -346,8 +347,12 @@ def test_a_container_of_the_wrong_kind_is_named(call, expected, got):
 # 10 triples per dimension 2..10, taken when fidelity moved to the eigen-factor
 # of rho (the eigenvalues of G^dag sigma G, no root built): the values must not
 # move by one bit. Against the root route 743 of the 810 distances moved, by at
-# most 6.9e-14 relative; every matrix and root kept its bits.
-TRIANGLE_DIGEST = "b0fda2afdbf96b571e7e3df56e0b38d6ce1cdced848111d3407f2d904e22a7d2"
+# most 6.9e-14 relative; every matrix and root kept its bits. Keyed by (numpy
+# version, OpenBLAS kernel), as SWEEP_DIGEST is.
+TRIANGLE_DIGEST = {
+    ("2.4.6", "SkylakeX"): "b0fda2afdbf96b571e7e3df56e0b38d6ce1cdced848111d3407f2d904e22a7d2",
+    ("2.4.6", "Haswell"): "0c6310434f9ab7f166c3b3a449190d0a2680460e8e6e71775cce2479ee0a8c2d",
+}
 
 
 def _triple(dim, t):
@@ -372,7 +377,8 @@ def _triangle():
 
 
 class TestSolverCalls:
-    def test_triangle_values_are_pinned(self, blas_core):
+    def test_triangle_values_are_pinned(self, pinned):
+        digest = pinned(TRIANGLE_DIGEST)
         h = hashlib.sha256()
         for distances, triple in _triangle():
             for d in distances:
@@ -380,8 +386,7 @@ class TestSolverCalls:
             for state in triple:
                 h.update(state.matrix.tobytes())
                 h.update(state.sqrt.tobytes())
-        assert h.hexdigest() == TRIANGLE_DIGEST, (
-            f"pinned under the OpenBLAS core SkylakeX; this run's core is {blas_core}")
+        assert h.hexdigest() == digest
 
     @pytest.mark.parametrize("dim", range(2, 11))
     def test_a_fresh_triple_makes_three_eigh_and_three_eigvalsh(self, solver_calls, dim):
@@ -574,6 +579,10 @@ class TestPartialTrace:
         with pytest.raises(DimensionMismatch):
             partial_trace_aux(PureState(np.ones(6) / np.sqrt(6.0)), 4, 2)
 
+    def test_rejects_a_zero_dimension(self):
+        with pytest.raises(DimensionMismatch, match="dimensions must be positive"):
+            partial_trace_aux(BELL, 0, 2)
+
 
 class TestDerivedSeed:
     def test_deterministic(self):
@@ -717,6 +726,13 @@ class TestSeedingGate:
         five = np.random.SeedSequence([5, 0, 0, 0, 0]).generate_state(4)
         assert five.tobytes() != np.random.SeedSequence([5]).generate_state(4).tobytes()
 
+    def test_given_words_serve_only_pcg64s_request(self):
+        """The word source knows PCG64's 4 uint64 words and nothing else, so a
+        bit generator that asks for other words fails instead of misreading them."""
+        source = _given_state_sequence()(_stream_words([(1, 2, 3, 4)])[0])
+        with pytest.raises(NotImplementedError):
+            source.generate_state(8)
+
 
 class TestSamplers:
     def test_unitary_is_unitary(self):
@@ -857,8 +873,12 @@ class TestNamedBases:
 # sha256 over json.dumps(x.to_payload(), sort_keys=True) of sampled pure
 # states, their projectors, mixed states of full and of low rank, observables
 # and the Fourier basis for N = 1..10, taken before the containers shared one
-# codec: the fixture bytes must not move.
-FIXTURE_DIGEST = "caa40f90a993e3cd77e5afed3e84e4cd528e186bcab3199bd6f9fece793608f0"
+# codec: the fixture bytes must not move. Keyed by (numpy version, OpenBLAS
+# kernel), as SWEEP_DIGEST is.
+FIXTURE_DIGEST = {
+    ("2.4.6", "SkylakeX"): "caa40f90a993e3cd77e5afed3e84e4cd528e186bcab3199bd6f9fece793608f0",
+    ("2.4.6", "Haswell"): "9ae5180b3413ac351eb0e884bd2863613ca3c086af82b8f4e49bcbfbe86f6f73",
+}
 
 
 def _fixtures():
@@ -931,12 +951,12 @@ def test_fixture_and_triangle_values_hold_across_blas_kernels(call_in_child):
 
 
 class TestPayloadHelpers:
-    def test_fixture_bytes_are_pinned(self, blas_core):
+    def test_fixture_bytes_are_pinned(self, pinned):
+        digest = pinned(FIXTURE_DIGEST)
         h = hashlib.sha256()
         for _, x in _fixtures():
             h.update(json.dumps(x.to_payload(), sort_keys=True).encode("utf-8"))
-        assert h.hexdigest() == FIXTURE_DIGEST, (
-            f"pinned under the OpenBLAS core SkylakeX; this run's core is {blas_core}")
+        assert h.hexdigest() == digest
 
     @pytest.mark.parametrize(
         "stack",
@@ -966,6 +986,11 @@ class TestPayloadHelpers:
         psi = PureState(np.array([0.0, 1.0]))
         out = state_from_payload(psi.to_payload())
         assert np.abs(out.matrix - np.diag([0.0, 1.0])).max() < 1e-15
+
+    @pytest.mark.parametrize("load", [DensityMatrix.from_payload, state_from_payload])
+    def test_a_payload_that_is_not_an_object_is_rejected(self, load):
+        with pytest.raises(ValidationError, match="payload must be a JSON object"):
+            load([])
 
     def test_state_from_payload_rejects_unknown_type(self):
         with pytest.raises(ValidationError):

@@ -526,19 +526,24 @@ def test_memory_is_bounded_by_one_chunk(dim):
 
 
 # sha256 of the concatenated run_sweep(config).to_json() over _digest_grid(),
-# pinned under the OpenBLAS core SkylakeX, under which the bytes must not move
-# (QR and matmul bits depend on the kernel). Taken when a window of chunks
-# moved to one slack stage and each chunk to one product Q^dag [psi | M] and
-# one complement call, read from the raw draws (unscaled, unnormalized, before
-# the phase fix): the sums round differently, so min_slack moved by at most
-# 1.5 eps, while every count, stream and witness coordinate, rho, a and b kept
-# its bits. Before it, 786989323f3cbf9a3eaa6f0984512d27470c5df3722b8119d0986be9738f239c
-# held from the move of a chunk to A = I (a trial (A, B, rho) and (I, A^dag B,
-# A^dag rho A) give the same slack, and with A, B Haar and rho unitarily
-# invariant the second has the law of (I, B, rho)), and
+# keyed by (numpy version, OpenBLAS kernel), under which the bytes must not
+# move (QR and matmul bits depend on the kernel). The SkylakeX pin was taken
+# when a window of chunks moved to one slack stage and each chunk to one
+# product Q^dag [psi | M] and one complement call, read from the raw draws
+# (unscaled, unnormalized, before the phase fix): the sums round differently,
+# so min_slack moved by at most 1.5 eps, while every count, stream and witness
+# coordinate, rho, a and b kept its bits. Before it,
+# 786989323f3cbf9a3eaa6f0984512d27470c5df3722b8119d0986be9738f239c held from
+# the move of a chunk to A = I (a trial (A, B, rho) and (I, A^dag B, A^dag rho
+# A) give the same slack, and with A, B Haar and rho unitarily invariant the
+# second has the law of (I, B, rho)), and
 # 8cfca033e6ac3c9c6091f4cee9306d10355682b950776f1c4616672c4f75ca03 from the
-# move of the slacks to complements until then.
-SWEEP_DIGEST = "6d67da122332e17a15c1ea462058fda096bb3d33c84bc314bf06a64bdb71346e"
+# move of the slacks to complements until then. The Haswell pin holds the same
+# code's bytes under OPENBLAS_CORETYPE=Haswell.
+SWEEP_DIGEST = {
+    ("2.4.6", "SkylakeX"): "6d67da122332e17a15c1ea462058fda096bb3d33c84bc314bf06a64bdb71346e",
+    ("2.4.6", "Haswell"): "e1e234166159e14f2c1c0365af77bd7403f83c20014f2a4c2d8f88b4c8201863",
+}
 
 
 def _digest_grid():
@@ -551,10 +556,10 @@ def _digest_grid():
                       kinds=(MetricKind.BURES, MetricKind.ANGLE), mixedness="both")
 
 
-def test_sweep_bytes_are_pinned(blas_core):
+def test_sweep_bytes_are_pinned(pinned):
+    digest = pinned(SWEEP_DIGEST)
     text = "".join(run_sweep(config).to_json() for config in _digest_grid())
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SWEEP_DIGEST, (
-        f"pinned under the OpenBLAS core SkylakeX; this run's core is {blas_core}")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 # How far min_slack and the witness's b may move between OpenBLAS kernels.
