@@ -44,6 +44,13 @@ def _tracer_constant(name: str):
     raise LookupError(f"{name} is not assigned in {path}")
 
 
+@pytest.mark.parametrize("module, attr", _tracer_constant("TRACED"))
+def test_every_traced_function_still_exists(module, attr):
+    """``perfbench/run.py --trace 1`` wraps each of these by name, so
+    removing or renaming one breaks the traced benchmark run."""
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
 @pytest.mark.parametrize("cls", _tracer_constant("VALIDATED"))
 def test_every_traced_constructor_defines_its_own_post_init(cls):
     """``perfbench/run.py --trace 1`` wraps ``cls.__dict__["__post_init__"]``,
